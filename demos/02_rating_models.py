@@ -5,6 +5,7 @@ rows, and the item autoencoder."""
 import numpy as np
 
 from gradrec import data, engine as E, metrics, synthetic
+from gradrec.models import train
 from gradrec.models.baselines import GlobalMeanRating
 from gradrec.models.rating import BiasedSvd, FactorizationMachine, ItemAutoRec
 
@@ -12,14 +13,14 @@ from gradrec.models.rating import BiasedSvd, FactorizationMachine, ItemAutoRec
 
 print("== biased SVD on noiseless rank-2 ratings ==")
 table, _ = synthetic.planted_factor_ratings(20, 16, rank=2, density=0.6, seed=1)
-train, test = data.split(table, data.RandomHoldout(0.2, seed=7))
+train_set, test = data.split(table, data.RandomHoldout(0.2, seed=7))
 
-model = BiasedSvd.for_table(train, k=2, l2=0.0, seed=2)
-trace = model.fit(train, E.Adam(lr=0.05), epochs=150, batch_size=64, seed=3)
+model = BiasedSvd.for_table(train_set, k=2, l2=0.0, seed=2)
+trace = train(model, {"train": train_set}, E.Adam(lr=0.05), epochs=150, batch_size=64, seed=3)
 print(f"training loss: {trace[0]:.4f} -> {trace[-1]:.6f}")
 
 pairs = [(model.predict(x.user, x.item), x.rating) for x in test.interactions]
-baseline = GlobalMeanRating(train)
+baseline = GlobalMeanRating(train_set)
 base_pairs = [(baseline.predict(x.user, x.item), x.rating) for x in test.interactions]
 rmse, mae = metrics.rmse_mae(pairs)
 base_rmse, _ = metrics.rmse_mae(base_pairs)
@@ -49,7 +50,7 @@ for _ in range(80):
 
 fm = FactorizationMachine.for_rows(rows, n_features=6, k=2, l2=0.0,
                                    task="regression", seed=5)
-fm.fit(rows, E.Adam(lr=0.05), epochs=300, batch_size=80, seed=6)
+train(fm, {"train_rows": rows}, E.Adam(lr=0.05), epochs=300, batch_size=80, seed=6)
 preds = [fm.raw_score(r) for r in rows]
 rmse = float(np.sqrt(np.mean([(p - r.label) ** 2 for p, r in zip(preds, rows)])))
 print(f"train RMSE on the planted degree-2 function: {rmse:.4f}")
@@ -57,8 +58,8 @@ print(f"train RMSE on the planted degree-2 function: {rmse:.4f}")
 # ---- item autoencoder ------------------------------------------------------
 
 print("\n== item-based autoencoder ==")
-ar = ItemAutoRec.for_table(train, hidden=8, l2=0.01, seed=7)
-trace = ar.fit(train, E.Adam(lr=0.05), epochs=200, seed=8)
+ar = ItemAutoRec.for_table(train_set, hidden=8, l2=0.01, seed=7)
+trace = train(ar, {"train": train_set}, E.Adam(lr=0.05), epochs=200, seed=8)
 pairs = [(ar.predict(x.user, x.item), x.rating) for x in test.interactions]
 rmse, mae = metrics.rmse_mae(pairs)
 print(f"reconstruction loss {trace[0]:.1f} -> {trace[-1]:.3f}; test RMSE {rmse:.4f}")

@@ -5,25 +5,26 @@ the NeuMF family, and the denoising autoencoder."""
 import numpy as np
 
 from gradrec import data, engine as E, metrics, synthetic
+from gradrec.models import train
 from gradrec.models.baselines import PopularityRanker
 from gradrec.models.ranking import BprMf, Cdae, Cml, NeuMf
 
 table = synthetic.clustered_implicit(n_clusters=3, users_per_cluster=14,
                                      items_per_cluster=8, likes_per_user=5, seed=1)
-train, test = data.split(table, data.LeaveOneOut())
-pop = PopularityRanker(train)
-pop_report = metrics.evaluate_ranking(pop.score, train, test,
+train_set, test = data.split(table, data.LeaveOneOut())
+pop = PopularityRanker(train_set)
+pop_report = metrics.evaluate_ranking(pop.score, train_set, test,
                                       metrics.FullRanking(), [5, 10])
 print("users:", table.n_users, "items:", table.n_items,
-      "train interactions:", len(train.interactions))
+      "train interactions:", len(train_set.interactions))
 print(f"popularity baseline ndcg@10 = {pop_report.values['ndcg@10']:.4f}")
 
 # ---- BPR -------------------------------------------------------------------
 
 print("\n== BPR matrix factorization ==")
 bpr = BprMf(table.n_users, table.n_items, k=8, l2=0.001, seed=2)
-trace = bpr.fit(train, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=3)
-report = metrics.evaluate_ranking(bpr.score, train, test, metrics.FullRanking(), [5, 10])
+trace = train(bpr, {"train": train_set}, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=3)
+report = metrics.evaluate_ranking(bpr.score, train_set, test, metrics.FullRanking(), [5, 10])
 print(f"pairwise loss {trace[0]:.4f} -> {trace[-1]:.4f}")
 print(f"ndcg@10 = {report.values['ndcg@10']:.4f} "
       f"({report.values['ndcg@10'] / pop_report.values['ndcg@10']:.2f}x popularity)")
@@ -32,11 +33,18 @@ print(f"ndcg@10 = {report.values['ndcg@10']:.4f} "
 
 print("\n== collaborative metric learning ==")
 cml = Cml(table.n_users, table.n_items, k=8, margin=0.8, seed=4)
-cml.fit(train, E.Adam(lr=0.05), epochs=30, batch_size=32, seed=5, neg_per_pos=4)
-norms = np.linalg.norm(np.vstack([cml.params["user_points"],
-                                  cml.params["item_points"]]), axis=1)
-report = metrics.evaluate_ranking(cml.score, train, test, metrics.FullRanking(), [10])
-print(f"max embedding norm after training: {norms.max():.6f} (unit ball)")
+step_norms = []  # on_step sees the parameters after every optimizer step
+
+
+def largest_norm(params):
+    step_norms.append(np.linalg.norm(np.vstack([params["user_points"],
+                                                params["item_points"]]), axis=1).max())
+
+
+train(cml, {"train": train_set}, E.Adam(lr=0.05), epochs=30, batch_size=32, seed=5,
+      neg_samples=4, on_step=largest_norm)
+report = metrics.evaluate_ranking(cml.score, train_set, test, metrics.FullRanking(), [10])
+print(f"max embedding norm over {len(step_norms)} steps: {max(step_norms):.6f} (unit ball)")
 print(f"ndcg@10 = {report.values['ndcg@10']:.4f}")
 
 # ---- the NeuMF family --------------------------------------------------------
@@ -44,16 +52,17 @@ print(f"ndcg@10 = {report.values['ndcg@10']:.4f}")
 print("\n== GMF / MLP / NeuMF ==")
 for variant in NeuMf.VARIANTS:
     net = NeuMf(table.n_users, table.n_items, k=8, variant=variant, seed=6)
-    net.fit(train, E.Adam(lr=0.05), epochs=25, batch_size=128, seed=7, neg_per_pos=4)
-    report = metrics.evaluate_ranking(net.score, train, test, metrics.FullRanking(), [10])
+    train(net, {"train": train_set}, E.Adam(lr=0.05), epochs=25, batch_size=128, seed=7,
+          neg_samples=4)
+    report = metrics.evaluate_ranking(net.score, train_set, test, metrics.FullRanking(), [10])
     print(f"{variant:6s} ndcg@10 = {report.values['ndcg@10']:.4f}")
 
 # ---- CDAE --------------------------------------------------------------------
 
 print("\n== collaborative denoising autoencoder ==")
 cdae = Cdae(table.n_users, table.n_items, hidden=12, corruption=0.2, seed=8)
-trace = cdae.fit(train, E.Adam(lr=0.05), epochs=40, seed=9, neg_per_pos=4)
-report = metrics.evaluate_ranking(cdae.score, train, test, metrics.FullRanking(), [10])
+trace = train(cdae, {"train": train_set}, E.Adam(lr=0.05), epochs=40, seed=9, neg_samples=4)
+report = metrics.evaluate_ranking(cdae.score, train_set, test, metrics.FullRanking(), [10])
 print(f"logistic loss {trace[0]:.4f} -> {trace[-1]:.4f}")
 print(f"ndcg@10 = {report.values['ndcg@10']:.4f} "
       f"({report.values['ndcg@10'] / pop_report.values['ndcg@10']:.2f}x popularity)")

@@ -3,8 +3,9 @@
 
 Numeric training hyperparameters must be explicit in the file; only
 structural defaults (layer shapes, filter counts, negative-sample counts)
-live in code. All randomness is seeded from the config: nothing is drawn
-from the environment.
+live in code, declared by each model class (see ``gradrec.models.MODELS``).
+All randomness is seeded from the config: nothing is drawn from the
+environment.
 """
 
 from __future__ import annotations
@@ -17,32 +18,9 @@ from pathlib import Path
 from gradrec.data import LeaveOneOut, RandomHoldout, SplitSpec, Temporal
 from gradrec.errors import ConfigError
 from gradrec.metrics import FullRanking, Protocol, SampledRanking
+from gradrec.models import MODELS
 
-MODEL_NAMES = ("biasedsvd", "fm", "autorec", "bprmf", "cml", "gmf", "mlp", "neumf",
-               "cdae", "prme", "caser", "attrec")
-
-# task + required/optional model-section keys beyond "name"
-MODEL_SPECS: dict[str, dict] = {
-    "biasedsvd": {"task": "rating", "required": {"k"}, "optional": set()},
-    "fm": {"task": "rating", "required": {"k"}, "optional": set()},
-    "autorec": {"task": "rating", "required": {"k"}, "optional": set()},
-    "bprmf": {"task": "ranking", "required": {"k"}, "optional": set()},
-    "cml": {"task": "ranking", "required": {"k", "margin"}, "optional": set()},
-    "gmf": {"task": "ranking", "required": {"k"}, "optional": set()},
-    "mlp": {"task": "ranking", "required": {"k"}, "optional": {"layers"}},
-    "neumf": {"task": "ranking", "required": {"k"}, "optional": {"layers"}},
-    "cdae": {"task": "ranking", "required": {"k", "dropout_q"}, "optional": set()},
-    "prme": {"task": "sequential", "required": {"k", "alpha"}, "optional": {"L", "margin"}},
-    "caser": {"task": "sequential", "required": {"k", "L"}, "optional": {"T", "n_h", "n_v"}},
-    "attrec": {"task": "sequential",
-               "required": {"k", "L", "omega", "margin", "clip_rho"}, "optional": set()},
-}
-
-# structural defaults; everything else must be written in the config
-DEFAULT_NEG_SAMPLES = {"bprmf": 1, "cml": 4, "gmf": 4, "mlp": 4, "neumf": 4,
-                       "cdae": 4, "caser": 3}
 DEFAULT_BINARIZE_THRESHOLD = 4.0
-CASER_DEFAULTS = {"T": 1, "n_h": 4, "n_v": 2}
 
 TRAIN_KEYS = {"optimizer", "lr", "l2", "epochs", "batch_size", "neg_samples", "seed"}
 DATA_KEYS = {"path", "format", "split", "seed", "binarize_threshold"}
@@ -66,7 +44,7 @@ class ModelConfig:
     k: int | None = None
     layers: list[int] | None = None
     L: int | None = None
-    T: int | None = None
+    T: int = 1  # targets per sequence instance; only caser takes the key
     margin: float | None = None
     alpha: float | None = None
     omega: float | None = None
@@ -77,7 +55,7 @@ class ModelConfig:
 
     @property
     def task(self) -> str:
-        return MODEL_SPECS[self.name]["task"]
+        return MODELS[self.name].task
 
 
 @dataclass
@@ -206,20 +184,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # ---- model ----
     name = model_raw.get("name")
-    spec = None
+    cls = MODELS.get(name)
     if name is None:
         issues.append("[model] missing key 'name'")
-    elif name not in MODEL_SPECS:
-        issues.append(f"[model] unknown model {name!r} (expected one of {', '.join(MODEL_NAMES)})")
+    elif cls is None:
+        issues.append(f"[model] unknown model {name!r} (expected one of {', '.join(MODELS)})")
     else:
-        spec = MODEL_SPECS[name]
-        allowed = spec["required"] | spec["optional"] | {"name"}
+        allowed = set(cls.required) | set(cls.defaults) | {"name"}
         for key in sorted((set(model_raw) & MODEL_KEYS) - allowed):
             issues.append(f"[model] key {key!r} does not apply to model {name!r}")
-        for key in sorted(spec["required"] - set(model_raw)):
+        for key in sorted(set(cls.required) - set(model_raw)):
             issues.append(f"[model] model {name!r} requires key {key!r}")
 
-    model_cfg = ModelConfig(name=name or "")
+    # the model's defaults apply only to keys absent from the file
+    model_cfg = ModelConfig(name=name or "", **(cls.defaults if cls else {}))
     int_keys = {"k", "L", "T", "n_h", "n_v"}
     float_keys = {"margin", "alpha", "omega", "dropout_q", "clip_rho"}
     for key, raw in model_raw.items():
@@ -232,16 +210,20 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key in float_keys:
             setattr(model_cfg, key, _convert(raw, "float", f"[model] {key}", issues))
 
-    if model_cfg.k is not None and model_cfg.k < 1:
-        issues.append(f"[model] k must be >= 1, got {model_cfg.k}")
+    for key in sorted(int_keys):
+        value = getattr(model_cfg, key)
+        if value is not None and value < 1:
+            issues.append(f"[model] {key} must be >= 1, got {value}")
+    if model_cfg.layers is not None and (not model_cfg.layers or min(model_cfg.layers) < 1):
+        issues.append(f"[model] layers must list sizes >= 1, got {model_raw['layers']!r}")
     for key, lo, hi in (("alpha", 0.0, 1.0), ("omega", 0.0, 1.0)):
         value = getattr(model_cfg, key)
         if value is not None and not lo <= value <= hi:
             issues.append(f"[model] {key} must be in [{lo}, {hi}], got {value}")
     if model_cfg.dropout_q is not None and not 0.0 <= model_cfg.dropout_q < 1.0:
         issues.append(f"[model] dropout_q must be in [0, 1), got {model_cfg.dropout_q}")
-    if name == "prme" and model_cfg.L not in (None, 1):
-        issues.append("[model] prme is first-order: L must be 1 when given")
+    if cls is not None:
+        issues.extend(cls.config_issues(model_cfg))
 
     # ---- train ----
     for key in ("optimizer", "lr", "l2", "epochs", "seed"):
@@ -260,7 +242,11 @@ def parse_config(text: str) -> ExperimentConfig:
     neg_samples = None
     if "neg_samples" in train_raw:
         neg_samples = _convert(train_raw["neg_samples"], "int", "[train] neg_samples", issues)
-    if name is not None and name != "cdae" and name in MODEL_SPECS and batch_size is None:
+        if cls is not None and cls.neg_samples is None:
+            issues.append(f"[train] neg_samples does not apply to model {name!r}")
+    elif cls is not None:
+        neg_samples = cls.neg_samples
+    if cls is not None and cls.batched and batch_size is None:
         issues.append("[train] missing key 'batch_size'")
     if lr is not None and lr <= 0 and "lr" in train_raw:
         issues.append(f"[train] lr must be > 0, got {lr}")
@@ -268,10 +254,12 @@ def parse_config(text: str) -> ExperimentConfig:
         issues.append(f"[train] epochs must be >= 1, got {epochs}")
     if batch_size is not None and batch_size < 1:
         issues.append(f"[train] batch_size must be >= 1, got {batch_size}")
+    if neg_samples is not None and neg_samples < 1:
+        issues.append(f"[train] neg_samples must be >= 1, got {neg_samples}")
 
     # ---- eval / task coupling ----
     eval_cfg: EvalConfig | None = None
-    task = spec["task"] if spec else None
+    task = cls.task if cls else None
     if task == "rating":
         if eval_raw:
             issues.append(f"[eval] rating model {name!r} reports rmse/mae only; "
@@ -295,7 +283,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # format / task coupling
     if fmt == "libfm":
-        if name is not None and name != "fm":
+        if cls is not None and not cls.feature_rows:
             issues.append(f"[data] libfm format requires model fm, got {name!r}")
         if split_spec is not None and not isinstance(split_spec, RandomHoldout):
             issues.append("[data] libfm rows carry no user/timestamp; split must be random:<ratio>")
@@ -318,12 +306,6 @@ def parse_config(text: str) -> ExperimentConfig:
                             batch_size=batch_size, neg_samples=neg_samples)
     return ExperimentConfig(data=data_cfg, model=model_cfg, train=train_cfg,
                             eval=eval_cfg, text=text)
-
-
-def neg_samples_for(cfg: ExperimentConfig) -> int:
-    if cfg.train.neg_samples is not None:
-        return cfg.train.neg_samples
-    return DEFAULT_NEG_SAMPLES.get(cfg.model.name, 1)
 
 
 def binarize_threshold_for(cfg: ExperimentConfig) -> float:

@@ -1,4 +1,4 @@
-"""Dataset ingestion, id remapping, splitting, negative sampling, sequences.
+"""Dataset ingestion, id remapping, splitting, sequences.
 
 File formats:
 
@@ -69,9 +69,6 @@ class InteractionTable:
         for x in self.interactions:
             out.setdefault(x.user, []).append(x)
         return out
-
-    def items_of(self, user: int) -> set[int]:
-        return {x.item for x in self.interactions if x.user == user}
 
     def consumed(self) -> dict[int, set[int]]:
         out: dict[int, set[int]] = {}
@@ -313,25 +310,8 @@ def binarize(table: InteractionTable, threshold: float) -> InteractionTable:
 
 
 # --------------------------------------------------------------------------
-# negative sampling and sequences
+# sequences
 # --------------------------------------------------------------------------
-
-
-def sample_negatives(train: InteractionTable, user: int, k: int,
-                     seed: int | np.random.Generator, exclude=()) -> np.ndarray:
-    """Draw k items uniformly (with replacement) outside the user's train set."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    blocked = np.zeros(train.n_items, dtype=bool)
-    for it in train.items_of(user):
-        blocked[it] = True
-    for it in exclude:
-        blocked[it] = True
-    candidates = np.flatnonzero(~blocked)
-    if candidates.size == 0:
-        raise GradrecError(f"user {user} has consumed every item; nothing to sample")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    return candidates[rng.integers(0, candidates.size, size=k)]
 
 
 @dataclass(frozen=True)

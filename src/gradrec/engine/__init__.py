@@ -7,7 +7,6 @@ from gradrec.engine.tape import (
     concat,
     const,
     conv_h,
-    dropout,
     embedding_lookup,
     forward,
     matmul,
@@ -29,7 +28,6 @@ __all__ = [
     "concat",
     "const",
     "conv_h",
-    "dropout",
     "embedding_lookup",
     "forward",
     "grad_check",

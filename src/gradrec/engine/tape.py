@@ -579,28 +579,6 @@ def _max_over_time_vjp(node, g):
     return [grad]
 
 
-@_op("dropout")
-def _dropout(values, attrs, cache):
-    (x,) = values
-    keep = float(attrs["keep_prob"])
-    _check(0.0 < keep <= 1.0, "dropout", "keep_prob in (0, 1]", keep)
-    if not attrs.get("training", True) or keep == 1.0:
-        cache["mask"] = None
-        return x
-    rng = np.random.default_rng(attrs["seed"])
-    mask = rng.random(x.shape) < keep
-    cache["mask"] = mask
-    return x * mask / keep
-
-
-@_vjp("dropout")
-def _dropout_vjp(node, g):
-    mask = node.cache["mask"]
-    if mask is None:
-        return [g]
-    return [g * mask / float(node.attrs["keep_prob"])]
-
-
 @_op("sq_l2_dist")
 def _sq_l2_dist(values, attrs, cache):
     a, b = values
@@ -647,10 +625,6 @@ def conv_h(x: Node, filters: Node, bias: Node | None = None) -> Node:
 
 def max_over_time(x: Node) -> Node:
     return forward("max_over_time", [x])
-
-
-def dropout(x: Node, keep_prob: float, training: bool, seed: int) -> Node:
-    return forward("dropout", [x], keep_prob=keep_prob, training=training, seed=seed)
 
 
 def sq_l2_dist(a: Node, b: Node) -> Node:

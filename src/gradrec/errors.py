@@ -46,10 +46,14 @@ class ConfigError(GradrecError):
 
 
 class TrainingDivergedError(GradrecError):
-    def __init__(self, epoch: int, loss: float):
+    """A step's loss was not finite. ``step`` counts optimizer steps from
+    the start of training, from 0."""
+
+    def __init__(self, epoch: int, step: int, loss: float):
         self.epoch = epoch
+        self.step = step
         self.loss = loss
-        super().__init__(f"training diverged at epoch {epoch}: loss={loss!r}")
+        super().__init__(f"training diverged at epoch {epoch}, step {step}: loss={loss!r}")
 
 
 class EvaluationError(GradrecError):

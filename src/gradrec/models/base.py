@@ -1,15 +1,19 @@
 """Shared pieces for the model implementations: initialization, graph
-helpers, minibatching and training-loop utilities."""
+helpers, the negative sampler, the :class:`Model` interface every model
+declares, and :func:`train`, the one training loop."""
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
 from gradrec import engine as E
 from gradrec.data import InteractionTable
 from gradrec.errors import GradrecError, TrainingDivergedError
+
+if TYPE_CHECKING:
+    from gradrec.config import ExperimentConfig, ModelConfig
 
 Array = np.ndarray
 
@@ -58,23 +62,20 @@ def bce_from_logits(logits: E.Node, labels: Array) -> E.Node:
     return (logits.softplus() - y * logits).mean()
 
 
-def check_finite(loss_value: float, epoch: int) -> None:
-    if not np.isfinite(loss_value):
-        raise TrainingDivergedError(epoch, float(loss_value))
-
-
 def gradient_step(params: dict[str, Array], trainable, build_loss, optimizer,
-                  epoch: int) -> float:
+                  epoch: int, step: int) -> float:
     """One tape build / backward / optimizer step over the named subset.
 
     ``build_loss`` receives fresh leaves bound to the current parameter
     arrays; ``params`` is updated in place with the stepped arrays. The
-    loss value is returned for tracing.
+    loss value is returned for tracing; a non-finite one raises
+    :class:`TrainingDivergedError` before any parameter changes.
     """
     leaves = {name: E.param(params[name], name) for name in trainable}
     loss = build_loss(leaves)
     value = float(loss.value)
-    check_finite(value, epoch)
+    if not np.isfinite(value):
+        raise TrainingDivergedError(epoch, step, value)
     grads = E.backward(loss, wrt=leaves.values())
     stepped = optimizer.step({n: params[n] for n in trainable},
                              {n: grads[leaves[n]] for n in trainable})
@@ -93,16 +94,14 @@ class NegativeSampler:
     """Uniform sampling over each user's unconsumed items, with the
     per-user candidate arrays built once."""
 
-    def __init__(self, table: InteractionTable | None = None, *, n_items: int | None = None,
-                 consumed: dict[int, set[int]] | None = None, n_users: int | None = None):
-        if table is not None:
-            n_items, n_users, consumed = table.n_items, table.n_users, table.consumed()
-        self.n_items = n_items
+    def __init__(self, table: InteractionTable):
+        consumed = table.consumed()
+        self.n_items = table.n_items
         self._candidates: dict[int, Array] = {}
-        for user in range(n_users):
+        for user in range(table.n_users):
             blocked = consumed.get(user, set())
-            cand = np.setdiff1d(np.arange(n_items), np.fromiter(blocked, dtype=np.int64,
-                                                                count=len(blocked)))
+            cand = np.setdiff1d(np.arange(table.n_items),
+                                np.fromiter(blocked, dtype=np.int64, count=len(blocked)))
             self._candidates[user] = cand
 
     def has_candidates(self, user: int) -> bool:
@@ -134,3 +133,120 @@ def interactions_as_arrays(table: InteractionTable) -> tuple[Array, Array, Array
     items = np.array([x.item for x in table.interactions], dtype=np.int64)
     ratings = np.array([x.rating for x in table.interactions], dtype=np.float64)
     return users, items, ratings
+
+
+class Model:
+    """What every model declares. The registry (``gradrec.models.MODELS``),
+    the config validator, the runner and :func:`train` read nothing else.
+
+    Class attributes:
+
+    * ``names`` -- the ``[model] name`` values the class serves.
+    * ``task`` -- ``"rating"``, ``"ranking"`` or ``"sequential"``.
+    * ``required`` -- ``[model]`` keys besides ``name`` that must be given.
+    * ``defaults`` -- the optional ``[model]`` keys, each with the value it
+      takes when absent (None: the model derives it).
+    * ``neg_samples`` -- sampled negatives per positive when ``[train]
+      neg_samples`` is absent; None for models that read no such count,
+      which then reject the key.
+    * ``batched`` -- whether training reads ``[train] batch_size``.
+    * ``feature_rows`` -- trains on sparse feature rows rather than ids.
+    """
+
+    names: tuple[str, ...] = ()
+    task = ""
+    required: tuple[str, ...] = ("k",)
+    defaults: dict[str, Any] = {}
+    neg_samples: int | None = None
+    batched = True
+    feature_rows = False
+    params: dict[str, Array]
+
+    @property
+    def trainable(self) -> tuple[str, ...]:
+        """The tensors the optimizer steps: all of them unless a model
+        narrows the set."""
+        return tuple(self.params)
+
+    @classmethod
+    def settings(cls, cfg: ExperimentConfig) -> dict[str, Any]:
+        """Constructor arguments other than sizes and seed. The model
+        stores each under the same attribute name, which is how
+        :meth:`restore` sets them."""
+        return {}
+
+    @classmethod
+    def config_issues(cls, m: ModelConfig) -> list[str]:
+        """Problems with ``[model]`` values beyond the declared keys."""
+        return []
+
+    @classmethod
+    def create(cls, cfg: ExperimentConfig, data: dict) -> "Model":
+        """A fresh model sized for the training data in the bundle."""
+        train = data["train"]
+        return cls(train.n_users, train.n_items, cfg.model.k, **cls.settings(cfg),
+                   seed=cfg.train.seed)
+
+    @classmethod
+    def restore(cls, params: dict[str, Array], cfg: ExperimentConfig) -> "Model":
+        """A model around checkpointed tensors; :meth:`serve` then attaches
+        the state that lives outside them."""
+        model = cls.__new__(cls)
+        vars(model).update(cls.settings(cfg))
+        model.params = params
+        return model
+
+    def checkpoint_tensors(self) -> dict[str, Array]:
+        return dict(self.params)
+
+    def serve(self, data: dict) -> None:
+        """Attach the data-derived state that scoring (and for some models
+        training) reads, and drop score caches."""
+
+    def bind(self, data: dict, batch_size: int | None, neg_samples: int | None) -> None:
+        """Take the training examples (and a sampler) from the bundle."""
+        raise NotImplementedError
+
+    def batches(self, epoch: int, rng: np.random.Generator) -> Iterator[tuple[int, Any]]:
+        """One epoch of (example count, batch) pairs, in training order."""
+        raise NotImplementedError
+
+    def build_loss(self, leaves: dict[str, E.Node], batch) -> E.Node:
+        raise NotImplementedError
+
+    def after_step(self) -> None:
+        """Restore invariants the optimizer step may break."""
+
+
+def train(model: Model, data: dict, optimizer, epochs: int, batch_size: int | None = None, *,
+          seed: int, neg_samples: int | None = None,
+          on_step: Callable[[dict[str, Array]], None] | None = None) -> list[float]:
+    """Fit ``model`` on a data bundle and return one loss per epoch.
+
+    ``data`` holds the entries of ``runner.prepare_data``'s bundle that the
+    model reads (``train``, ``sequences`` or ``train_rows``). Every batch is
+    one ``gradient_step``, then ``model.after_step()``, then
+    ``on_step(model.params)``. An epoch's loss is the mean of its step
+    losses weighted by the examples in each step. ``neg_samples`` falls
+    back to the model's default.
+    """
+    model.serve(data)
+    model.bind(data, batch_size, model.neg_samples if neg_samples is None else neg_samples)
+    rng = np.random.default_rng(seed)
+    trace = []
+    step = 0
+    for epoch in range(epochs):
+        total, seen = 0.0, 0
+        for size, batch in model.batches(epoch, rng):
+            # looked up at call time, so a wrapped gradient_step sees every step
+            value = gradient_step(model.params, model.trainable,
+                                  lambda leaves: model.build_loss(leaves, batch),
+                                  optimizer, epoch, step)
+            model.after_step()
+            if on_step is not None:
+                on_step(model.params)
+            total += value * size
+            seen += size
+            step += 1
+        trace.append(total / seen)
+    return trace

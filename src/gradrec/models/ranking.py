@@ -9,17 +9,48 @@ import logging
 import numpy as np
 
 from gradrec import engine as E
-from gradrec.data import InteractionTable
 from gradrec.errors import GradrecError
 from gradrec.models import base
 
 Array = np.ndarray
 
 
-class BprMf:
+def _triplets(users: Array, pos: Array, neg: Array) -> tuple[Array, Array, Array]:
+    """Flat (u, i, j) arrays, one per sampled negative, from a batch whose
+    ``neg`` holds one row of negatives (or a single one) per positive."""
+    neg = np.asarray(neg).reshape(len(users), -1)
+    k = neg.shape[1]
+    return np.repeat(users, k), np.repeat(pos, k), neg.ravel()
+
+
+class _SampledPairs(base.Model):
+    """Training feed shared by BPR, CML and NeuMF: the observed (user,
+    item) pairs and a negative sampler. By default each shuffled
+    minibatch of pairs carries a row of sampled negatives per pair."""
+
+    task = "ranking"
+
+    def bind(self, data, batch_size, neg_samples) -> None:
+        table = data["train"]
+        users, items, _ = base.interactions_as_arrays(table)
+        if users.size == 0:
+            raise GradrecError("empty training set")
+        self._sampler = base.NegativeSampler(table)
+        self._examples = (users, items)
+        self._batch_size, self._neg = batch_size, neg_samples
+
+    def batches(self, epoch, rng):
+        users, items = self._examples
+        for idx in base.minibatches(users.size, self._batch_size, rng):
+            bu = users[idx]
+            yield idx.size, (bu, items[idx], self._sampler.draw_many(bu, self._neg, rng))
+
+
+class BprMf(_SampledPairs):
     """Pairwise ranking MF: -ln sigma(p_u.q_i - p_u.q_j) plus L2."""
 
-    trainable = ("user_factors", "item_factors")
+    names = ("bprmf",)
+    neg_samples = 1
 
     def __init__(self, n_users: int, n_items: int, k: int, l2: float = 0.0, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -30,14 +61,13 @@ class BprMf:
         }
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], l2: float = 0.0) -> "BprMf":
-        model = cls.__new__(cls)
-        model.l2 = l2
-        model.params = params
-        return model
+    def settings(cls, cfg) -> dict:
+        return {"l2": cfg.train.l2}
 
-    def build_loss(self, leaves: dict[str, E.Node], users: Array, pos: Array,
-                   neg: Array) -> E.Node:
+    def build_loss(self, leaves: dict[str, E.Node], batch) -> E.Node:
+        """``batch`` is (users, positives, negatives) with one row of
+        negatives per positive; the loss averages over the triplets."""
+        users, pos, neg = _triplets(*batch)
         pu = E.embedding_lookup(leaves["user_factors"], users)
         qi = E.embedding_lookup(leaves["item_factors"], pos)
         qj = E.embedding_lookup(leaves["item_factors"], neg)
@@ -46,52 +76,26 @@ class BprMf:
         reg = self.l2 * (base.row_sq_norm(pu) + base.row_sq_norm(qi) + base.row_sq_norm(qj))
         return (data + reg).mean()
 
-    def triplet_loss(self, user: int, pos: int, neg: int) -> float:
-        leaves = {n: E.param(self.params[n], n) for n in self.trainable}
-        users = np.array([user])
-        return float(self.build_loss(leaves, users, np.array([pos]), np.array([neg])).value)
-
-    def fit(self, table: InteractionTable, optimizer, epochs: int, batch_size: int,
-            seed: int, neg_per_pos: int = 1, on_step=None) -> list[float]:
-        users, items, _ = base.interactions_as_arrays(table)
-        if users.size == 0:
-            raise GradrecError("empty training set")
-        sampler = base.NegativeSampler(table)
-        keep = np.array([sampler.has_candidates(int(u)) for u in users])
+    def bind(self, data, batch_size, neg_samples) -> None:
+        super().bind(data, batch_size, neg_samples)
+        users, items = self._examples
+        keep = np.array([self._sampler.has_candidates(int(u)) for u in users])
         if not np.all(keep):
             logging.getLogger(__name__).info(
                 "skipping %d positives of fully-saturated users", int((~keep).sum()))
-            users, items = users[keep], items[keep]
-        rng = np.random.default_rng(seed)
-        trace = []
-        for epoch in range(epochs):
-            total, seen = 0.0, 0
-            for idx in base.minibatches(users.size, batch_size, rng):
-                bu, bi = users[idx], items[idx]
-                bj = sampler.draw_many(bu, neg_per_pos, rng)
-                # one (u, i, j) triplet per sampled negative
-                bu_r = np.repeat(bu, neg_per_pos)
-                bi_r = np.repeat(bi, neg_per_pos)
-                value = base.gradient_step(
-                    self.params, self.trainable,
-                    lambda lv: self.build_loss(lv, bu_r, bi_r, bj.ravel()),
-                    optimizer, epoch)
-                if on_step is not None:
-                    on_step(self.params)
-                total += value * idx.size
-                seen += idx.size
-            trace.append(total / seen)
-        return trace
+            self._examples = (users[keep], items[keep])
 
     def score(self, user: int, item: int) -> float:
         return float(self.params["user_factors"][user] @ self.params["item_factors"][item])
 
 
-class Cml:
+class Cml(_SampledPairs):
     """Collaborative metric learning: hinge on squared distances with all
     embedding rows projected into the unit ball after every step."""
 
-    trainable = ("user_points", "item_points")
+    names = ("cml",)
+    required = ("k", "margin")
+    neg_samples = 4
 
     def __init__(self, n_users: int, n_items: int, k: int, margin: float = 0.5, seed: int = 0):
         if margin <= 0:
@@ -104,71 +108,42 @@ class Cml:
         }
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], margin: float = 0.5) -> "Cml":
-        model = cls.__new__(cls)
-        model.margin = margin
-        model.params = params
-        return model
+    def settings(cls, cfg) -> dict:
+        return {"margin": cfg.model.margin}
 
-    def build_loss(self, leaves: dict[str, E.Node], users: Array, pos: Array,
-                   neg: Array) -> E.Node:
-        """users/pos/neg are flat triplet arrays (one row per sampled pair);
-        loss is summed over pairs and averaged per positive."""
+    def build_loss(self, leaves: dict[str, E.Node], batch) -> E.Node:
+        """``batch`` is (users, positives, negatives) with one row of
+        negatives per positive; the hinge is summed over the sampled
+        pairs and averaged per positive."""
+        n_pos = len(batch[0])
+        users, pos, neg = _triplets(*batch)
         uu = E.embedding_lookup(leaves["user_points"], users)
         vi = E.embedding_lookup(leaves["item_points"], pos)
         vj = E.embedding_lookup(leaves["item_points"], neg)
         d_pos = E.sq_l2_dist(uu, vi)
         d_neg = E.sq_l2_dist(uu, vj)
-        return (self.margin + d_pos - d_neg).relu().sum()
-
-    def pair_loss(self, user: int, pos: int, neg_set: list[int]) -> float:
-        leaves = {n: E.param(self.params[n], n) for n in self.trainable}
-        users = np.full(len(neg_set), user)
-        pos_arr = np.full(len(neg_set), pos)
-        return float(self.build_loss(leaves, users, pos_arr, np.array(neg_set)).value)
+        return (self.margin + d_pos - d_neg).relu().sum() * (1.0 / n_pos)
 
     def project(self) -> None:
         for name in self.trainable:
             self.params[name] = base.clip_rows_to_ball(self.params[name], 1.0)
 
-    def fit(self, table: InteractionTable, optimizer, epochs: int, batch_size: int,
-            seed: int, neg_per_pos: int = 4, on_step=None) -> list[float]:
-        users, items, _ = base.interactions_as_arrays(table)
-        if users.size == 0:
-            raise GradrecError("empty training set")
-        sampler = base.NegativeSampler(table)
-        rng = np.random.default_rng(seed)
-        trace = []
-        for epoch in range(epochs):
-            total, seen = 0.0, 0
-            for idx in base.minibatches(users.size, batch_size, rng):
-                bu, bi = users[idx], items[idx]
-                bj = sampler.draw_many(bu, neg_per_pos, rng)
-                bu_r = np.repeat(bu, neg_per_pos)
-                bi_r = np.repeat(bi, neg_per_pos)
-                value = base.gradient_step(
-                    self.params, self.trainable,
-                    lambda lv: self.build_loss(lv, bu_r, bi_r, bj.ravel()) * (1.0 / idx.size),
-                    optimizer, epoch)
-                self.project()
-                if on_step is not None:
-                    on_step(self.params)
-                total += value * idx.size
-                seen += idx.size
-            trace.append(total / seen)
-        return trace
+    def after_step(self) -> None:
+        self.project()
 
     def score(self, user: int, item: int) -> float:
         d = self.params["user_points"][user] - self.params["item_points"][item]
         return -float(d @ d)
 
 
-class NeuMf:
+class NeuMf(_SampledPairs):
     """GMF, MLP and their fused NeuMF variant over shared parameter
     storage; the variant decides which parts the graph (and therefore
     training) touches."""
 
-    VARIANTS = ("gmf", "mlp", "neumf")
+    VARIANTS = names = ("gmf", "mlp", "neumf")
+    defaults = {"layers": None}  # derived from k: [k, k // 2]
+    neg_samples = 4
 
     def __init__(self, n_users: int, n_items: int, k: int, variant: str = "neumf",
                  layers: list[int] | None = None, seed: int = 0):
@@ -197,17 +172,18 @@ class NeuMf:
         self.params["fusion_w"] = base.init_layer(rng, k + self.layers[-1],
                                                   k + self.layers[-1])
         self.params["fusion_b"] = np.asarray(0.0)
-        self.trainable = tuple(self.params)
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], variant: str,
-                    layers: list[int]) -> "NeuMf":
-        model = cls.__new__(cls)
-        model.variant = variant
-        model.layers = list(layers)
-        model.params = params
-        model.trainable = tuple(params)
-        return model
+    def settings(cls, cfg) -> dict:
+        m = cfg.model
+        return {"variant": m.name,
+                "layers": m.layers if m.layers is not None else [m.k, max(1, m.k // 2)]}
+
+    @classmethod
+    def config_issues(cls, m) -> list[str]:
+        if m.name == "gmf" and m.layers is not None:
+            return ["[model] key 'layers' does not apply to model 'gmf'"]
+        return []
 
     def _mlp_tower(self, leaves, users: Array, items: Array) -> E.Node:
         x = E.concat([E.embedding_lookup(leaves["mlp_user"], users),
@@ -231,34 +207,22 @@ class NeuMf:
         fused = E.concat([prod, hidden], axis=1)
         return E.matmul(fused, leaves["fusion_w"]) + leaves["fusion_b"]
 
-    def build_loss(self, leaves, users: Array, items: Array, labels: Array) -> E.Node:
+    def build_loss(self, leaves, batch) -> E.Node:
+        """``batch`` is (users, items, labels): positives and sampled
+        negatives, labelled 1 and 0."""
+        users, items, labels = batch
         return base.bce_from_logits(self.logits(leaves, users, items), labels)
 
-    def fit(self, table: InteractionTable, optimizer, epochs: int, batch_size: int,
-            seed: int, neg_per_pos: int = 4) -> list[float]:
-        users, items, _ = base.interactions_as_arrays(table)
-        if users.size == 0:
-            raise GradrecError("empty training set")
-        sampler = base.NegativeSampler(table)
-        rng = np.random.default_rng(seed)
-        trace = []
-        for epoch in range(epochs):
-            negs = sampler.draw_many(users, neg_per_pos, rng)
-            all_users = np.concatenate([users, np.repeat(users, neg_per_pos)])
-            all_items = np.concatenate([items, negs.ravel()])
-            all_labels = np.concatenate([np.ones(users.size),
-                                         np.zeros(users.size * neg_per_pos)])
-            total, seen = 0.0, 0
-            for idx in base.minibatches(all_users.size, batch_size, rng):
-                value = base.gradient_step(
-                    self.params, self.trainable,
-                    lambda lv: self.build_loss(lv, all_users[idx], all_items[idx],
-                                               all_labels[idx]),
-                    optimizer, epoch)
-                total += value * idx.size
-                seen += idx.size
-            trace.append(total / seen)
-        return trace
+    def batches(self, epoch, rng):
+        # the whole epoch's negatives are drawn before the shuffle
+        users, items = self._examples
+        neg = self._neg
+        negs = self._sampler.draw_many(users, neg, rng)
+        all_users = np.concatenate([users, np.repeat(users, neg)])
+        all_items = np.concatenate([items, negs.ravel()])
+        all_labels = np.concatenate([np.ones(users.size), np.zeros(users.size * neg)])
+        for idx in base.minibatches(all_users.size, self._batch_size, rng):
+            yield idx.size, (all_users[idx], all_items[idx], all_labels[idx])
 
     def raw_score(self, user: int, item: int, variant: str | None = None) -> float:
         leaves = {n: E.const(v) for n, v in self.params.items()}
@@ -270,12 +234,16 @@ class NeuMf:
         return float(np.exp(-np.logaddexp(0.0, -z)))
 
 
-class Cdae:
+class Cdae(base.Model):
     """Denoising autoencoder over a user's preference vector with a
     per-user input node; trained on observed positives plus sampled
-    negatives from the corrupted input."""
+    negatives from the corrupted input, one user per step."""
 
-    trainable = ("encoder_w", "user_embed", "hidden_bias", "decoder_w", "decoder_bias")
+    names = ("cdae",)
+    task = "ranking"
+    required = ("k", "dropout_q")
+    neg_samples = 4
+    batched = False
 
     def __init__(self, n_users: int, n_items: int, hidden: int, corruption: float = 0.5,
                  seed: int = 0):
@@ -294,13 +262,8 @@ class Cdae:
         self._score_cache: dict[int, Array] = {}
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], corruption: float = 0.5) -> "Cdae":
-        model = cls.__new__(cls)
-        model.corruption = corruption
-        model.params = params
-        model._train_vectors = {}
-        model._score_cache = {}
-        return model
+    def settings(cls, cfg) -> dict:
+        return {"corruption": cfg.model.dropout_q}
 
     @property
     def n_items(self) -> int:
@@ -320,8 +283,10 @@ class Cdae:
         logits = self.params["decoder_w"] @ z + self.params["decoder_bias"]
         return 1.0 / (1.0 + np.exp(-logits))
 
-    def build_loss(self, leaves, user: int, corrupted: Array, target_items: Array,
-                   labels: Array) -> E.Node:
+    def build_loss(self, leaves, batch) -> E.Node:
+        """``batch`` is (user, corrupted preference vector, target items,
+        labels)."""
+        user, corrupted, target_items, labels = batch
         z = (E.matmul(E.const(corrupted), leaves["encoder_w"])
              + E.embedding_lookup(leaves["user_embed"], [user]).reshape(
                  (leaves["hidden_bias"].value.shape[0],))
@@ -330,42 +295,38 @@ class Cdae:
                   + E.embedding_lookup(leaves["decoder_bias"], target_items))
         return base.bce_from_logits(logits, labels)
 
-    def fit(self, table: InteractionTable, optimizer, epochs: int, seed: int,
-            neg_per_pos: int = 4) -> list[float]:
-        by_user = table.consumed()
-        if not by_user:
-            raise GradrecError("empty training set")
+    def serve(self, data) -> None:
+        """The uncorrupted input vector of every user with train items."""
         self._train_vectors = {}
-        for user, items in by_user.items():
+        for user, items in data["train"].consumed().items():
             vec = np.zeros(self.n_items)
             vec[sorted(items)] = 1.0
             self._train_vectors[user] = vec
-        sampler = base.NegativeSampler(table)
-        rng = np.random.default_rng(seed)
-        users = np.array(sorted(by_user))
-        trace = []
-        for epoch in range(epochs):
-            total, seen = 0.0, 0
-            for user in users[rng.permutation(users.size)]:
-                user = int(user)
-                observed = np.array(sorted(by_user[user]), dtype=np.int64)
-                vec = self._train_vectors[user].copy()
-                if self.corruption > 0.0:
-                    dropped = rng.random(observed.size) < self.corruption
-                    vec[observed[dropped]] = 0.0
-                    vec[observed[~dropped]] = 1.0 / (1.0 - self.corruption)
-                negatives = sampler.draw(user, neg_per_pos * observed.size, rng)
-                targets = np.concatenate([observed, negatives])
-                labels = np.concatenate([np.ones(observed.size), np.zeros(negatives.size)])
-                value = base.gradient_step(
-                    self.params, self.trainable,
-                    lambda lv: self.build_loss(lv, user, vec, targets, labels),
-                    optimizer, epoch)
-                total += value
-                seen += 1
-            trace.append(total / seen)
         self._score_cache = {}
-        return trace
+
+    def bind(self, data, batch_size, neg_samples) -> None:
+        if not self._train_vectors:
+            raise GradrecError("empty training set")
+        self._sampler = base.NegativeSampler(data["train"])
+        self._users = np.array(sorted(self._train_vectors))
+        self._neg = neg_samples
+
+    def batches(self, epoch, rng):
+        for user in self._users[rng.permutation(self._users.size)]:
+            user = int(user)
+            vec = self._train_vectors[user].copy()
+            observed = np.flatnonzero(vec)
+            if self.corruption > 0.0:
+                dropped = rng.random(observed.size) < self.corruption
+                vec[observed[dropped]] = 0.0
+                vec[observed[~dropped]] = 1.0 / (1.0 - self.corruption)
+            negatives = self._sampler.draw(user, self._neg * observed.size, rng)
+            targets = np.concatenate([observed, negatives])
+            labels = np.concatenate([np.ones(observed.size), np.zeros(negatives.size)])
+            yield 1, (user, vec, targets, labels)
+
+    def after_step(self) -> None:
+        self._score_cache = {}
 
     def score(self, user: int, item: int) -> float:
         cached = self._score_cache.get(user)
@@ -376,12 +337,3 @@ class Cdae:
             cached = self.forward(user, vec)
             self._score_cache[user] = cached
         return float(cached[item])
-
-    def load_train_vectors(self, table: InteractionTable) -> None:
-        """Rebuild the per-user input vectors when restoring from a checkpoint."""
-        self._train_vectors = {}
-        for user, items in table.consumed().items():
-            vec = np.zeros(self.n_items)
-            vec[sorted(items)] = 1.0
-            self._train_vectors[user] = vec
-        self._score_cache = {}

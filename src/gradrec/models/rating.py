@@ -17,9 +17,11 @@ from gradrec.models import base
 Array = np.ndarray
 
 
-class BiasedSvd:
+class BiasedSvd(base.Model):
     """mu + b_u + b_i + p_u . q_i with L2 on biases and factors."""
 
+    names = ("biasedsvd",)
+    task = "rating"
     trainable = ("user_bias", "item_bias", "user_factors", "item_factors")
 
     def __init__(self, n_users: int, n_items: int, k: int, l2: float = 0.0,
@@ -45,11 +47,12 @@ class BiasedSvd:
                    rating_range=table.rating_range, seed=seed)
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], l2: float = 0.0) -> "BiasedSvd":
-        model = cls.__new__(cls)
-        model.l2 = l2
-        model.params = params
-        return model
+    def settings(cls, cfg) -> dict:
+        return {"l2": cfg.train.l2}
+
+    @classmethod
+    def create(cls, cfg, data) -> "BiasedSvd":
+        return cls.for_table(data["train"], cfg.model.k, seed=cfg.train.seed, **cls.settings(cfg))
 
     @property
     def n_users(self) -> int:
@@ -59,8 +62,9 @@ class BiasedSvd:
     def n_items(self) -> int:
         return self.params["item_bias"].shape[0]
 
-    def build_loss(self, leaves: dict[str, E.Node], users: Array, items: Array,
-                   ratings: Array) -> E.Node:
+    def build_loss(self, leaves: dict[str, E.Node], batch) -> E.Node:
+        """``batch`` is (users, items, ratings), one entry per rating."""
+        users, items, ratings = batch
         bu = E.embedding_lookup(leaves["user_bias"], users)
         bi = E.embedding_lookup(leaves["item_bias"], items)
         pu = E.embedding_lookup(leaves["user_factors"], users)
@@ -70,24 +74,16 @@ class BiasedSvd:
         reg = self.l2 * (bu * bu + bi * bi + base.row_sq_norm(pu) + base.row_sq_norm(qi))
         return (err * err + reg).mean()
 
-    def fit(self, table: InteractionTable, optimizer, epochs: int, batch_size: int,
-            seed: int) -> list[float]:
-        users, items, ratings = base.interactions_as_arrays(table)
-        if users.size == 0:
+    def bind(self, data, batch_size, neg_samples) -> None:
+        self._examples = base.interactions_as_arrays(data["train"])
+        if self._examples[0].size == 0:
             raise GradrecError("empty training set")
-        rng = np.random.default_rng(seed)
-        trace = []
-        for epoch in range(epochs):
-            total, seen = 0.0, 0
-            for idx in base.minibatches(users.size, batch_size, rng):
-                value = base.gradient_step(
-                    self.params, self.trainable,
-                    lambda lv: self.build_loss(lv, users[idx], items[idx], ratings[idx]),
-                    optimizer, epoch)
-                total += value * idx.size
-                seen += idx.size
-            trace.append(total / seen)
-        return trace
+        self._batch_size = batch_size
+
+    def batches(self, epoch, rng):
+        users, items, ratings = self._examples
+        for idx in base.minibatches(users.size, self._batch_size, rng):
+            yield idx.size, (users[idx], items[idx], ratings[idx])
 
     def raw_score(self, user: int, item: int) -> float:
         p = self.params
@@ -101,10 +97,13 @@ class BiasedSvd:
         return float(np.clip(self.raw_score(user, item), lo, hi))
 
 
-class FactorizationMachine:
+class FactorizationMachine(base.Model):
     """Degree-2 FM over libfm-style sparse rows, using the linear-time
     pairwise identity: 0.5 * sum_f [(X v_f)^2 - X^2 v_f^2]."""
 
+    names = ("fm",)
+    task = "rating"
+    feature_rows = True
     trainable = ("intercept", "linear", "factors")
 
     def __init__(self, n_features: int, k: int, l2: tuple[float, float, float] | float = 0.0,
@@ -133,13 +132,13 @@ class FactorizationMachine:
                    label_range=(min(labels), max(labels)), seed=seed)
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], task: str = "regression",
-                    l2=0.0) -> "FactorizationMachine":
-        model = cls.__new__(cls)
-        model.task = task
-        model.l2 = (l2,) * 3 if isinstance(l2, (int, float)) else l2
-        model.params = params
-        return model
+    def settings(cls, cfg) -> dict:
+        return {"task": "regression", "l2": (cfg.train.l2,) * 3}
+
+    @classmethod
+    def create(cls, cfg, data) -> "FactorizationMachine":
+        return cls.for_rows(data["train_rows"], data["n_features"], cfg.model.k,
+                            seed=cfg.train.seed, **cls.settings(cfg))
 
     @property
     def n_features(self) -> int:
@@ -176,23 +175,16 @@ class FactorizationMachine:
                + self.l2[2] * (v * v).sum())
         return data + reg
 
-    def fit(self, rows: list[SparseRow], optimizer, epochs: int, batch_size: int,
-            seed: int) -> list[float]:
-        if not rows:
+    def bind(self, data, batch_size, neg_samples) -> None:
+        self._rows = data["train_rows"]
+        if not self._rows:
             raise GradrecError("empty training set")
-        rng = np.random.default_rng(seed)
-        trace = []
-        for epoch in range(epochs):
-            total, seen = 0.0, 0
-            for idx in base.minibatches(len(rows), batch_size, rng):
-                batch = [rows[i] for i in idx]
-                value = base.gradient_step(self.params, self.trainable,
-                                           lambda lv: self.build_loss(lv, batch),
-                                           optimizer, epoch)
-                total += value * len(batch)
-                seen += len(batch)
-            trace.append(total / seen)
-        return trace
+        self._batch_size = batch_size
+
+    def batches(self, epoch, rng):
+        for idx in base.minibatches(len(self._rows), self._batch_size, rng):
+            batch = [self._rows[i] for i in idx]
+            yield len(batch), batch
 
     def raw_score(self, row: SparseRow) -> float:
         p = self.params
@@ -216,17 +208,20 @@ class FactorizationMachine:
         return float(np.clip(raw, lo, hi))
 
 
-class ItemAutoRec:
+class ItemAutoRec(base.Model):
     """Item-based autoencoder: reconstructs an item's rating column over
     users through one sigmoid hidden layer; only observed entries carry
     loss."""
 
+    names = ("autorec",)
+    task = "rating"
     trainable = ("encoder_w", "encoder_b", "decoder_w", "decoder_b")
 
     def __init__(self, n_users: int, n_items: int, hidden: int, l2: float = 0.0,
                  rating_range: tuple[float, float] = (1.0, 5.0), seed: int = 0):
         rng = np.random.default_rng(seed)
         self.l2 = l2
+        self.n_items = n_items
         self.params: dict[str, Array] = {
             "rating_min": np.asarray(float(rating_range[0])),
             "rating_max": np.asarray(float(rating_range[1])),
@@ -235,10 +230,6 @@ class ItemAutoRec:
             "decoder_w": base.init_normal(rng, n_users, hidden),
             "decoder_b": np.zeros(n_users),
         }
-        # train-time rating matrix, filled by fit(); needed to build the
-        # input column when serving predictions
-        self.columns = np.zeros((n_items, n_users))
-        self.mask = np.zeros((n_items, n_users))
 
     @classmethod
     def for_table(cls, table: InteractionTable, hidden: int, l2: float,
@@ -247,22 +238,33 @@ class ItemAutoRec:
                    rating_range=table.rating_range, seed=seed)
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], n_items: int, l2: float = 0.0) -> "ItemAutoRec":
-        model = cls.__new__(cls)
-        model.l2 = l2
-        model.params = params
-        n_users = params["decoder_b"].shape[0]
-        model.columns = np.zeros((n_items, n_users))
-        model.mask = np.zeros((n_items, n_users))
+    def settings(cls, cfg) -> dict:
+        return {"l2": cfg.train.l2}
+
+    @classmethod
+    def create(cls, cfg, data) -> "ItemAutoRec":
+        return cls.for_table(data["train"], cfg.model.k, seed=cfg.train.seed, **cls.settings(cfg))
+
+    @classmethod
+    def restore(cls, params, cfg) -> "ItemAutoRec":
+        # no weight is sized by the item count, so checkpoints carry it
+        n_items = int(params.pop("n_items")[()])
+        model = super().restore(params, cfg)
+        model.n_items = n_items
         return model
+
+    def checkpoint_tensors(self) -> dict[str, Array]:
+        return {**self.params, "n_items": np.asarray(float(self.n_items))}
 
     @property
     def n_users(self) -> int:
         return self.params["decoder_b"].shape[0]
 
     def load_columns(self, table: InteractionTable) -> None:
-        self.columns[:] = 0.0
-        self.mask[:] = 0.0
+        """The train-time rating matrix: training reconstructs its columns,
+        and serving feeds an item's column in to predict."""
+        self.columns = np.zeros((self.n_items, self.n_users))
+        self.mask = np.zeros((self.n_items, self.n_users))
         for x in table.interactions:
             self.columns[x.item, x.user] = x.rating
             self.mask[x.item, x.user] = 1.0
@@ -280,40 +282,23 @@ class ItemAutoRec:
                                + (leaves["encoder_w"] * leaves["encoder_w"]).sum())
         return data + reg
 
-    def fit(self, table: InteractionTable, optimizer, epochs: int, seed: int,
-            batch_size: int | None = None) -> list[float]:
-        if not table.interactions:
+    def serve(self, data) -> None:
+        self.load_columns(data["train"])
+
+    def bind(self, data, batch_size, neg_samples) -> None:
+        if not data["train"].interactions:
             raise GradrecError("empty training set")
-        self.load_columns(table)
-        n_items = self.columns.shape[0]
-        if batch_size is None:
-            batch_size = n_items
-        rng = np.random.default_rng(seed)
-        trace = []
-        for epoch in range(epochs):
-            total = 0.0
-            for idx in base.minibatches(n_items, batch_size, rng):
-                total += base.gradient_step(self.params, self.trainable,
-                                            lambda lv: self.build_loss(lv, idx),
-                                            optimizer, epoch)
-            trace.append(total)
-        return trace
+        self._batch_size = self.n_items if batch_size is None else batch_size
+
+    def batches(self, epoch, rng):
+        for idx in base.minibatches(self.n_items, self._batch_size, rng):
+            yield idx.size, idx
 
     def reconstruct(self, column: Array) -> Array:
         """Raw reconstruction of a full rating column (no clipping)."""
         p = self.params
         z = 1.0 / (1.0 + np.exp(-(p["encoder_w"] @ column + p["encoder_b"])))
         return p["decoder_w"] @ z + p["decoder_b"]
-
-    def reconstruct_observed(self, observed: list[tuple[int, float]]) -> Array:
-        """Predicted column from a sparse (user, rating) list, clipped."""
-        if not observed:
-            raise GradrecError("autorec input column has no observed entries")
-        column = np.zeros(self.n_users)
-        for user, rating in observed:
-            column[user] = rating
-        lo, hi = float(self.params["rating_min"]), float(self.params["rating_max"])
-        return np.clip(self.reconstruct(column), lo, hi)
 
     def predict(self, user: int, item: int) -> float:
         lo, hi = float(self.params["rating_min"]), float(self.params["rating_max"])

@@ -12,36 +12,58 @@ from __future__ import annotations
 import numpy as np
 
 from gradrec import engine as E
-from gradrec.data import SequenceDataset, SequenceInstance
+from gradrec.data import SequenceInstance
 from gradrec.errors import GradrecError
 from gradrec.models import base
 
 Array = np.ndarray
 
 
-def _sampler_for(sequences: SequenceDataset) -> base.NegativeSampler:
-    consumed = {user: set(items) for user, items in sequences.histories.items()}
-    return base.NegativeSampler(n_items=sequences.n_items, consumed=consumed,
-                                n_users=sequences.n_users)
+class _Windows(base.Model):
+    """Training feed shared by Caser and AttRec: the sequence instances and
+    a negative sampler; served from each user's latest window."""
+
+    task = "sequential"
+    required = ("k", "L")
+
+    @property
+    def padding_id(self) -> int:
+        return self.n_items
+
+    def serve(self, data) -> None:
+        sequences = data["sequences"]
+        self.serve_windows = {u: sequences.latest_window(u) for u in sequences.histories}
+        self._score_cache = {}
+
+    def bind(self, data, batch_size, neg_samples) -> None:
+        sequences = data["sequences"]
+        if sequences.window != self.window:
+            raise GradrecError(f"sequence window {sequences.window} != model window {self.window}")
+        self._instances = sequences.instances
+        if not self._instances:
+            raise GradrecError("no training instances")
+        self._sampler = base.NegativeSampler(data["train"])
+        self._batch_size, self._neg = batch_size, neg_samples
+
+    def after_step(self) -> None:
+        self._score_cache = {}
 
 
-def _epoch_mean(values: list[float]) -> float:
-    return float(np.mean(values))
-
-
-class Prme:
+class Prme(base.Model):
     """Blend of a user-preference distance and a first-order sequential
     distance; trained with a BPR-style pairwise loss on next items."""
 
-    trainable = ("user_embed", "pref_item", "seq_item")
+    names = ("prme",)
+    task = "sequential"
+    required = ("k", "alpha")
+    defaults = {"L": 1}
 
     def __init__(self, n_users: int, n_items: int, k: int, alpha: float = 0.5,
-                 margin: float = 0.0, l2: float = 0.0, seed: int = 0):
+                 l2: float = 0.0, seed: int = 0):
         if not 0.0 <= alpha <= 1.0:
             raise GradrecError(f"alpha must be in [0, 1], got {alpha}")
         rng = np.random.default_rng(seed)
         self.alpha = alpha
-        self.margin = margin  # stored for config echo; the log-sigmoid loss has no margin
         self.l2 = l2
         self.params: dict[str, Array] = {
             "user_embed": base.init_normal(rng, n_users, k),
@@ -51,15 +73,14 @@ class Prme:
         self.last_item: dict[int, int] = {}
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], alpha: float, margin: float = 0.0,
-                    l2: float = 0.0) -> "Prme":
-        model = cls.__new__(cls)
-        model.alpha = alpha
-        model.margin = margin
-        model.l2 = l2
-        model.params = params
-        model.last_item = {}
-        return model
+    def settings(cls, cfg) -> dict:
+        return {"alpha": cfg.model.alpha, "l2": cfg.train.l2}
+
+    @classmethod
+    def config_issues(cls, m) -> list[str]:
+        if m.L not in (None, 1):
+            return ["[model] prme is first-order: L must be 1 when given"]
+        return []
 
     def distance(self, user: int, prev_item: int, item: int) -> float:
         p = self.params
@@ -67,8 +88,9 @@ class Prme:
         ds = p["seq_item"][prev_item] - p["seq_item"][item]
         return float(self.alpha * (du @ du) + (1.0 - self.alpha) * (ds @ ds))
 
-    def build_loss(self, leaves, users: Array, prevs: Array, pos: Array,
-                   neg: Array) -> E.Node:
+    def build_loss(self, leaves, batch) -> E.Node:
+        """``batch`` is (users, previous items, next items, negatives)."""
+        users, prevs, pos, neg = batch
         a = self.alpha
         uu = E.embedding_lookup(leaves["user_embed"], users)
         sp = E.embedding_lookup(leaves["seq_item"], prevs)
@@ -91,33 +113,26 @@ class Prme:
             data = data + self.l2 * (a * pref_rows + (1.0 - a) * seq_rows)
         return data.mean()
 
-    def fit(self, sequences: SequenceDataset, optimizer, epochs: int, batch_size: int,
-            seed: int, on_step=None) -> list[float]:
+    def serve(self, data) -> None:
+        self.last_item = {u: h[-1] for u, h in data["sequences"].histories.items() if h}
+
+    def bind(self, data, batch_size, neg_samples) -> None:
+        sequences = data["sequences"]
         if sequences.window != 1 or sequences.horizon != 1:
             raise GradrecError("PRME is first-order: build sequences with L=1, T=1")
         inst = [x for x in sequences.instances if x.window[0] != sequences.padding_id]
         if not inst:
             raise GradrecError("no trainable transitions in the sequence data")
-        users = np.array([x.user for x in inst])
-        prevs = np.array([x.window[0] for x in inst])
-        pos = np.array([x.targets[0] for x in inst])
-        sampler = _sampler_for(sequences)
-        rng = np.random.default_rng(seed)
-        trace = []
-        for epoch in range(epochs):
-            losses = []
-            for idx in base.minibatches(users.size, batch_size, rng):
-                neg = sampler.draw_many(users[idx], 1, rng).ravel()
-                value = base.gradient_step(
-                    self.params, self.trainable,
-                    lambda lv: self.build_loss(lv, users[idx], prevs[idx], pos[idx], neg),
-                    optimizer, epoch)
-                if on_step is not None:
-                    on_step(self.params)
-                losses += [value] * idx.size
-            trace.append(_epoch_mean(losses))
-        self.last_item = {u: h[-1] for u, h in sequences.histories.items() if h}
-        return trace
+        self._examples = (np.array([x.user for x in inst]), np.array([x.window[0] for x in inst]),
+                          np.array([x.targets[0] for x in inst]))
+        self._sampler = base.NegativeSampler(data["train"])
+        self._batch_size = batch_size
+
+    def batches(self, epoch, rng):
+        users, prevs, pos = self._examples
+        for idx in base.minibatches(users.size, self._batch_size, rng):
+            neg = self._sampler.draw_many(users[idx], 1, rng).ravel()
+            yield idx.size, (users[idx], prevs[idx], pos[idx], neg)
 
     def score(self, user: int, item: int) -> float:
         prev = self.last_item.get(user)
@@ -126,10 +141,14 @@ class Prme:
         return -self.distance(user, prev, item)
 
 
-class Caser:
+class Caser(_Windows):
     """Horizontal (per-height, max-pooled) and vertical convolutions over
     the embedded window, a fully-connected bottleneck, and a wide output
     layer over concat(sequence vector, user embedding)."""
+
+    names = ("caser",)
+    defaults = {"T": 1, "n_h": 4, "n_v": 2}
+    neg_samples = 3
 
     def __init__(self, n_users: int, n_items: int, d: int, window: int,
                  n_h: int = 4, n_v: int = 2, seed: int = 0):
@@ -137,7 +156,6 @@ class Caser:
         self.window = window
         self.n_h = n_h
         self.n_v = n_v
-        self.padding_id = n_items
         self.params: dict[str, Array] = {
             "item_embed": base.init_normal(rng, n_items + 1, d),
         }
@@ -152,23 +170,13 @@ class Caser:
         self.params["user_embed"] = base.init_normal(rng, n_users, d)
         self.params["out_w"] = base.init_normal(rng, n_items, 2 * d)
         self.params["out_b"] = np.zeros(n_items)
-        self.trainable = tuple(self.params)
         self.serve_windows: dict[int, tuple[int, ...]] = {}
         self._score_cache: dict[int, Array] = {}
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], window: int, n_h: int,
-                    n_v: int) -> "Caser":
-        model = cls.__new__(cls)
-        model.window = window
-        model.n_h = n_h
-        model.n_v = n_v
-        model.padding_id = params["item_embed"].shape[0] - 1
-        model.params = params
-        model.trainable = tuple(params)
-        model.serve_windows = {}
-        model._score_cache = {}
-        return model
+    def settings(cls, cfg) -> dict:
+        m = cfg.model
+        return {"window": m.L, "n_h": m.n_h, "n_v": m.n_v}
 
     @property
     def n_items(self) -> int:
@@ -210,35 +218,18 @@ class Caser:
             total = total + p
         return total * (1.0 / count)
 
-    def fit(self, sequences: SequenceDataset, optimizer, epochs: int, batch_size: int,
-            seed: int, neg_per_target: int = 3, on_step=None) -> list[float]:
-        if sequences.window != self.window:
-            raise GradrecError(f"sequence window {sequences.window} != model window {self.window}")
-        inst = sequences.instances
-        if not inst:
-            raise GradrecError("no training instances")
-        sampler = _sampler_for(sequences)
-        rng = np.random.default_rng(seed)
-        trace = []
-        for epoch in range(epochs):
-            losses = []
-            for idx in base.minibatches(len(inst), batch_size, rng):
-                batch = []
-                for i in idx:
-                    x = inst[i]
-                    negs = sampler.draw(x.user, neg_per_target * len(x.targets), rng)
-                    batch.append((x, negs))
-                value = base.gradient_step(self.params, self.trainable,
-                                           lambda lv: self.build_loss(lv, batch),
-                                           optimizer, epoch)
-                self.params["item_embed"][self.padding_id] = 0.0
-                if on_step is not None:
-                    on_step(self.params)
-                losses += [value] * idx.size
-            trace.append(_epoch_mean(losses))
-        self.serve_windows = {u: sequences.latest_window(u) for u in sequences.histories}
-        self._score_cache = {}
-        return trace
+    def batches(self, epoch, rng):
+        inst = self._instances
+        for idx in base.minibatches(len(inst), self._batch_size, rng):
+            batch = []
+            for i in idx:
+                x = inst[i]
+                batch.append((x, self._sampler.draw(x.user, self._neg * len(x.targets), rng)))
+            yield idx.size, batch
+
+    def after_step(self) -> None:
+        self.params["item_embed"][self.padding_id] = 0.0
+        super().after_step()
 
     def scores_for_window(self, user: int, window) -> Array:
         """Numpy serving path over the full catalog."""
@@ -267,10 +258,13 @@ class Caser:
         return float(scores[item])
 
 
-class AttRec:
+class AttRec(_Windows):
     """Self-attention over the embedded window for short-term intent,
     blended with a long-term user/item metric distance; hinge-trained,
     with rows clipped to a norm ball after every step."""
+
+    names = ("attrec",)
+    required = ("k", "L", "omega", "margin", "clip_rho")
 
     def __init__(self, n_users: int, n_items: int, d: int, window: int,
                  k_lt: int | None = None, omega: float = 0.5, margin: float = 0.5,
@@ -283,8 +277,6 @@ class AttRec:
         self.omega = omega
         self.margin = margin
         self.clip_rho = clip_rho
-        self.padding_id = n_items
-        self.d = d
         self.params: dict[str, Array] = {
             "att_item": base.init_normal(rng, n_items + 1, d),
             "w_query": base.init_normal(rng, d, d),
@@ -293,25 +285,17 @@ class AttRec:
             "lt_item": base.init_normal(rng, n_items, k_lt),
         }
         self.params["att_item"][n_items] = 0.0
-        self.trainable = tuple(self.params)
         self.serve_windows: dict[int, tuple[int, ...]] = {}
-        self._dist_cache: dict[int, Array] = {}
+        self._score_cache: dict[int, Array] = {}
 
     @classmethod
-    def from_params(cls, params: dict[str, Array], window: int, omega: float,
-                    margin: float, clip_rho: float) -> "AttRec":
-        model = cls.__new__(cls)
-        model.window = window
-        model.omega = omega
-        model.margin = margin
-        model.clip_rho = clip_rho
-        model.padding_id = params["att_item"].shape[0] - 1
-        model.d = params["att_item"].shape[1]
-        model.params = params
-        model.trainable = tuple(params)
-        model.serve_windows = {}
-        model._dist_cache = {}
-        return model
+    def settings(cls, cfg) -> dict:
+        m = cfg.model
+        return {"window": m.L, "omega": m.omega, "margin": m.margin, "clip_rho": m.clip_rho}
+
+    @property
+    def d(self) -> int:
+        return self.params["att_item"].shape[1]
 
     @property
     def n_items(self) -> int:
@@ -354,33 +338,20 @@ class AttRec:
             self.params[name] = base.clip_rows_to_ball(self.params[name], self.clip_rho)
         self.params["att_item"][self.padding_id] = 0.0
 
-    def fit(self, sequences: SequenceDataset, optimizer, epochs: int, batch_size: int,
-            seed: int, on_step=None) -> list[float]:
-        if sequences.horizon != 1:
+    def bind(self, data, batch_size, neg_samples) -> None:
+        if data["sequences"].horizon != 1:
             raise GradrecError("AttRec trains on single next items: build sequences with T=1")
-        if sequences.window != self.window:
-            raise GradrecError(f"sequence window {sequences.window} != model window {self.window}")
-        inst = sequences.instances
-        if not inst:
-            raise GradrecError("no training instances")
-        sampler = _sampler_for(sequences)
-        rng = np.random.default_rng(seed)
-        trace = []
-        for epoch in range(epochs):
-            losses = []
-            for idx in base.minibatches(len(inst), batch_size, rng):
-                batch = [(inst[i], int(sampler.draw(inst[i].user, 1, rng)[0])) for i in idx]
-                value = base.gradient_step(self.params, self.trainable,
-                                           lambda lv: self.build_loss(lv, batch),
-                                           optimizer, epoch)
-                self.project()
-                if on_step is not None:
-                    on_step(self.params)
-                losses += [value] * idx.size
-            trace.append(_epoch_mean(losses))
-        self.serve_windows = {u: sequences.latest_window(u) for u in sequences.histories}
-        self._dist_cache = {}
-        return trace
+        super().bind(data, batch_size, neg_samples)
+
+    def batches(self, epoch, rng):
+        inst = self._instances
+        for idx in base.minibatches(len(inst), self._batch_size, rng):
+            yield idx.size, [(inst[i], int(self._sampler.draw(inst[i].user, 1, rng)[0]))
+                             for i in idx]
+
+    def after_step(self) -> None:
+        self.project()
+        super().after_step()
 
     def intent_vector(self, window) -> Array:
         p = self.params
@@ -404,7 +375,7 @@ class AttRec:
         window = self.serve_windows.get(user)
         if window is None:
             raise GradrecError(f"no history recorded for user {user}")
-        dists = self._dist_cache.get(user)
+        dists = self._score_cache.get(user)
         if dists is None:
-            dists = self._dist_cache[user] = self.distances_for_window(user, window)
+            dists = self._score_cache[user] = self.distances_for_window(user, window)
         return -float(dists[item])

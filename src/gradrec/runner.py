@@ -16,9 +16,7 @@ from gradrec.config import ExperimentConfig
 from gradrec.data import InteractionTable, SparseRow
 from gradrec.engine import make_optimizer
 from gradrec.errors import ConfigError, GradrecError
-from gradrec.models.rating import BiasedSvd, FactorizationMachine, ItemAutoRec
-from gradrec.models.ranking import BprMf, Cdae, Cml, NeuMf
-from gradrec.models.sequential import AttRec, Caser, Prme
+from gradrec.models import MODELS, base
 
 log = logging.getLogger(__name__)
 
@@ -34,13 +32,6 @@ def interactions_to_fm_rows(table: InteractionTable,
     return rows, table.n_users + table.n_items
 
 
-def _mlp_layers(cfg: ExperimentConfig) -> list[int]:
-    if cfg.model.layers:
-        return cfg.model.layers
-    k = cfg.model.k
-    return [k, max(1, k // 2)]
-
-
 def split_libfm_rows(rows: list[SparseRow], ratio: float,
                      seed: int) -> tuple[list[SparseRow], list[SparseRow]]:
     rng = np.random.default_rng(seed)
@@ -52,79 +43,16 @@ def split_libfm_rows(rows: list[SparseRow], ratio: float,
     return train, test
 
 
-def build_model(cfg: ExperimentConfig, train: InteractionTable | None = None,
-                n_features: int | None = None, rows: list[SparseRow] | None = None):
-    """Construct a fresh model sized for the training data."""
-    m, t = cfg.model, cfg.train
-    name = m.name
-    if name == "biasedsvd":
-        return BiasedSvd.for_table(train, k=m.k, l2=t.l2, seed=t.seed)
-    if name == "fm":
-        return FactorizationMachine.for_rows(rows, n_features, k=m.k, l2=t.l2,
-                                             task="regression", seed=t.seed)
-    if name == "autorec":
-        return ItemAutoRec.for_table(train, hidden=m.k, l2=t.l2, seed=t.seed)
-    if name == "bprmf":
-        return BprMf(train.n_users, train.n_items, k=m.k, l2=t.l2, seed=t.seed)
-    if name == "cml":
-        return Cml(train.n_users, train.n_items, k=m.k, margin=m.margin, seed=t.seed)
-    if name in ("gmf", "mlp", "neumf"):
-        return NeuMf(train.n_users, train.n_items, k=m.k, variant=name,
-                     layers=_mlp_layers(cfg), seed=t.seed)
-    if name == "cdae":
-        return Cdae(train.n_users, train.n_items, hidden=m.k, corruption=m.dropout_q,
-                    seed=t.seed)
-    if name == "prme":
-        return Prme(train.n_users, train.n_items, k=m.k, alpha=m.alpha,
-                    margin=m.margin or 0.0, l2=t.l2, seed=t.seed)
-    if name == "caser":
-        return Caser(train.n_users, train.n_items, d=m.k, window=m.L,
-                     n_h=m.n_h or cfgmod.CASER_DEFAULTS["n_h"],
-                     n_v=m.n_v or cfgmod.CASER_DEFAULTS["n_v"], seed=t.seed)
-    if name == "attrec":
-        return AttRec(train.n_users, train.n_items, d=m.k, window=m.L, omega=m.omega,
-                      margin=m.margin, clip_rho=m.clip_rho, seed=t.seed)
-    raise ConfigError([f"unknown model {name!r}"])
-
-
-def restore_model(cfg: ExperimentConfig, params: dict[str, np.ndarray]):
-    """Rebuild a model around checkpointed tensors; serving state that
-    lives outside the tensors (histories, rating columns) is reattached
-    by prepare_model_for_serving."""
-    m, t = cfg.model, cfg.train
-    name = m.name
-    if name == "biasedsvd":
-        return BiasedSvd.from_params(params, l2=t.l2)
-    if name == "fm":
-        return FactorizationMachine.from_params(params, task="regression", l2=t.l2)
-    if name == "autorec":
-        n_items = int(params.pop("n_items")[()]) if "n_items" in params else None
-        return ItemAutoRec.from_params(params, n_items=n_items, l2=t.l2)
-    if name == "bprmf":
-        return BprMf.from_params(params, l2=t.l2)
-    if name == "cml":
-        return Cml.from_params(params, margin=m.margin)
-    if name in ("gmf", "mlp", "neumf"):
-        return NeuMf.from_params(params, variant=name, layers=_mlp_layers(cfg))
-    if name == "cdae":
-        return Cdae.from_params(params, corruption=m.dropout_q)
-    if name == "prme":
-        return Prme.from_params(params, alpha=m.alpha, margin=m.margin or 0.0, l2=t.l2)
-    if name == "caser":
-        return Caser.from_params(params, window=m.L,
-                                 n_h=m.n_h or cfgmod.CASER_DEFAULTS["n_h"],
-                                 n_v=m.n_v or cfgmod.CASER_DEFAULTS["n_v"])
-    if name == "attrec":
-        return AttRec.from_params(params, window=m.L, omega=m.omega, margin=m.margin,
-                                  clip_rho=m.clip_rho)
-    raise ConfigError([f"unknown model {name!r}"])
+def build_model(cfg: ExperimentConfig, **data):
+    """A fresh model sized for the training data: the bundle entries it
+    reads, as keywords (``train=table``, or all of ``prepare_data``)."""
+    return MODELS[cfg.model.name].create(cfg, data)
 
 
 def checkpoint_tensors(cfg: ExperimentConfig, model) -> dict[str, np.ndarray]:
-    tensors = dict(model.params)
-    if cfg.model.name == "autorec":
-        tensors["n_items"] = np.asarray(float(model.columns.shape[0]))
-    return tensors
+    """What ``save_checkpoint`` stores for ``model``; the tensors alone
+    define it, so ``cfg`` is not read."""
+    return model.checkpoint_tensors()
 
 
 def prepare_data(cfg: ExperimentConfig):
@@ -143,74 +71,25 @@ def prepare_data(cfg: ExperimentConfig):
                                "lower data.binarize_threshold")
     train, test = datamod.split(table, cfg.data.split)
     bundle = {"task": task, "table": table, "train": train, "test": test}
-    if task == "rating" and cfg.model.name == "fm":
+    if MODELS[cfg.model.name].feature_rows:
         bundle["train_rows"], bundle["n_features"] = interactions_to_fm_rows(
             table, train.interactions)
         bundle["test_rows"], _ = interactions_to_fm_rows(table, test.interactions)
     if task == "sequential":
-        bundle["sequences"] = datamod.build_sequences(
-            train, cfg.model.L or 1, cfg.model.T or cfgmod.CASER_DEFAULTS["T"])
+        bundle["sequences"] = datamod.build_sequences(train, cfg.model.L, cfg.model.T)
     return bundle
 
 
 def fit_model(cfg: ExperimentConfig, model, bundle) -> list[float]:
     t = cfg.train
-    optimizer = make_optimizer(t.optimizer, t.lr)
-    name = cfg.model.name
-    neg = cfgmod.neg_samples_for(cfg)
-    if name == "fm":
-        return model.fit(bundle["train_rows"], optimizer, epochs=t.epochs,
-                         batch_size=t.batch_size, seed=t.seed)
-    if name == "biasedsvd":
-        return model.fit(bundle["train"], optimizer, epochs=t.epochs,
-                         batch_size=t.batch_size, seed=t.seed)
-    if name == "autorec":
-        return model.fit(bundle["train"], optimizer, epochs=t.epochs, seed=t.seed,
-                         batch_size=t.batch_size)
-    if name == "bprmf":
-        return model.fit(bundle["train"], optimizer, epochs=t.epochs,
-                         batch_size=t.batch_size, seed=t.seed, neg_per_pos=neg)
-    if name == "cml":
-        return model.fit(bundle["train"], optimizer, epochs=t.epochs,
-                         batch_size=t.batch_size, seed=t.seed, neg_per_pos=neg)
-    if name in ("gmf", "mlp", "neumf"):
-        return model.fit(bundle["train"], optimizer, epochs=t.epochs,
-                         batch_size=t.batch_size, seed=t.seed, neg_per_pos=neg)
-    if name == "cdae":
-        return model.fit(bundle["train"], optimizer, epochs=t.epochs, seed=t.seed,
-                         neg_per_pos=neg)
-    if name == "prme":
-        return model.fit(bundle["sequences"], optimizer, epochs=t.epochs,
-                         batch_size=t.batch_size, seed=t.seed)
-    if name == "caser":
-        return model.fit(bundle["sequences"], optimizer, epochs=t.epochs,
-                         batch_size=t.batch_size, seed=t.seed, neg_per_target=neg)
-    if name == "attrec":
-        return model.fit(bundle["sequences"], optimizer, epochs=t.epochs,
-                         batch_size=t.batch_size, seed=t.seed)
-    raise ConfigError([f"unknown model {name!r}"])
-
-
-def prepare_model_for_serving(cfg: ExperimentConfig, model, bundle) -> None:
-    """Attach the non-tensor serving state a restored model needs."""
-    name = cfg.model.name
-    if name == "autorec":
-        model.load_columns(bundle["train"])
-    elif name == "cdae":
-        model.load_train_vectors(bundle["train"])
-    elif name in ("prme", "caser", "attrec"):
-        sequences = bundle["sequences"]
-        if name == "prme":
-            model.last_item = {u: h[-1] for u, h in sequences.histories.items() if h}
-        else:
-            model.serve_windows = {u: sequences.latest_window(u)
-                                   for u in sequences.histories}
+    return base.train(model, bundle, make_optimizer(t.optimizer, t.lr), t.epochs,
+                      t.batch_size, seed=t.seed, neg_samples=t.neg_samples)
 
 
 def evaluate_model(cfg: ExperimentConfig, model, bundle) -> metricsmod.MetricReport:
     task = bundle["task"]
     if task == "rating":
-        if cfg.model.name == "fm":
+        if MODELS[cfg.model.name].feature_rows:
             test_rows = bundle["test_rows"]
             if not test_rows:
                 raise GradrecError("empty test split")
@@ -232,11 +111,7 @@ def run(cfg: ExperimentConfig, checkpoint_path: str | Path | None = None,
         report_path: str | Path | None = None):
     """Full pipeline. Returns (report, model, loss trace)."""
     bundle = prepare_data(cfg)
-    if cfg.model.name == "fm":
-        model = build_model(cfg, train=bundle.get("train"),
-                            n_features=bundle["n_features"], rows=bundle["train_rows"])
-    else:
-        model = build_model(cfg, train=bundle["train"])
+    model = build_model(cfg, **bundle)
     trace = fit_model(cfg, model, bundle)
     log.info("training finished: first-epoch loss %.6f, last-epoch loss %.6f",
              trace[0], trace[-1])
@@ -266,9 +141,9 @@ def load_model(checkpoint_path: str | Path, override_cfg: ExperimentConfig | Non
     if cfg.model.name != name:
         raise ConfigError([f"checkpoint holds model {name!r} but config names "
                            f"{cfg.model.name!r}"])
-    model = restore_model(cfg, tensors)
+    model = MODELS[name].restore(tensors, cfg)
     bundle = prepare_data(cfg)
-    prepare_model_for_serving(cfg, model, bundle)
+    model.serve(bundle)
     return cfg, model, bundle
 
 
@@ -279,20 +154,14 @@ def recommend(checkpoint_path: str | Path, raw_user: str, n: int) -> list[tuple[
     input); ties break by ascending raw item id.
     """
     cfg, model, bundle = load_model(checkpoint_path)
-    if bundle["task"] == "rating" and cfg.model.name == "fm":
+    if MODELS[cfg.model.name].feature_rows:
         raise ConfigError(["recommend over libfm feature rows is undefined; "
                            "train fm on uirt data to use it"])
     table = bundle["table"]
     user = table.user_index.get(raw_user)
     if user is None:
         raise GradrecError(f"unknown user id {raw_user!r}")
-    if cfg.model.name == "fm":
-        def score_fn(u, i):
-            return model.predict(SparseRow(0.0, ((u, 1.0), (table.n_users + i, 1.0))))
-    elif bundle["task"] == "rating":
-        score_fn = model.predict
-    else:
-        score_fn = model.score
+    score_fn = model.predict if bundle["task"] == "rating" else model.score
     scored = []
     for item in range(table.n_items):
         scored.append((-float(score_fn(user, item)), table.item_ids[item]))

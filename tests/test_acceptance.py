@@ -15,6 +15,7 @@ from gradrec import config as cfgmod
 from gradrec import data as datamod
 from gradrec import engine as E
 from gradrec import metrics, runner, synthetic
+from gradrec.models import train
 from gradrec.models.baselines import PopularityRanker
 from gradrec.models.ranking import BprMf, Cdae, Cml, NeuMf
 from gradrec.models.rating import BiasedSvd, FactorizationMachine, ItemAutoRec
@@ -63,7 +64,7 @@ def gradient_cases():
     users = np.array([x.user for x in table.interactions][:16])
     items = np.array([x.item for x in table.interactions][:16])
     ratings = np.array([x.rating for x in table.interactions][:16])
-    cases.append(("biasedsvd", lambda lv: svd.build_loss(lv, users, items, ratings),
+    cases.append(("biasedsvd", lambda lv: svd.build_loss(lv, (users, items, ratings)),
                   {n: svd.params[n] for n in svd.trainable}))
 
     rows = [datamod.SparseRow(float(k % 3), ((k % 5, 1.0), (5 + k % 3, 0.5)))
@@ -83,7 +84,7 @@ def gradient_cases():
     bu = np.array([0, 1, 2, 3, 4, 0, 1, 2])
     bi = np.array([0, 1, 2, 3, 4, 5, 6, 7])
     bj = np.array([7, 6, 5, 4, 3, 2, 1, 0])
-    cases.append(("bpr", lambda lv: bpr.build_loss(lv, bu, bi, bj),
+    cases.append(("bpr", lambda lv: bpr.build_loss(lv, (bu, bi, bj)),
                   {n: bpr.params[n] for n in bpr.trainable}))
 
     cml = Cml(4, 6, k=3, margin=0.4, seed=7)
@@ -93,7 +94,7 @@ def gradient_cases():
     cu = np.array([0, 1, 2, 3])
     ci = np.array([0, 1, 2, 3])
     cj = np.array([4, 5, 4, 5])
-    cases.append(("cml", lambda lv: cml.build_loss(lv, cu, ci, cj),
+    cases.append(("cml", lambda lv: cml.build_loss(lv, (cu, ci, cj)),
                   {n: cml.params[n] for n in cml.trainable}))
 
     nu = np.array([0, 1, 2, 0])
@@ -102,14 +103,14 @@ def gradient_cases():
     for variant in NeuMf.VARIANTS:
         net = scaled_params(NeuMf(3, 5, k=4, variant=variant, seed=9), seed=10)
         cases.append((f"neumf[{variant}]",
-                      lambda lv, net=net: net.build_loss(lv, nu, ni, ny),
+                      lambda lv, net=net: net.build_loss(lv, (nu, ni, ny)),
                       {n: net.params[n] for n in net.trainable}))
 
     cdae = Cdae(3, 6, hidden=3, corruption=0.0, seed=11)
     corrupted = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     targets = np.array([0, 2, 4, 1, 5])
     labels = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-    cases.append(("cdae", lambda lv: cdae.build_loss(lv, 1, corrupted, targets, labels),
+    cases.append(("cdae", lambda lv: cdae.build_loss(lv, (1, corrupted, targets, labels)),
                   {n: cdae.params[n] for n in cdae.trainable}))
 
     prme = scaled_params(Prme(3, 5, k=3, alpha=0.4, l2=0.01, seed=12), seed=13)
@@ -117,7 +118,7 @@ def gradient_cases():
     pp = np.array([0, 1, 2])
     pi = np.array([1, 2, 3])
     pj = np.array([4, 0, 4])
-    cases.append(("prme", lambda lv: prme.build_loss(lv, pu, pp, pi, pj),
+    cases.append(("prme", lambda lv: prme.build_loss(lv, (pu, pp, pi, pj)),
                   {n: prme.params[n] for n in prme.trainable}))
 
     seq_table = synthetic.markov_chains(n_users=3, n_items=6, history=5, seed=14)
@@ -243,7 +244,7 @@ def test_criterion_4a_biasedsvd_planted_rank2():
     table, _ = synthetic.planted_factor_ratings(15, 12, rank=2, density=0.7,
                                                 mean=3.0, seed=4)
     model = BiasedSvd.for_table(table, k=2, l2=0.0, seed=1)
-    model.fit(table, E.Adam(lr=0.05), epochs=220, batch_size=64, seed=2)
+    train(model, {"train": table}, E.Adam(lr=0.05), epochs=220, batch_size=64, seed=2)
     rmse = float(np.sqrt(np.mean([(model.predict(x.user, x.item) - x.rating) ** 2
                                   for x in table.interactions])))
     elapsed = time.monotonic() - start
@@ -253,18 +254,18 @@ def test_criterion_4a_biasedsvd_planted_rank2():
 
 def test_criterion_4b_bprmf_block_auc():
     start = time.monotonic()
-    train, held = synthetic.block_preferences(seed=5)
-    model = BprMf(train.n_users, train.n_items, k=2, l2=0.001, seed=1)
-    model.fit(train, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
+    train_table, held = synthetic.block_preferences(seed=5)
+    model = BprMf(train_table.n_users, train_table.n_items, k=2, l2=0.001, seed=1)
+    train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
 
     rng = np.random.default_rng(0)
-    consumed = train.consumed()
+    consumed = train_table.consumed()
     held_by_user = {}
     for x in held.interactions:
         held_by_user.setdefault(x.user, set()).add(x.item)
     wins, total = 0.0, 0
     for user, positives in sorted(held_by_user.items()):
-        negatives = [i for i in range(train.n_items)
+        negatives = [i for i in range(train_table.n_items)
                      if i not in consumed.get(user, set()) and i not in positives]
         for pos in sorted(positives):
             s_pos = model.score(user, pos)
@@ -279,40 +280,41 @@ def test_criterion_4b_bprmf_block_auc():
 
 
 def markov_next_item_setup(window, n_items=15, n_users=60, history=8, seed=2):
+    """(table, train table, test table, training bundle)."""
     table = synthetic.markov_chains(n_users=n_users, n_items=n_items,
                                     history=history, seed=seed)
-    train, test = datamod.split(table, datamod.LeaveOneOut())
-    sequences = datamod.build_sequences(train, window, 1)
-    return table, train, test, sequences
+    train_table, test = datamod.split(table, datamod.LeaveOneOut())
+    bundle = {"train": train_table, "sequences": datamod.build_sequences(train_table, window, 1)}
+    return table, train_table, test, bundle
 
 
 def test_criterion_4c_sequential_planted_markov():
     start = time.monotonic()
     details = []
 
-    table, train, test, seqs = markov_next_item_setup(window=1)
+    table, train_table, test, bundle = markov_next_item_setup(window=1)
     prme = Prme(table.n_users, table.n_items, k=8, alpha=0.2, l2=0.0, seed=1)
-    prme.fit(seqs, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
-    hr1 = metrics.evaluate_ranking(prme.score, train, test,
+    train(prme, bundle, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
+    hr1 = metrics.evaluate_ranking(prme.score, train_table, test,
                                    metrics.FullRanking(), [1]).values["recall@1"]
     details.append(f"PRME HR@1 {hr1:.3f}")
     assert hr1 >= 0.9
 
-    table, train, test, seqs = markov_next_item_setup(window=5, seed=6)
+    table, train_table, test, bundle = markov_next_item_setup(window=5, seed=6)
     caser = Caser(table.n_users, table.n_items, d=8, window=5, n_h=2, n_v=1, seed=7)
-    caser.fit(seqs, E.Adam(lr=0.05), epochs=12, batch_size=16, seed=8, neg_per_target=3)
-    hr1c = metrics.evaluate_ranking(caser.score, train, test,
+    train(caser, bundle, E.Adam(lr=0.05), epochs=12, batch_size=16, seed=8, neg_samples=3)
+    hr1c = metrics.evaluate_ranking(caser.score, train_table, test,
                                     metrics.FullRanking(), [1]).values["recall@1"]
     details.append(f"Caser HR@1 {hr1c:.3f}")
     assert hr1c >= 0.9
 
-    table, train, test, seqs = markov_next_item_setup(window=3, n_items=20, seed=8)
+    table, train_table, test, bundle = markov_next_item_setup(window=3, n_items=20, seed=8)
     attrec = AttRec(table.n_users, table.n_items, d=8, window=3, omega=0.3,
                     margin=0.5, clip_rho=1.5, seed=9)
-    attrec.fit(seqs, E.Adam(lr=0.05), epochs=15, batch_size=16, seed=10)
-    hr5 = metrics.evaluate_ranking(attrec.score, train, test,
+    train(attrec, bundle, E.Adam(lr=0.05), epochs=15, batch_size=16, seed=10)
+    hr5 = metrics.evaluate_ranking(attrec.score, train_table, test,
                                    metrics.FullRanking(), [5]).values["recall@5"]
-    pop5 = metrics.evaluate_ranking(PopularityRanker(train).score, train, test,
+    pop5 = metrics.evaluate_ranking(PopularityRanker(train_table).score, train_table, test,
                                     metrics.FullRanking(), [5]).values["recall@5"]
     details.append(f"AttRec HR@5 {hr5:.3f} vs 1.5x popularity {1.5 * pop5:.3f}")
     assert hr5 >= 1.5 * pop5
@@ -334,47 +336,48 @@ def overfit_runs():
     ratings = ratings.with_interactions(ratings.interactions[:50])
 
     svd = BiasedSvd.for_table(ratings, k=4, l2=0.0, seed=1)
-    out.append(("biasedsvd", svd.fit(ratings, E.Adam(lr=0.05), 300, 64, seed=2)))
+    out.append(("biasedsvd", train(svd, {"train": ratings}, E.Adam(lr=0.05), 300, 64, seed=2)))
 
     rows, _ = runner.interactions_to_fm_rows(ratings)
     fm = FactorizationMachine.for_rows(rows, ratings.n_users + ratings.n_items,
                                        k=4, l2=0.0, task="regression", seed=3)
-    out.append(("fm", fm.fit(rows, E.Adam(lr=0.05), 400, 64, seed=4)))
+    out.append(("fm", train(fm, {"train_rows": rows}, E.Adam(lr=0.05), 400, 64, seed=4)))
 
     autorec = ItemAutoRec.for_table(ratings, hidden=8, l2=0.0, seed=5)
-    out.append(("autorec", autorec.fit(ratings, E.Adam(lr=0.05), 500, seed=6)))
+    out.append(("autorec", train(autorec, {"train": ratings}, E.Adam(lr=0.05), 500, seed=6)))
 
     implicit = synthetic.clustered_implicit(n_clusters=2, users_per_cluster=5,
                                             items_per_cluster=5, likes_per_user=4,
                                             seed=21)  # 40 interactions
     bpr = BprMf(implicit.n_users, implicit.n_items, k=4, l2=0.0, seed=7)
-    out.append(("bprmf", bpr.fit(implicit, E.Adam(lr=0.05), 200, 64, seed=8)))
+    out.append(("bprmf", train(bpr, {"train": implicit}, E.Adam(lr=0.05), 200, 64, seed=8)))
 
     cml = Cml(implicit.n_users, implicit.n_items, k=4, margin=0.2, seed=9)
-    out.append(("cml", cml.fit(implicit, E.Adam(lr=0.05), 200, 64, seed=10,
-                               neg_per_pos=2)))
+    out.append(("cml", train(cml, {"train": implicit}, E.Adam(lr=0.05), 200, 64, seed=10,
+                             neg_samples=2)))
 
     for variant in NeuMf.VARIANTS:
         net = NeuMf(implicit.n_users, implicit.n_items, k=8, variant=variant, seed=11)
-        out.append((variant, net.fit(implicit, E.Adam(lr=0.05), 400, 128, seed=12,
-                                     neg_per_pos=2)))
+        out.append((variant, train(net, {"train": implicit}, E.Adam(lr=0.05), 400, 128,
+                                   seed=12, neg_samples=2)))
 
     cdae = Cdae(implicit.n_users, implicit.n_items, hidden=12, corruption=0.0, seed=13)
-    out.append(("cdae", cdae.fit(implicit, E.Adam(lr=0.1), 400, seed=14, neg_per_pos=4)))
+    out.append(("cdae", train(cdae, {"train": implicit}, E.Adam(lr=0.1), 400, seed=14,
+                              neg_samples=4)))
 
     chains = synthetic.markov_chains(n_users=8, n_items=9, history=6, seed=22)  # 48
-    seq1 = datamod.build_sequences(chains, 1, 1)
+    seq1 = {"train": chains, "sequences": datamod.build_sequences(chains, 1, 1)}
     prme = Prme(chains.n_users, chains.n_items, k=4, alpha=0.3, l2=0.0, seed=15)
-    out.append(("prme", prme.fit(seq1, E.Adam(lr=0.05), 200, 64, seed=16)))
+    out.append(("prme", train(prme, seq1, E.Adam(lr=0.05), 200, 64, seed=16)))
 
-    seq3 = datamod.build_sequences(chains, 3, 1)
+    seq3 = {"train": chains, "sequences": datamod.build_sequences(chains, 3, 1)}
     caser = Caser(chains.n_users, chains.n_items, d=4, window=3, n_h=2, n_v=1, seed=17)
-    out.append(("caser", caser.fit(seq3, E.Adam(lr=0.05), 150, 16, seed=18,
-                                   neg_per_target=2)))
+    out.append(("caser", train(caser, seq3, E.Adam(lr=0.05), 150, 16, seed=18,
+                               neg_samples=2)))
 
     attrec = AttRec(chains.n_users, chains.n_items, d=4, window=3, omega=0.3,
                     margin=0.5, clip_rho=2.0, seed=19)
-    out.append(("attrec", attrec.fit(seq3, E.Adam(lr=0.05), 200, 16, seed=20)))
+    out.append(("attrec", train(attrec, seq3, E.Adam(lr=0.05), 200, 16, seed=20)))
     return out
 
 
@@ -600,11 +603,12 @@ def test_criterion_8_structural_invariants():
         for name in ("user_points", "item_points"):
             assert np.linalg.norm(params[name], axis=1).max() <= 1.0 + 1e-12
 
-    cml.fit(implicit, E.Adam(lr=0.1), epochs=4, batch_size=16, seed=2,
-            neg_per_pos=2, on_step=watch_cml)
+    train(cml, {"train": implicit}, E.Adam(lr=0.1), epochs=4, batch_size=16, seed=2,
+          neg_samples=2, on_step=watch_cml)
 
     chains = synthetic.markov_chains(n_users=15, n_items=8, history=6, seed=31)
     seqs = datamod.build_sequences(chains, 3, 1)
+    bundle = {"train": chains, "sequences": seqs}
 
     rho = 1.25
     attrec = AttRec(chains.n_users, chains.n_items, d=4, window=3, omega=0.4,
@@ -623,8 +627,8 @@ def test_criterion_8_structural_invariants():
         assert np.all(attn >= 0.0)
         np.testing.assert_allclose(attn.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    attrec.fit(seqs, E.Adam(lr=0.1), epochs=3, batch_size=8, seed=4,
-               on_step=watch_attrec)
+    train(attrec, bundle, E.Adam(lr=0.1), epochs=3, batch_size=8, seed=4,
+          on_step=watch_attrec)
 
     caser = Caser(chains.n_users, chains.n_items, d=4, window=3, n_h=1, n_v=1, seed=5)
 
@@ -632,7 +636,7 @@ def test_criterion_8_structural_invariants():
         steps["caser"] += 1
         assert np.array_equal(params["item_embed"][caser.padding_id], np.zeros(4))
 
-    caser.fit(seqs, E.Adam(lr=0.1), epochs=3, batch_size=8, seed=6, on_step=watch_caser)
+    train(caser, bundle, E.Adam(lr=0.1), epochs=3, batch_size=8, seed=6, on_step=watch_caser)
 
     assert all(count > 0 for count in steps.values())
     elapsed = time.monotonic() - start

@@ -78,9 +78,13 @@ class TestParseValid:
 
     def test_neg_samples_default_per_model(self):
         cfg = cfgmod.parse_config(RANKING)
-        assert cfgmod.neg_samples_for(cfg) == 1  # bprmf default
+        assert cfg.train.neg_samples == 1  # bprmf default
         cfg2 = cfgmod.parse_config(RANKING.replace("name = bprmf", "name = neumf"))
-        assert cfgmod.neg_samples_for(cfg2) == 4
+        assert cfg2.train.neg_samples == 4
+        cfg3 = cfgmod.parse_config(RANKING.replace("k = 16", "k = 16\nL = 3")
+                                   .replace("name = bprmf", "name = caser"))
+        assert (cfg3.model.T, cfg3.model.n_h, cfg3.model.n_v, cfg3.train.neg_samples) == \
+            (1, 4, 2, 3)
 
     def test_raw_text_is_echoed(self):
         cfg = cfgmod.parse_config(BASE)
@@ -164,3 +168,31 @@ class TestValidationErrors:
         with pytest.raises(ConfigError) as err:
             cfgmod.parse_config(bad)
         assert any("binarize_threshold" in issue for issue in err.value.issues)
+
+    @pytest.mark.parametrize("model_lines, train_extra, expected", [
+        ("name = bprmf\nk = 16", "neg_samples = -1", "neg_samples must be >= 1"),
+        ("name = bprmf\nk = 16", "neg_samples = 0", "neg_samples must be >= 1"),
+        ("name = caser\nk = 16\nL = 3\nn_h = 0", "", "n_h must be >= 1"),
+        ("name = caser\nk = 16\nL = 3\nn_v = 0", "", "n_v must be >= 1"),
+        ("name = caser\nk = 16\nL = 3\nT = 0", "", "T must be >= 1"),
+        ("name = caser\nk = 16\nL = 0", "", "L must be >= 1"),
+        ("name = neumf\nk = 16\nlayers =", "", "layers must list sizes >= 1"),
+        ("name = gmf\nk = 16\nlayers = 8", "", "'layers' does not apply to model 'gmf'"),
+        ("name = prme\nk = 16\nalpha = 0.5\nmargin = 0.5", "",
+         "'margin' does not apply to model 'prme'"),
+        # models that read no negative count reject it (rating models also
+        # reject the [eval] section here, which does not matter)
+        ("name = biasedsvd\nk = 16", "neg_samples = 2", "neg_samples does not apply"),
+        ("name = fm\nk = 16", "neg_samples = 2", "neg_samples does not apply"),
+        ("name = autorec\nk = 16", "neg_samples = 2", "neg_samples does not apply"),
+        ("name = prme\nk = 16\nalpha = 0.5", "neg_samples = 9", "neg_samples does not apply"),
+        ("name = attrec\nk = 16\nL = 3\nomega = 0.3\nmargin = 0.5\nclip_rho = 1.0",
+         "neg_samples = 9", "neg_samples does not apply"),
+    ])
+    def test_out_of_range_or_unused_model_values_rejected(self, model_lines, train_extra,
+                                                          expected):
+        bad = RANKING.replace("name = bprmf\nk = 16", model_lines)
+        bad = bad.replace("seed = 3", f"seed = 3\n{train_extra}")
+        with pytest.raises(ConfigError) as err:
+            cfgmod.parse_config(bad)
+        assert any(expected in issue for issue in err.value.issues), err.value.issues

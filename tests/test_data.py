@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gradrec import data
 from gradrec.errors import DataFormatError, GradrecError
+from gradrec.models.base import NegativeSampler
 
 
 def write(tmp_path, text, name="data.txt"):
@@ -181,39 +182,46 @@ class TestSplit:
 
 
 class TestSampleNegatives:
+    """The training loops' NegativeSampler, built from the train table."""
+
     def table(self):
         return make_table([("u", "i1", 1, 1), ("u", "i2", 1, 2),
                            ("v", "i0", 1, 1), ("v", "i3", 1, 2), ("v", "i4", 1, 3)])
 
     def test_support_excludes_consumed(self):
         table = self.table()
+        sampler = NegativeSampler(table)
         u = table.user_index["u"]
-        consumed = table.items_of(u)
+        consumed = table.consumed()[u]
         for seed in range(5):
-            drawn = data.sample_negatives(table, u, 50, seed)
+            drawn = sampler.draw(u, 50, np.random.default_rng(seed))
             assert set(drawn.tolist()) <= set(range(table.n_items)) - consumed
 
     def test_k_zero(self):
         table = self.table()
-        assert data.sample_negatives(table, 0, 0, seed=1).size == 0
+        assert NegativeSampler(table).draw(0, 0, np.random.default_rng(1)).size == 0
 
     def test_exclude_respected(self):
+        # draw_many excludes each row's own user's items, not one shared set
         table = self.table()
-        u = table.user_index["u"]
-        drawn = data.sample_negatives(table, u, 100, seed=2, exclude=[0, 3])
-        assert set(drawn.tolist()) <= {4} | (set(range(5)) - {0, 3} - table.items_of(u))
+        consumed = table.consumed()
+        users = np.array([table.user_index[u] for u in ("u", "v", "u", "v")])
+        drawn = NegativeSampler(table).draw_many(users, 100, np.random.default_rng(2))
+        assert drawn.shape == (4, 100)
+        for user, row in zip(users, drawn):
+            assert set(row.tolist()) == set(range(table.n_items)) - consumed[user]
 
     def test_all_consumed_raises(self):
         table = make_table([("u", "a", 1, 1), ("u", "b", 1, 2)])
         u = table.user_index["u"]
         with pytest.raises(GradrecError):
-            data.sample_negatives(table, u, 1, seed=0)
+            NegativeSampler(table).draw(u, 1, np.random.default_rng(0))
 
     def test_uniform_frequencies(self):
         # u consumed {i1, i2}; catalog has 5 items -> 3 candidates
         table = self.table()
         u = table.user_index["u"]
-        drawn = data.sample_negatives(table, u, 30_000, seed=123)
+        drawn = NegativeSampler(table).draw(u, 30_000, np.random.default_rng(123))
         values, counts = np.unique(drawn, return_counts=True)
         assert len(values) == 3
         freqs = counts / drawn.size
@@ -221,8 +229,8 @@ class TestSampleNegatives:
 
     def test_deterministic_given_seed(self):
         table = self.table()
-        a = data.sample_negatives(table, 1, 20, seed=9)
-        b = data.sample_negatives(table, 1, 20, seed=9)
+        a = NegativeSampler(table).draw(1, 20, np.random.default_rng(9))
+        b = NegativeSampler(table).draw(1, 20, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
 

@@ -194,36 +194,6 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-class TestDropout:
-    def test_inference_is_identity(self):
-        x = np.linspace(-1, 1, 12).reshape(3, 4)
-        out = E.dropout(E.const(x), keep_prob=0.4, training=False, seed=3)
-        np.testing.assert_array_equal(out.value, x)
-
-    def test_training_scales_retained_elements(self):
-        x = np.ones((200, 50))
-        keep = 0.7
-        out = E.dropout(E.const(x), keep_prob=keep, training=True, seed=11).value
-        kept = out != 0.0
-        np.testing.assert_allclose(out[kept], 1.0 / keep)
-        # expectation preserved within sampling noise
-        assert abs(out.mean() - 1.0) < 0.02
-
-    def test_same_seed_is_bitwise_identical(self):
-        x = np.random.default_rng(0).normal(size=(8, 8))
-        a = E.dropout(E.const(x), keep_prob=0.5, training=True, seed=42).value
-        b = E.dropout(E.const(x), keep_prob=0.5, training=True, seed=42).value
-        assert np.array_equal(a, b)
-
-    def test_gradient_uses_mask(self):
-        x0 = np.random.default_rng(1).normal(size=(6, 6))
-        x = E.param(x0)
-        out = E.dropout(x, keep_prob=0.5, training=True, seed=9)
-        grads = E.backward(out.sum(), wrt=[x])
-        mask = out.value != 0.0
-        np.testing.assert_array_equal(grads[x], mask * 2.0)
-
-
 def test_backward_is_linear_in_the_loss():
     rng = np.random.default_rng(5)
     w0 = rng.normal(size=(4, 3))

@@ -5,8 +5,14 @@ import pytest
 
 from gradrec import data, engine as E, metrics, synthetic
 from gradrec.errors import GradrecError
+from gradrec.models import train
 from gradrec.models.baselines import PopularityRanker
 from gradrec.models.ranking import BprMf, Cdae, Cml, NeuMf
+
+
+def loss_value(model, batch):
+    leaves = {n: E.param(model.params[n], n) for n in model.trainable}
+    return float(model.build_loss(leaves, batch).value)
 
 
 def sigmoid(x):
@@ -18,7 +24,8 @@ class TestBprLoss:
         model = BprMf(2, 3, k=2, l2=0.0, seed=0)
         model.params["user_factors"][:] = 0.0
         model.params["item_factors"][:] = 0.0
-        assert model.triplet_loss(0, 1, 2) == pytest.approx(math.log(2), abs=1e-12)
+        batch = (np.array([0]), np.array([1]), np.array([2]))
+        assert loss_value(model, batch) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_logit_gradient_at_zero(self):
         # d(-ln sigma(x))/dx = sigma(x) - 1 = -0.5 at x = 0
@@ -32,7 +39,7 @@ class TestBprLoss:
         users = np.array([0, 1, 2, 3, 0])
         pos = np.array([0, 1, 2, 3, 4])
         neg = np.array([5, 4, 0, 1, 2])
-        result = E.grad_check(lambda lv: model.build_loss(lv, users, pos, neg),
+        result = E.grad_check(lambda lv: model.build_loss(lv, (users, pos, neg)),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
 
@@ -67,40 +74,41 @@ def auc_on_holdout(model, train, held):
 
 class TestBprFit:
     def test_block_preference_auc(self):
-        train, held = synthetic.block_preferences(seed=5)
+        train_table, held = synthetic.block_preferences(seed=5)
         # k=2 matches the planted rank so the block structure is recovered
         # instead of memorized
-        model = BprMf(train.n_users, train.n_items, k=2, l2=0.001, seed=1)
-        model.fit(train, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
-        assert auc_on_holdout(model, train, held) >= 0.95
+        model = BprMf(train_table.n_users, train_table.n_items, k=2, l2=0.001, seed=1)
+        train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
+        assert auc_on_holdout(model, train_table, held) >= 0.95
 
     def test_ndcg_invariant_under_user_constant_shift(self):
-        train, held = synthetic.block_preferences(seed=3)
-        model = BprMf(train.n_users, train.n_items, k=4, l2=0.0, seed=4)
-        model.fit(train, E.Adam(lr=0.05), epochs=5, batch_size=64, seed=5)
-        base = metrics.evaluate_ranking(model.score, train, held,
+        train_table, held = synthetic.block_preferences(seed=3)
+        model = BprMf(train_table.n_users, train_table.n_items, k=4, l2=0.0, seed=4)
+        train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=5, batch_size=64, seed=5)
+        base = metrics.evaluate_ranking(model.score, train_table, held,
                                         metrics.FullRanking(), [10])
         shifted = metrics.evaluate_ranking(lambda u, i: model.score(u, i) + 42.0,
-                                           train, held, metrics.FullRanking(), [10])
+                                           train_table, held, metrics.FullRanking(), [10])
         assert base.values == shifted.values
 
     def test_fixed_seed_reproduces_metrics(self):
-        train, held = synthetic.block_preferences(seed=7)
+        train_table, held = synthetic.block_preferences(seed=7)
 
         def run():
-            model = BprMf(train.n_users, train.n_items, k=4, l2=0.0, seed=9)
-            model.fit(train, E.Adam(lr=0.05), epochs=5, batch_size=32, seed=11)
-            report = metrics.evaluate_ranking(model.score, train, held,
+            model = BprMf(train_table.n_users, train_table.n_items, k=4, l2=0.0, seed=9)
+            train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=5, batch_size=32,
+                  seed=11)
+            report = metrics.evaluate_ranking(model.score, train_table, held,
                                               metrics.FullRanking(), [10])
             return report.values
 
         assert run() == run()
 
     def test_scores_stay_finite_every_epoch(self):
-        train, _ = synthetic.block_preferences(seed=1)
-        model = BprMf(train.n_users, train.n_items, k=4, l2=0.0, seed=2)
+        train_table, _ = synthetic.block_preferences(seed=1)
+        model = BprMf(train_table.n_users, train_table.n_items, k=4, l2=0.0, seed=2)
         for _ in range(5):
-            model.fit(train, E.Adam(lr=0.1), epochs=1, batch_size=32, seed=3)
+            train(model, {"train": train_table}, E.Adam(lr=0.1), epochs=1, batch_size=32, seed=3)
             scores = model.params["user_factors"] @ model.params["item_factors"].T
             assert np.all(np.isfinite(scores))
 
@@ -111,14 +119,16 @@ class TestCmlLoss:
         model.params["user_points"][0] = [0.0, 0.0]
         model.params["item_points"][0] = [np.sqrt(0.2), 0.0]  # d^2 = 0.2
         model.params["item_points"][1] = [1.0, 0.0]  # d^2 = 1.0
-        assert model.pair_loss(0, 0, [1]) == pytest.approx(0.0)
+        assert loss_value(model, (np.array([0]), np.array([0]), np.array([[1]]))) == \
+            pytest.approx(0.0)
 
     def test_hinge_arithmetic(self):
         model = Cml(1, 2, k=2, margin=0.5)
         model.params["user_points"][0] = [0.0, 0.0]
         model.params["item_points"][0] = [np.sqrt(0.2), 0.0]
         model.params["item_points"][1] = [np.sqrt(0.4), 0.0]
-        assert model.pair_loss(0, 0, [1]) == pytest.approx(0.3)
+        assert loss_value(model, (np.array([0]), np.array([0]), np.array([[1]]))) == \
+            pytest.approx(0.3)
 
     def test_gradient_check_away_from_kinks(self):
         model = Cml(3, 5, k=2, margin=0.5, seed=2)
@@ -136,7 +146,7 @@ class TestCmlLoss:
                       - E.sq_l2_dist(E.embedding_lookup(leaves["user_points"], users),
                                      E.embedding_lookup(leaves["item_points"], neg))).value
         assert np.all(np.abs(hinge_args) > 1e-3)  # away from the kink
-        result = E.grad_check(lambda lv: model.build_loss(lv, users, pos, neg),
+        result = E.grad_check(lambda lv: model.build_loss(lv, (users, pos, neg)),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
 
@@ -155,20 +165,21 @@ class TestCmlFit:
             norms.append(max(np.linalg.norm(params["user_points"], axis=1).max(),
                              np.linalg.norm(params["item_points"], axis=1).max()))
 
-        model.fit(table, E.Adam(lr=0.05), epochs=3, batch_size=16, seed=2,
-                  neg_per_pos=2, on_step=watch)
+        train(model, {"train": table}, E.Adam(lr=0.05), epochs=3, batch_size=16, seed=2,
+              neg_samples=2, on_step=watch)
         assert norms and max(norms) <= 1.0 + 1e-12
 
     def test_recovers_clusters(self):
         table = synthetic.clustered_implicit(users_per_cluster=14, likes_per_user=6, seed=8)
-        train, test = data.split(table, data.LeaveOneOut())
+        train_table, test = data.split(table, data.LeaveOneOut())
         model = Cml(table.n_users, table.n_items, k=8, margin=0.8, seed=3)
-        model.fit(train, E.Adam(lr=0.05), epochs=40, batch_size=32, seed=4, neg_per_pos=4)
-        got = metrics.evaluate_ranking(model.score, train, test,
+        train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=40, batch_size=32, seed=4,
+              neg_samples=4)
+        got = metrics.evaluate_ranking(model.score, train_table, test,
                                        metrics.FullRanking(), [5])
         relevant = {x.user: x.item for x in test.interactions}
         oracle = metrics.evaluate_ranking(
-            lambda u, i: 1.0 if relevant.get(u) == i else 0.0, train, test,
+            lambda u, i: 1.0 if relevant.get(u) == i else 0.0, train_table, test,
             metrics.FullRanking(), [5])
         assert got.values["recall@5"] >= 0.8 * oracle.values["recall@5"]
 
@@ -177,8 +188,8 @@ class TestCmlFit:
         table = data.table_from_records([("u0", "i0", 1.0, 0), ("u0", "i1", 1.0, 1),
                                          ("u1", "i2", 1.0, 0)])
         model = Cml(table.n_users, table.n_items, k=2, margin=0.05, seed=5)
-        trace = model.fit(table, E.Adam(lr=0.05), epochs=60, batch_size=4, seed=6,
-                          neg_per_pos=1)
+        trace = train(model, {"train": table}, E.Adam(lr=0.05), epochs=60, batch_size=4,
+                      seed=6, neg_samples=1)
         assert trace[-1] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -226,29 +237,29 @@ class TestNeuMfFit:
         users = np.array([0, 1, 2, 0])
         items = np.array([1, 2, 3, 4])
         labels = np.array([1.0, 0.0, 1.0, 0.0])
-        result = E.grad_check(lambda lv: model.build_loss(lv, users, items, labels),
+        result = E.grad_check(lambda lv: model.build_loss(lv, (users, items, labels)),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4, variant
 
     def test_overfits_tiny_interactions(self):
         table = self.tiny_table()
         model = NeuMf(table.n_users, table.n_items, k=8, variant="neumf", seed=5)
-        trace = model.fit(table, E.Adam(lr=0.05), epochs=300, batch_size=64, seed=6,
-                          neg_per_pos=2)
+        trace = train(model, {"train": table}, E.Adam(lr=0.05), epochs=300, batch_size=64,
+                      seed=6, neg_samples=2)
         assert trace[-1] < 0.05 * trace[0]
 
     def test_gmf_variant_leaves_mlp_untouched(self):
         table = self.tiny_table()
         model = NeuMf(table.n_users, table.n_items, k=4, variant="gmf", seed=7)
         before = {n: model.params[n].copy() for n in model.params if n.startswith("mlp")}
-        model.fit(table, E.Adam(lr=0.05), epochs=3, batch_size=32, seed=8)
+        train(model, {"train": table}, E.Adam(lr=0.05), epochs=3, batch_size=32, seed=8)
         for name, value in before.items():
             assert np.array_equal(model.params[name], value), name
 
     def test_gmf_variant_matches_standalone_gmf_path(self):
         table = self.tiny_table()
         model = NeuMf(table.n_users, table.n_items, k=4, variant="gmf", seed=9)
-        model.fit(table, E.Adam(lr=0.05), epochs=4, batch_size=32, seed=10)
+        train(model, {"train": table}, E.Adam(lr=0.05), epochs=4, batch_size=32, seed=10)
         p = model.params
         for u in range(table.n_users):
             for i in range(table.n_items):
@@ -268,10 +279,10 @@ class TestCdae:
         table = synthetic.clustered_implicit(n_clusters=1, users_per_cluster=2,
                                              items_per_cluster=6, likes_per_user=3, seed=1)
         model = Cdae(table.n_users, table.n_items, hidden=4, corruption=0.0, seed=2)
-        model.fit(table, E.Sgd(lr=0.0), epochs=1, seed=3)
+        train(model, {"train": table}, E.Sgd(lr=0.0), epochs=1, seed=3)
+        consumed = table.consumed()
         for user, vec in model._train_vectors.items():
-            np.testing.assert_array_equal(np.flatnonzero(vec),
-                                          np.array(sorted(table.items_of(user))))
+            np.testing.assert_array_equal(np.flatnonzero(vec), np.array(sorted(consumed[user])))
 
     def test_corruption_bounds_validated(self):
         with pytest.raises(GradrecError):
@@ -288,19 +299,19 @@ class TestCdae:
         targets = np.array([0, 2, 3, 5])
         labels = np.array([1.0, 1.0, 0.0, 0.0])
         result = E.grad_check(
-            lambda lv: model.build_loss(lv, 1, corrupted, targets, labels),
+            lambda lv: model.build_loss(lv, (1, corrupted, targets, labels)),
             {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
 
     def test_beats_popularity_on_clusters(self):
         table = synthetic.clustered_implicit(n_clusters=3, users_per_cluster=12,
                                              items_per_cluster=8, likes_per_user=5, seed=9)
-        train, test = data.split(table, data.LeaveOneOut())
+        train_table, test = data.split(table, data.LeaveOneOut())
         model = Cdae(table.n_users, table.n_items, hidden=12, corruption=0.2, seed=5)
-        model.fit(train, E.Adam(lr=0.05), epochs=40, seed=6, neg_per_pos=4)
-        got = metrics.evaluate_ranking(model.score, train, test, metrics.FullRanking(), [10])
-        pop = PopularityRanker(train)
-        base = metrics.evaluate_ranking(pop.score, train, test, metrics.FullRanking(), [10])
+        train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=40, seed=6, neg_samples=4)
+        got = metrics.evaluate_ranking(model.score, train_table, test, metrics.FullRanking(), [10])
+        pop = PopularityRanker(train_table)
+        base = metrics.evaluate_ranking(pop.score, train_table, test, metrics.FullRanking(), [10])
         assert got.values["ndcg@10"] >= 1.2 * base.values["ndcg@10"]
 
     def test_single_user_overfit_ranks_own_items_on_top(self):
@@ -312,8 +323,9 @@ class TestCdae:
         model = Cdae(full.n_users, full.n_items, hidden=6, corruption=0.0, seed=7)
         consumed_table = full.with_interactions(
             [x for x in full.interactions if x.rating == 1.0])
-        model.fit(consumed_table, E.Adam(lr=0.1), epochs=150, seed=8, neg_per_pos=2)
-        own = sorted(consumed_table.items_of(0))
+        train(model, {"train": consumed_table}, E.Adam(lr=0.1), epochs=150, seed=8,
+              neg_samples=2)
+        own = sorted(consumed_table.consumed()[0])
         scores = model.forward(0, model._train_vectors[0])
         top = np.argsort(-scores)[:len(own)]
         assert set(top.tolist()) == set(own)
@@ -324,6 +336,6 @@ class TestCdae:
 
         def run():
             model = Cdae(table.n_users, table.n_items, hidden=5, corruption=0.3, seed=1)
-            return model.fit(table, E.Adam(lr=0.02), epochs=4, seed=2, neg_per_pos=2)
+            return train(model, {"train": table}, E.Adam(lr=0.02), epochs=4, seed=2, neg_samples=2)
 
         assert run() == run()

@@ -3,6 +3,7 @@ import pytest
 
 from gradrec import data, engine as E, synthetic
 from gradrec.errors import GradrecError, TrainingDivergedError
+from gradrec.models import train
 from gradrec.models.rating import BiasedSvd, FactorizationMachine, ItemAutoRec
 
 
@@ -54,7 +55,7 @@ class TestBiasedSvdFit:
         table, _ = synthetic.planted_factor_ratings(15, 12, rank=2, density=0.7,
                                                     mean=3.0, seed=4)
         model = BiasedSvd.for_table(table, k=2, l2=0.0, seed=1)
-        model.fit(table, E.Adam(lr=0.05), epochs=220, batch_size=64, seed=2)
+        train(model, {"train": table}, E.Adam(lr=0.05), epochs=220, batch_size=64, seed=2)
         pairs = [(model.predict(x.user, x.item), x.rating) for x in table.interactions]
         rmse = float(np.sqrt(np.mean([(p - a) ** 2 for p, a in pairs])))
         assert rmse < 0.05
@@ -64,7 +65,7 @@ class TestBiasedSvdFit:
         model = BiasedSvd.for_table(table, k=2, l2=1e3, seed=1)
         norms = [float(np.linalg.norm(model.params["user_factors"]))]
         for _ in range(4):
-            model.fit(table, E.Sgd(lr=0.001), epochs=5, batch_size=32, seed=3)
+            train(model, {"train": table}, E.Sgd(lr=0.001), epochs=5, batch_size=32, seed=3)
             norms.append(float(np.linalg.norm(model.params["user_factors"])))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -74,7 +75,7 @@ class TestBiasedSvdFit:
         users, items, ratings = (np.array([x.user for x in table.interactions]),
                                  np.array([x.item for x in table.interactions]),
                                  np.array([x.rating for x in table.interactions]))
-        result = E.grad_check(lambda lv: model.build_loss(lv, users, items, ratings),
+        result = E.grad_check(lambda lv: model.build_loss(lv, (users, items, ratings)),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
 
@@ -83,18 +84,25 @@ class TestBiasedSvdFit:
 
         def run():
             model = BiasedSvd.for_table(table, k=2, l2=0.01, seed=9)
-            return model.fit(table, E.Adam(lr=0.01), epochs=5, batch_size=16, seed=11)
+            return train(model, {"train": table}, E.Adam(lr=0.01), epochs=5, batch_size=16,
+                         seed=11)
 
         assert run() == run()
 
     def test_divergence_aborts_with_epoch_and_loss(self):
         table, _ = synthetic.planted_factor_ratings(6, 6, rank=2, seed=3)
         model = BiasedSvd.for_table(table, k=2, l2=0.0, seed=9)
+        steps = []
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingDivergedError) as err:
-            model.fit(table, E.Sgd(lr=1e9), epochs=50, batch_size=16, seed=1)
-        assert err.value.epoch >= 0
+            train(model, {"train": table}, E.Sgd(lr=1e9), epochs=50, batch_size=16, seed=1,
+                  on_step=lambda params: steps.append(len(steps)))
         assert not np.isfinite(err.value.loss)
+        # the failing step is the one after the last completed step
+        assert err.value.step == len(steps)
+        steps_per_epoch = -(-len(table.interactions) // 16)
+        assert err.value.epoch == err.value.step // steps_per_epoch
+        assert f"epoch {err.value.epoch}, step {err.value.step}:" in str(err.value)
 
 
 class TestFmScore:
@@ -160,7 +168,7 @@ class TestFmFit:
         rows = planted_fm_rows(80, n_features=6, k=2, seed=3)
         model = FactorizationMachine.for_rows(rows, n_features=6, k=2, l2=0.0,
                                               task="regression", seed=1)
-        model.fit(rows, E.Adam(lr=0.05), epochs=400, batch_size=80, seed=2)
+        train(model, {"train_rows": rows}, E.Adam(lr=0.05), epochs=400, batch_size=80, seed=2)
         preds = [model.raw_score(r) for r in rows]
         rmse = float(np.sqrt(np.mean([(p - r.label) ** 2 for p, r in zip(preds, rows)])))
         assert rmse < 0.05
@@ -187,13 +195,13 @@ class TestFmFit:
         rows = [data.SparseRow(2.0, ((0, 1.0),))]
         model = FactorizationMachine(2, 2, task="binary")
         with pytest.raises(GradrecError):
-            model.fit(rows, E.Sgd(lr=0.1), epochs=1, batch_size=1, seed=0)
+            train(model, {"train_rows": rows}, E.Sgd(lr=0.1), epochs=1, batch_size=1, seed=0)
 
     def test_overfits_single_row(self):
         row = data.SparseRow(2.5, ((0, 1.0), (2, 1.5)))
         model = FactorizationMachine(3, 2, l2=0.0, task="regression",
                                      label_range=(0, 5), seed=3)
-        model.fit([row], E.Adam(lr=0.05), epochs=400, batch_size=1, seed=1)
+        train(model, {"train_rows": [row]}, E.Adam(lr=0.05), epochs=400, batch_size=1, seed=1)
         assert abs(model.raw_score(row) - 2.5) < 1e-2
 
     def test_fixed_seed_reproduces_loss_trace(self):
@@ -202,7 +210,8 @@ class TestFmFit:
         def run():
             model = FactorizationMachine.for_rows(rows, 5, 2, l2=0.01,
                                                   task="regression", seed=7)
-            return model.fit(rows, E.Adam(lr=0.02), epochs=6, batch_size=8, seed=8)
+            return train(model, {"train_rows": rows}, E.Adam(lr=0.02), epochs=6, batch_size=8,
+                         seed=8)
 
         assert run() == run()
 
@@ -229,9 +238,12 @@ class TestAutoRec:
         np.testing.assert_allclose(z, 0.5)
 
     def test_empty_column_rejected(self):
-        model = ItemAutoRec(n_users=4, n_items=3, hidden=2)
-        with pytest.raises(GradrecError):
-            model.reconstruct_observed([])
+        # every item column empty: nothing to reconstruct
+        table = self.toy_table()
+        model = ItemAutoRec.for_table(table, hidden=2, l2=0.0, seed=1)
+        with pytest.raises(GradrecError, match="empty training set"):
+            train(model, {"train": table.with_interactions([])}, E.Sgd(lr=0.1), epochs=1,
+                  seed=0)
 
     def test_masked_gradient_check(self):
         table = self.toy_table()
@@ -259,7 +271,7 @@ class TestAutoRec:
     def test_overfits_toy_matrix(self):
         table = self.toy_table()
         model = ItemAutoRec.for_table(table, hidden=8, l2=0.0, seed=3)
-        trace = model.fit(table, E.Adam(lr=0.05), epochs=500, seed=4)
+        trace = train(model, {"train": table}, E.Adam(lr=0.05), epochs=500, seed=4)
         assert trace[-1] < 0.05 * trace[0]
 
     def test_regularization_shrinks_weights(self):
@@ -267,7 +279,7 @@ class TestAutoRec:
         runs = {}
         for l2 in (0.0, 5.0):
             model = ItemAutoRec.for_table(table, hidden=4, l2=l2, seed=5)
-            model.fit(table, E.Adam(lr=0.01), epochs=150, seed=6)
+            train(model, {"train": table}, E.Adam(lr=0.01), epochs=150, seed=6)
             runs[l2] = float(np.linalg.norm(model.params["decoder_w"]))
         assert runs[5.0] < runs[0.0]
 
@@ -276,6 +288,6 @@ class TestAutoRec:
 
         def run():
             model = ItemAutoRec.for_table(table, hidden=4, l2=0.01, seed=8)
-            return model.fit(table, E.Adam(lr=0.02), epochs=8, seed=9, batch_size=2)
+            return train(model, {"train": table}, E.Adam(lr=0.02), epochs=8, batch_size=2, seed=9)
 
         assert run() == run()

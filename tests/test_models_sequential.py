@@ -3,15 +3,18 @@ import pytest
 
 from gradrec import data, engine as E, metrics, synthetic
 from gradrec.errors import GradrecError
+from gradrec.models import train
 from gradrec.models.baselines import PopularityRanker
 from gradrec.models.sequential import AttRec, Caser, Prme
 
 
 def markov_split(window, horizon=1, **gen_kw):
+    """(table, train table, test table, training bundle)."""
     table = synthetic.markov_chains(**gen_kw)
-    train, test = data.split(table, data.LeaveOneOut())
-    sequences = data.build_sequences(train, window, horizon)
-    return table, train, test, sequences
+    train_table, test = data.split(table, data.LeaveOneOut())
+    bundle = {"train": train_table,
+              "sequences": data.build_sequences(train_table, window, horizon)}
+    return table, train_table, test, bundle
 
 
 class TestPrmeDistance:
@@ -52,26 +55,25 @@ class TestPrmeFit:
         prevs = np.array([0, 1, 2])
         pos = np.array([1, 2, 3])
         neg = np.array([4, 0, 4])
-        result = E.grad_check(lambda lv: model.build_loss(lv, users, prevs, pos, neg),
+        result = E.grad_check(lambda lv: model.build_loss(lv, (users, prevs, pos, neg)),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
 
     def test_learns_planted_transitions(self):
-        table, train, test, sequences = markov_split(window=1, n_users=60, n_items=15,
-                                                     history=8, seed=2)
+        table, train_table, test, bundle = markov_split(window=1, n_users=60, n_items=15,
+                                                        history=8, seed=2)
         model = Prme(table.n_users, table.n_items, k=8, alpha=0.2, l2=0.0, seed=1)
-        model.fit(sequences, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
-        report = metrics.evaluate_ranking(model.score, train, test,
+        train(model, bundle, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
+        report = metrics.evaluate_ranking(model.score, train_table, test,
                                           metrics.FullRanking(), [1])
         assert report.values["recall@1"] >= 0.9  # HR@1 on single held-out items
 
     def test_alpha_boundaries_freeze_unused_tables(self):
-        _, _, _, sequences = markov_split(window=1, n_users=10, n_items=6,
-                                          history=8, seed=4)
+        _, _, _, bundle = markov_split(window=1, n_users=10, n_items=6, history=8, seed=4)
         for alpha, frozen in ((0.0, ("user_embed", "pref_item")), (1.0, ("seq_item",))):
             model = Prme(10, 6, k=4, alpha=alpha, l2=0.01, seed=5)
             before = {n: model.params[n].copy() for n in frozen}
-            model.fit(sequences, E.Adam(lr=0.05), epochs=2, batch_size=16, seed=6)
+            train(model, bundle, E.Adam(lr=0.05), epochs=2, batch_size=16, seed=6)
             for name in frozen:
                 assert np.array_equal(model.params[name], before[name]), (alpha, name)
 
@@ -80,15 +82,15 @@ class TestPrmeFit:
         sequences = data.build_sequences(table, window=2, horizon=1)
         model = Prme(table.n_users, table.n_items, k=2)
         with pytest.raises(GradrecError):
-            model.fit(sequences, E.Sgd(lr=0.1), epochs=1, batch_size=8, seed=0)
+            train(model, {"train": table, "sequences": sequences}, E.Sgd(lr=0.1), epochs=1,
+              batch_size=8, seed=0)
 
     def test_bitwise_reproducible(self):
-        _, _, _, sequences = markov_split(window=1, n_users=12, n_items=6,
-                                          history=10, seed=7)
+        _, _, _, bundle = markov_split(window=1, n_users=12, n_items=6, history=10, seed=7)
 
         def run():
             model = Prme(12, 6, k=4, alpha=0.5, seed=8)
-            return model.fit(sequences, E.Adam(lr=0.02), epochs=4, batch_size=32, seed=9)
+            return train(model, bundle, E.Adam(lr=0.02), epochs=4, batch_size=32, seed=9)
 
         assert run() == run()
 
@@ -141,18 +143,16 @@ class TestCaserFit:
         assert result.max_rel_err < 1e-4
 
     def test_learns_planted_transitions(self):
-        table, train, test, sequences = markov_split(window=5, n_users=60, n_items=15,
-                                                     history=8, seed=6)
+        table, train_table, test, bundle = markov_split(window=5, n_users=60, n_items=15,
+                                                        history=8, seed=6)
         model = Caser(table.n_users, table.n_items, d=8, window=5, n_h=2, n_v=1, seed=7)
-        model.fit(sequences, E.Adam(lr=0.05), epochs=12, batch_size=16, seed=8,
-                  neg_per_target=3)
-        report = metrics.evaluate_ranking(model.score, train, test,
+        train(model, bundle, E.Adam(lr=0.05), epochs=12, batch_size=16, seed=8, neg_samples=3)
+        report = metrics.evaluate_ranking(model.score, train_table, test,
                                           metrics.FullRanking(), [1])
         assert report.values["recall@1"] >= 0.9
 
     def test_padding_row_stays_zero(self):
-        _, _, _, sequences = markov_split(window=3, n_users=15, n_items=6,
-                                          history=10, seed=9)
+        _, _, _, bundle = markov_split(window=3, n_users=15, n_items=6, history=10, seed=9)
         model = Caser(15, 6, d=4, window=3, n_h=1, n_v=1, seed=10)
         steps = 0
 
@@ -161,8 +161,7 @@ class TestCaserFit:
             steps += 1
             assert np.array_equal(params["item_embed"][model.padding_id], np.zeros(4))
 
-        model.fit(sequences, E.Adam(lr=0.05), epochs=15, batch_size=8, seed=11,
-                  on_step=watch)
+        train(model, bundle, E.Adam(lr=0.05), epochs=15, batch_size=8, seed=11, on_step=watch)
         assert steps >= 100
 
 
@@ -184,7 +183,7 @@ class TestAttRecScore:
         model.serve_windows = {0: (0, 1, 2)}
         base = model.score(0, 3)
         model.serve_windows = {0: (4, 5, 0)}
-        model._dist_cache = {}
+        model._score_cache = {}
         assert model.score(0, 3) == pytest.approx(base)
 
     def test_single_token_window_intent_is_embedding(self):
@@ -237,21 +236,20 @@ class TestAttRecFit:
         assert result.max_rel_err < 1e-4
 
     def test_beats_popularity_by_half_again(self):
-        table, train, test, sequences = markov_split(window=3, n_users=60, n_items=20,
-                                                     history=8, seed=8)
+        table, train_table, test, bundle = markov_split(window=3, n_users=60, n_items=20,
+                                                        history=8, seed=8)
         model = AttRec(table.n_users, table.n_items, d=8, window=3, omega=0.3,
                        margin=0.5, clip_rho=1.5, seed=9)
-        model.fit(sequences, E.Adam(lr=0.05), epochs=15, batch_size=16, seed=10)
-        got = metrics.evaluate_ranking(model.score, train, test,
+        train(model, bundle, E.Adam(lr=0.05), epochs=15, batch_size=16, seed=10)
+        got = metrics.evaluate_ranking(model.score, train_table, test,
                                        metrics.FullRanking(), [5])
-        pop = PopularityRanker(train)
-        base = metrics.evaluate_ranking(pop.score, train, test,
+        pop = PopularityRanker(train_table)
+        base = metrics.evaluate_ranking(pop.score, train_table, test,
                                         metrics.FullRanking(), [5])
         assert got.values["recall@5"] >= 1.5 * base.values["recall@5"]
 
     def test_norms_clipped_and_padding_zero_every_step(self):
-        _, _, _, sequences = markov_split(window=2, n_users=12, n_items=6,
-                                          history=8, seed=11)
+        _, _, _, bundle = markov_split(window=2, n_users=12, n_items=6, history=8, seed=11)
         rho = 0.8
         model = AttRec(12, 6, d=4, window=2, clip_rho=rho, seed=12)
         checks = 0
@@ -263,16 +261,14 @@ class TestAttRecFit:
                 assert np.linalg.norm(params[name], axis=1).max() <= rho + 1e-12
             assert np.array_equal(params["att_item"][model.padding_id], np.zeros(4))
 
-        model.fit(sequences, E.Adam(lr=0.1), epochs=3, batch_size=8, seed=13,
-                  on_step=watch)
+        train(model, bundle, E.Adam(lr=0.1), epochs=3, batch_size=8, seed=13, on_step=watch)
         assert checks > 0
 
     def test_bitwise_reproducible(self):
-        _, _, _, sequences = markov_split(window=2, n_users=10, n_items=6,
-                                          history=8, seed=14)
+        _, _, _, bundle = markov_split(window=2, n_users=10, n_items=6, history=8, seed=14)
 
         def run():
             model = AttRec(10, 6, d=4, window=2, seed=15)
-            return model.fit(sequences, E.Adam(lr=0.03), epochs=3, batch_size=8, seed=16)
+            return train(model, bundle, E.Adam(lr=0.03), epochs=3, batch_size=8, seed=16)
 
         assert run() == run()

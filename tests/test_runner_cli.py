@@ -187,6 +187,19 @@ class TestCliWorkflows:
         err = capsys.readouterr().err
         assert "warmup" in err and "k must be >= 1" in err
 
+    @pytest.mark.parametrize("old, new", [
+        ("seed = 5", "seed = 5\nneg_samples = -1"),
+        ("seed = 5", "seed = 5\nneg_samples = 0"),
+        ("L = 3", "L = 0"),
+        ("n_h = 2", "n_h = 0"),
+    ])
+    def test_out_of_range_count_exits_1(self, implicit_file, tmp_path, capsys, old, new):
+        cfg_path = self.write(tmp_path, "c.ini",
+                              sequential_config(implicit_file).replace(old, new, 1))
+        code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x.drec")])
+        assert code == 1
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.drec"
         bad.write_bytes(b"XXXX" + b"\x00" * 16)
