@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from gradrec.errors import DataFormatError, GradrecError
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(NamedTuple):
     user: int
     item: int
     rating: float
@@ -105,9 +105,9 @@ def table_from_records(records: list[tuple[str, str, float, int]]) -> Interactio
     item_index: dict[str, int] = {}
     user_ids: list[str] = []
     item_ids: list[str] = []
-    # (user, item) -> (timestamp, record index, rating)
+    # (user, item) -> (timestamp, record index, rating); a key keeps the
+    # dict position of its first appearance when a later record replaces it
     latest: dict[tuple[int, int], tuple[int, int, float]] = {}
-    order_of: dict[tuple[int, int], int] = {}
 
     for pos, (u_raw, i_raw, rating, timestamp) in enumerate(records):
         if u_raw not in user_index:
@@ -120,13 +120,10 @@ def table_from_records(records: list[tuple[str, str, float, int]]) -> Interactio
         prev = latest.get(key)
         if prev is None or (timestamp, pos) >= prev[:2]:
             latest[key] = (timestamp, pos, float(rating))
-        order_of.setdefault(key, pos)
 
-    # preserve first-appearance order of the surviving pairs
-    interactions = [
-        Interaction(user=u, item=i, rating=latest[(u, i)][2], timestamp=latest[(u, i)][0])
-        for (u, i) in sorted(order_of, key=order_of.get)
-    ]
+    # first-appearance order of the surviving pairs
+    interactions = [Interaction(u, i, rating, timestamp)
+                    for (u, i), (timestamp, _, rating) in latest.items()]
     if len(interactions) < len(records):
         log.info("collapsed %d duplicate (user, item) pairs", len(records) - len(interactions))
     return InteractionTable(interactions, user_ids, item_ids, user_index, item_index)
@@ -147,14 +144,17 @@ def load_interactions(path: str | Path, separator: str | None = None,
 
     records: list[tuple[str, str, float, int]] = []
     sep = separator
+    first_line = 2 if has_header else 1
     for offset, raw in enumerate(lines):
-        line_no = offset + (2 if has_header else 1)
         line = raw.strip()
         if not line:
             continue
+        line_no = offset + first_line
         if sep is None:
             sep = _detect_separator(line)
-        fields = [f for f in line.split(sep) if f != ""]
+        fields = line.split(sep)
+        if "" in fields:
+            fields = [f for f in fields if f != ""]
         if len(fields) < 3 or len(fields) > 4:
             raise DataFormatError(str(path), line_no,
                                   f"expected 3 or 4 fields, got {len(fields)}")

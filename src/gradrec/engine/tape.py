@@ -8,6 +8,18 @@ every training step.
 
 Shape rules are strict: the only implicit broadcast is scalar-with-tensor
 for the elementwise ops. Everything else raises :class:`ShapeError`.
+
+A few ops also take a leading batch axis, so that a minibatch of small
+graphs is one graph over stacked tensors:
+
+* ``matmul`` -- rank-3 operands follow numpy ``@``: ``(B, m, n) @ (B, n, p)``,
+  or a rank-2 operand on either side shared across the batch (its gradient
+  is summed over the batch). Batch sizes must match exactly.
+* ``transpose`` -- a rank-3 input swaps its last two axes.
+* ``softmax_rows`` -- normalizes the last axis of a rank-2 or rank-3 input.
+* ``conv_h`` -- input ``(B, L, d)`` gives ``(B, L - h + 1, n_f)``.
+* ``max_over_time`` -- input ``(B, T, n)`` gives ``(B, n)``.
+* ``sq_l2_dist`` -- row batches ``(N, k)`` give ``(N,)``.
 """
 
 from __future__ import annotations
@@ -402,16 +414,16 @@ def _softplus_vjp(node, g):
 @_op("softmax_rows")
 def _softmax_rows(values, attrs, cache):
     (x,) = values
-    _check(x.ndim == 2, "softmax_rows", "a rank-2 input", x.shape)
-    shifted = x - x.max(axis=1, keepdims=True)
+    _check(x.ndim in (2, 3), "softmax_rows", "a rank-2 or rank-3 input", x.shape)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @_vjp("softmax_rows")
 def _softmax_rows_vjp(node, g):
     s = node.value
-    return [s * (g - (g * s).sum(axis=1, keepdims=True))]
+    return [s * (g - (g * s).sum(axis=-1, keepdims=True))]
 
 
 # ---------------------------------------------------------------------------
@@ -419,24 +431,35 @@ def _softmax_rows_vjp(node, g):
 # ---------------------------------------------------------------------------
 
 
+_MATMUL_FORMS = {(2, 2): "(m,n) @ (n,p)", (2, 1): "(m,n) @ (n,)", (1, 2): "(n,) @ (n,p)",
+                 (3, 3): "(B,m,n) @ (B,n,p)", (3, 2): "(B,m,n) @ (n,p)",
+                 (2, 3): "(m,n) @ (B,n,p)"}
+
+
 @_op("matmul")
 def _matmul(values, attrs, cache):
     a, b = values
-    if a.ndim == 2 and b.ndim == 2:
-        _check(a.shape[1] == b.shape[0], "matmul", "(m,n) @ (n,p)", f"{a.shape} @ {b.shape}")
-    elif a.ndim == 2 and b.ndim == 1:
-        _check(a.shape[1] == b.shape[0], "matmul", "(m,n) @ (n,)", f"{a.shape} @ {b.shape}")
-    elif a.ndim == 1 and b.ndim == 2:
-        _check(a.shape[0] == b.shape[0], "matmul", "(n,) @ (n,p)", f"{a.shape} @ {b.shape}")
-    else:
-        raise ShapeError("matmul", "rank-2 with rank-1 or rank-2 operands (use dot for two vectors)",
-                         f"{a.shape} @ {b.shape}")
+    form = _MATMUL_FORMS.get((a.ndim, b.ndim))
+    if form is None:
+        raise ShapeError("matmul", "rank-2 or rank-3 operands, or rank-2 with rank-1 "
+                         "(use dot for two vectors)", f"{a.shape} @ {b.shape}")
+    inner = b.shape[0] if b.ndim == 1 else b.shape[-2]
+    same_batch = a.ndim < 3 or b.ndim < 3 or a.shape[0] == b.shape[0]
+    _check(a.shape[-1] == inner and same_batch, "matmul", form, f"{a.shape} @ {b.shape}")
     return a @ b
+
+
+def _sum_to_rank(g: Array, ndim: int) -> Array:
+    # a rank-2 operand shared across the batch collects every batch's share
+    return g.sum(axis=0) if g.ndim > ndim else g
 
 
 @_vjp("matmul")
 def _matmul_vjp(node, g):
     a, b = (i.value for i in node.inputs)
+    if a.ndim == 3 or b.ndim == 3:
+        return [_sum_to_rank(g @ np.swapaxes(b, -1, -2), a.ndim),
+                _sum_to_rank(np.swapaxes(a, -1, -2) @ g, b.ndim)]
     if a.ndim == 2 and b.ndim == 2:
         return [g @ b.T, a.T @ g]
     if a.ndim == 2 and b.ndim == 1:
@@ -448,13 +471,13 @@ def _matmul_vjp(node, g):
 @_op("transpose")
 def _transpose(values, attrs, cache):
     (x,) = values
-    _check(x.ndim == 2, "transpose", "a rank-2 input", x.shape)
-    return x.T
+    _check(x.ndim in (2, 3), "transpose", "a rank-2 or rank-3 input", x.shape)
+    return np.swapaxes(x, -1, -2)
 
 
 @_vjp("transpose")
 def _transpose_vjp(node, g):
-    return [g.T]
+    return [np.swapaxes(g, -1, -2)]
 
 
 @_op("reshape")
@@ -528,54 +551,60 @@ def _embedding_lookup_vjp(node, g):
 # ---------------------------------------------------------------------------
 
 
+def _conv_windows(x: Array, h: int) -> Array:
+    # (B, L, d) -> (B, L - h + 1, d, h): every height-h window, as a view
+    return np.lib.stride_tricks.sliding_window_view(x, h, axis=1)
+
+
 @_op("conv_h")
 def _conv_h(values, attrs, cache):
-    # Full-width 1-D convolution: input (L, d), filters (n_f, h, d) and an
-    # optional per-filter bias (n_f,). Valid positions only: output is
-    # (L - h + 1, n_f).
+    # Full-width 1-D convolution: input (L, d) or a batch (B, L, d), filters
+    # (n_f, h, d) and an optional per-filter bias (n_f,). Valid positions
+    # only: output is (L - h + 1, n_f), or (B, L - h + 1, n_f).
     x, f = values[0], values[1]
-    _check(x.ndim == 2, "conv_h", "input of shape (L, d)", x.shape)
-    _check(f.ndim == 3 and f.shape[2] == x.shape[1], "conv_h",
-           f"filters of shape (n_f, h, {x.shape[1]})", f.shape)
+    _check(x.ndim in (2, 3), "conv_h", "input of shape (L, d) or (B, L, d)", x.shape)
+    _check(f.ndim == 3 and f.shape[2] == x.shape[-1], "conv_h",
+           f"filters of shape (n_f, h, {x.shape[-1]})", f.shape)
     h = f.shape[1]
-    _check(1 <= h <= x.shape[0], "conv_h", f"filter height within 1..{x.shape[0]}", h)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (h, x.shape[1]))[:, 0]
-    out = np.einsum("thd,fhd->tf", windows, f)
+    _check(1 <= h <= x.shape[-2], "conv_h", f"filter height within 1..{x.shape[-2]}", h)
+    xb = x if x.ndim == 3 else x[None]
+    out = np.tensordot(_conv_windows(xb, h), f, axes=([2, 3], [2, 1]))
     if len(values) == 3:
         b = values[2]
         _check(b.shape == (f.shape[0],), "conv_h", f"bias of shape ({f.shape[0]},)", b.shape)
         out = out + b
-    return out
+    return out if x.ndim == 3 else out[0]
 
 
 @_vjp("conv_h")
 def _conv_h_vjp(node, g):
     x, f = node.inputs[0].value, node.inputs[1].value
     h = f.shape[1]
-    windows = np.lib.stride_tricks.sliding_window_view(x, (h, x.shape[1]))[:, 0]
-    df = np.einsum("tf,thd->fhd", g, windows)
-    dx = np.zeros_like(x)
+    xb, gb = (x, g) if x.ndim == 3 else (x[None], g[None])
+    df = np.tensordot(gb, _conv_windows(xb, h), axes=([0, 1], [0, 1])).transpose(0, 2, 1)
+    dx = np.zeros_like(xb)
+    steps = gb.shape[1]
     for a in range(h):
-        dx[a:a + g.shape[0]] += g @ f[:, a, :]
-    grads = [dx, df]
+        dx[:, a:a + steps] += gb @ f[:, a, :]
+    grads = [dx if x.ndim == 3 else dx[0], df]
     if len(node.inputs) == 3:
-        grads.append(g.sum(axis=0))
+        grads.append(gb.sum(axis=(0, 1)))
     return grads
 
 
 @_op("max_over_time")
 def _max_over_time(values, attrs, cache):
     (x,) = values
-    _check(x.ndim == 2 and x.shape[0] >= 1, "max_over_time", "a non-empty (T, n) input", x.shape)
-    cache["argmax"] = x.argmax(axis=0)
-    return x.max(axis=0)
+    _check(x.ndim in (2, 3) and x.shape[-2] >= 1, "max_over_time",
+           "a non-empty (T, n) or (B, T, n) input", x.shape)
+    cache["argmax"] = np.expand_dims(x.argmax(axis=-2), -2)
+    return x.max(axis=-2)
 
 
 @_vjp("max_over_time")
 def _max_over_time_vjp(node, g):
-    x = node.inputs[0].value
-    grad = np.zeros_like(x)
-    grad[node.cache["argmax"], np.arange(x.shape[1])] = g
+    grad = np.zeros_like(node.inputs[0].value)
+    np.put_along_axis(grad, node.cache["argmax"], np.expand_dims(g, -2), axis=-2)
     return [grad]
 
 

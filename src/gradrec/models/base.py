@@ -91,34 +91,45 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[A
 
 
 class NegativeSampler:
-    """Uniform sampling over each user's unconsumed items, with the
-    per-user candidate arrays built once."""
+    """Uniform sampling over each user's unconsumed items.
+
+    The candidates live in one CSR layout built once: a flat array of item
+    ids, ascending within each user, plus per-user offsets and sizes. Every
+    draw is one ``rng.integers`` call, so a batch consumes the stream
+    exactly as one call per row would.
+    """
 
     def __init__(self, table: InteractionTable):
-        consumed = table.consumed()
-        self.n_items = table.n_items
-        self._candidates: dict[int, Array] = {}
-        for user in range(table.n_users):
-            blocked = consumed.get(user, set())
-            cand = np.setdiff1d(np.arange(table.n_items),
-                                np.fromiter(blocked, dtype=np.int64, count=len(blocked)))
-            self._candidates[user] = cand
+        users, items, _ = interactions_as_arrays(table)
+        self.n_items = n_items = table.n_items
+        free = np.ones((table.n_users, n_items), dtype=bool)
+        free[users, items] = False
+        self._sizes = free.sum(axis=1)
+        self._offsets = np.cumsum(self._sizes) - self._sizes
+        self._flat = np.flatnonzero(free)
+        del free
+        self._flat %= n_items
 
     def has_candidates(self, user: int) -> bool:
-        return self._candidates[user].size > 0
+        return bool(self._sizes[user] > 0)
+
+    def _exhausted(self, user) -> GradrecError:
+        return GradrecError(f"user {user} has consumed every item; nothing to sample")
 
     def draw(self, user: int, k: int, rng: np.random.Generator) -> Array:
-        cand = self._candidates[user]
-        if cand.size == 0:
-            raise GradrecError(f"user {user} has consumed every item; nothing to sample")
-        return cand[rng.integers(0, cand.size, size=k)]
+        size = self._sizes[user]
+        if size == 0:
+            raise self._exhausted(user)
+        return self._flat[self._offsets[user] + rng.integers(0, size, size=k)]
 
     def draw_many(self, users: Array, k: int, rng: np.random.Generator) -> Array:
         """One row of k negatives per user; shape (len(users), k)."""
-        out = np.empty((len(users), k), dtype=np.int64)
-        for row, user in enumerate(users):
-            out[row] = self.draw(int(user), k, rng)
-        return out
+        users = np.asarray(users, dtype=np.int64)
+        sizes = self._sizes[users]
+        if not sizes.all():
+            raise self._exhausted(int(users[np.argmin(sizes)]))
+        picks = rng.integers(0, sizes[:, None], size=(users.size, k))
+        return self._flat[self._offsets[users][:, None] + picks]
 
 
 def clip_rows_to_ball(arr: Array, radius: float = 1.0) -> Array:

@@ -48,6 +48,20 @@ class _Windows(base.Model):
     def after_step(self) -> None:
         self._score_cache = {}
 
+    def _pack(self, batch) -> tuple[Array, Array]:
+        """The users (B,) and windows (B, L) of a batch of instances."""
+        bad = [len(x.window) for x, _ in batch if len(x.window) != self.window]
+        if bad:
+            raise GradrecError(f"window must have length {self.window}, got {bad[0]}")
+        users = np.array([x.user for x, _ in batch], dtype=np.int64)
+        windows = np.array([x.window for x, _ in batch], dtype=np.int64)
+        return users, windows
+
+    def _embed_windows(self, table: E.Node, windows: Array) -> E.Node:
+        """One lookup of every window id, shape (B, L, d)."""
+        rows = E.embedding_lookup(table, windows.ravel())
+        return rows.reshape(windows.shape + (rows.value.shape[1],))
+
 
 class Prme(base.Model):
     """Blend of a user-preference distance and a first-order sequential
@@ -182,50 +196,49 @@ class Caser(_Windows):
     def n_items(self) -> int:
         return self.params["out_b"].shape[0]
 
-    def _sequence_vector(self, leaves, window) -> E.Node:
-        if len(window) != self.window:
-            raise GradrecError(f"window must have length {self.window}, got {len(window)}")
-        ew = E.embedding_lookup(leaves["item_embed"], np.asarray(window))  # (L, d)
+    def user_vectors(self, leaves, users: Array, windows: Array) -> E.Node:
+        """concat(sequence vector, user embedding) per row, shape (B, 2d),
+        for users (B,) and windows (B, L)."""
+        ew = self._embed_windows(leaves["item_embed"], windows)  # (B, L, d)
         pooled = []
         for h in range(1, self.window + 1):
             conv = E.conv_h(ew, leaves[f"h_filters_{h}"], leaves[f"h_bias_{h}"])
-            pooled.append(E.max_over_time(conv.relu()))  # (n_h,)
-        vert = E.matmul(leaves["v_filters"], ew)  # (n_v, d)
-        flat = vert.reshape((self.n_v * ew.value.shape[1],))
-        cat = E.concat(pooled + [flat])
-        return (E.matmul(leaves["fc_w"], cat) + leaves["fc_b"]).relu()
+            pooled.append(E.max_over_time(conv.relu()))  # (B, n_h)
+        vert = E.matmul(leaves["v_filters"], ew)  # (B, n_v, d)
+        flat = vert.reshape((len(users), self.n_v * ew.value.shape[2]))
+        cat = E.concat(pooled + [flat], axis=1)
+        z = base.affine(cat, leaves["fc_w"].T, leaves["fc_b"]).relu()  # (B, d)
+        return E.concat([z, E.embedding_lookup(leaves["user_embed"], users)], axis=1)
 
-    def item_logits(self, leaves, user: int, window, items: Array) -> E.Node:
-        z = self._sequence_vector(leaves, window)
-        pu = E.embedding_lookup(leaves["user_embed"], [user])
-        zu = E.concat([z, pu.reshape((pu.value.shape[1],))])
-        rows = E.embedding_lookup(leaves["out_w"], items)
-        return E.matmul(rows, zu) + E.embedding_lookup(leaves["out_b"], items)
+    def pair_logits(self, leaves, zu: E.Node, rows: Array, items: Array) -> E.Node:
+        """The logit of each (row of ``zu``, item) pair, shape (P,)."""
+        w = E.embedding_lookup(leaves["out_w"], items)
+        return ((E.embedding_lookup(zu, rows) * w).sum(axis=1)
+                + E.embedding_lookup(leaves["out_b"], items))
 
     def build_loss(self, leaves, batch: list[tuple[SequenceInstance, Array]]) -> E.Node:
         """batch pairs each instance with its sampled negatives; BCE is
         averaged over all (positive + negative) examples in the batch."""
-        parts = []
-        count = 0
-        for inst, negatives in batch:
-            items = np.concatenate([np.asarray(inst.targets), negatives])
-            labels = np.concatenate([np.ones(len(inst.targets)), np.zeros(negatives.size)])
-            logits = self.item_logits(leaves, inst.user, inst.window, items)
-            parts.append((logits.softplus() - E.const(labels) * logits).sum())
-            count += items.size
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total * (1.0 / count)
+        users, windows = self._pack(batch)
+        counts = np.array([(len(x.targets), neg.size) for x, neg in batch])  # (pos, neg)
+        items = np.concatenate([part for x, neg in batch for part in (x.targets, neg)])
+        labels = np.repeat(np.tile([1.0, 0.0], len(batch)), counts.ravel())
+        rows = np.repeat(np.arange(len(batch)), counts.sum(axis=1))
+        zu = self.user_vectors(leaves, users, windows)
+        logits = self.pair_logits(leaves, zu, rows, items)
+        return (logits.softplus() - E.const(labels) * logits).sum() * (1.0 / labels.size)
 
     def batches(self, epoch, rng):
         inst = self._instances
         for idx in base.minibatches(len(inst), self._batch_size, rng):
-            batch = []
-            for i in idx:
-                x = inst[i]
-                batch.append((x, self._sampler.draw(x.user, self._neg * len(x.targets), rng)))
-            yield idx.size, batch
+            chosen = [inst[i] for i in idx]
+            counts = [self._neg * len(x.targets) for x in chosen]
+            # one draw per negative, in instance order: the same stream as one
+            # draw(user, count) call per instance
+            users = np.repeat([x.user for x in chosen], counts)
+            negatives = np.split(self._sampler.draw_many(users, 1, rng).ravel(),
+                                 np.cumsum(counts)[:-1])
+            yield idx.size, list(zip(chosen, negatives))
 
     def after_step(self) -> None:
         self.params["item_embed"][self.padding_id] = 0.0
@@ -301,37 +314,33 @@ class AttRec(_Windows):
     def n_items(self) -> int:
         return self.params["lt_item"].shape[0]
 
-    def _intent(self, leaves, window) -> E.Node:
-        """Mean of the attention-weighted window embeddings, shape (d,)."""
-        if len(window) != self.window:
-            raise GradrecError(f"window must have length {self.window}, got {len(window)}")
-        ew = E.embedding_lookup(leaves["att_item"], np.asarray(window))  # (L, d)
-        q = E.matmul(ew, leaves["w_query"]).relu()
-        k = E.matmul(ew, leaves["w_key"]).relu()
-        attn = E.softmax_rows(E.matmul(q, k.T) * (1.0 / np.sqrt(self.d)))
-        return E.matmul(attn, ew).mean(axis=0)
+    def intents(self, leaves, windows: Array) -> E.Node:
+        """Mean of the attention-weighted window embeddings per row of
+        windows (B, L), shape (B, d)."""
+        ew = self._embed_windows(leaves["att_item"], windows)  # (B, L, d)
+        flat = ew.reshape((windows.size, self.d))
+        q = E.matmul(flat, leaves["w_query"]).relu().reshape(ew.value.shape)
+        k = E.matmul(flat, leaves["w_key"]).relu().reshape(ew.value.shape)
+        attn = E.softmax_rows(E.matmul(q, k.T) * (1.0 / np.sqrt(self.d)))  # (B, L, L)
+        return E.matmul(attn, ew).mean(axis=1)
 
-    def score_node(self, leaves, user: int, window, item: int) -> E.Node:
-        """Blended squared-distance score; lower means better."""
-        intent = self._intent(leaves, window)
-        d = self.d
-        k_lt = leaves["lt_user"].value.shape[1]
-        uu = E.embedding_lookup(leaves["lt_user"], [user]).reshape((k_lt,))
-        vi = E.embedding_lookup(leaves["lt_item"], [item]).reshape((k_lt,))
-        xi = E.embedding_lookup(leaves["att_item"], [item]).reshape((d,))
+    def distances(self, leaves, users: Array, intents: E.Node, items: Array) -> E.Node:
+        """Blended squared distance of each row's user and intent to its
+        item, shape (B,); lower means better."""
+        uu = E.embedding_lookup(leaves["lt_user"], users)
+        vi = E.embedding_lookup(leaves["lt_item"], items)
+        xi = E.embedding_lookup(leaves["att_item"], items)
         return (self.omega * E.sq_l2_dist(uu, vi)
-                + (1.0 - self.omega) * E.sq_l2_dist(intent, xi))
+                + (1.0 - self.omega) * E.sq_l2_dist(intents, xi))
 
     def build_loss(self, leaves, batch: list[tuple[SequenceInstance, int]]) -> E.Node:
-        parts = []
-        for inst, neg in batch:
-            s_pos = self.score_node(leaves, inst.user, inst.window, inst.targets[0])
-            s_neg = self.score_node(leaves, inst.user, inst.window, neg)
-            parts.append((self.margin + s_pos - s_neg).relu())
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total * (1.0 / len(batch))
+        users, windows = self._pack(batch)
+        pos = np.array([x.targets[0] for x, _ in batch], dtype=np.int64)
+        neg = np.array([n for _, n in batch], dtype=np.int64)
+        intents = self.intents(leaves, windows)
+        s_pos = self.distances(leaves, users, intents, pos)
+        s_neg = self.distances(leaves, users, intents, neg)
+        return (self.margin + s_pos - s_neg).relu().sum() * (1.0 / len(batch))
 
     def project(self) -> None:
         for name in ("att_item", "lt_user", "lt_item"):
@@ -346,8 +355,9 @@ class AttRec(_Windows):
     def batches(self, epoch, rng):
         inst = self._instances
         for idx in base.minibatches(len(inst), self._batch_size, rng):
-            yield idx.size, [(inst[i], int(self._sampler.draw(inst[i].user, 1, rng)[0]))
-                             for i in idx]
+            chosen = [inst[i] for i in idx]
+            negatives = self._sampler.draw_many([x.user for x in chosen], 1, rng).ravel()
+            yield idx.size, list(zip(chosen, negatives.tolist()))
 
     def after_step(self) -> None:
         self.project()

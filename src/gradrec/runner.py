@@ -155,8 +155,8 @@ def recommend(checkpoint_path: str | Path, raw_user: str, n: int) -> list[tuple[
     """
     cfg, model, bundle = load_model(checkpoint_path)
     if MODELS[cfg.model.name].feature_rows:
-        raise ConfigError(["recommend over libfm feature rows is undefined; "
-                           "train fm on uirt data to use it"])
+        raise ConfigError(["recommend does not serve fm checkpoints; "
+                           "use evaluate to score an fm model"])
     table = bundle["table"]
     user = table.user_index.get(raw_user)
     if user is None:

@@ -233,6 +233,46 @@ class TestSampleNegatives:
         b = NegativeSampler(table).draw(1, 20, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
+    def reference_draws(self, table, users, k, rng):
+        """One setdiff1d candidate array and one rng.integers call per row."""
+        consumed = table.consumed()
+        rows = []
+        for user in users:
+            blocked = np.array(sorted(consumed.get(int(user), ())), dtype=np.int64)
+            cand = np.setdiff1d(np.arange(table.n_items), blocked)
+            rows.append(cand[rng.integers(0, cand.size, size=k)])
+        return np.array(rows, dtype=np.int64).reshape(len(users), k)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_draws_match_per_row_reference(self, k):
+        # u0 has one candidate left; the rest have from a few to all 40
+        entries = [("u0", f"i{j}", 1, j) for j in range(39)]
+        rng = np.random.default_rng(31)
+        for u in range(1, 12):
+            for j in rng.choice(40, size=int(rng.integers(0, 30)), replace=False):
+                entries.append((f"u{u}", f"i{j}", 1, int(j)))
+        table = make_table(entries)
+        assert table.n_items == 40
+        users = np.random.default_rng(32).integers(0, table.n_users, size=200)
+        sampler = NegativeSampler(table)
+
+        got_rng, want_rng = np.random.default_rng(33), np.random.default_rng(33)
+        got = sampler.draw_many(users, k, got_rng)
+        want = self.reference_draws(table, users, k, want_rng)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        for user in users[:20]:
+            assert np.array_equal(sampler.draw(int(user), k, got_rng),
+                                  self.reference_draws(table, [user], k, want_rng)[0])
+        assert got_rng.random() == want_rng.random()  # same stream position
+
+    def test_draw_many_exhausted_user_raises_before_drawing(self):
+        table = make_table([("u", "a", 1, 1), ("u", "b", 1, 2), ("v", "a", 1, 1)])
+        users = [table.user_index["v"], table.user_index["u"]]
+        rng = np.random.default_rng(4)
+        with pytest.raises(GradrecError, match="user 0 has consumed every item"):
+            NegativeSampler(table).draw_many(users, 2, rng)
+        assert rng.random() == np.random.default_rng(4).random()
+
 
 class TestBuildSequences:
     def test_window_definition(self):

@@ -137,6 +137,13 @@ OP_CASES = [
     ("sq_l2_vec", E.sq_l2_dist, [(5,), (5,)]),
     ("sq_l2_rows", E.sq_l2_dist, [(4, 3), (4, 3)]),
     ("conv_h", E.conv_h, [(6, 3), (2, 3, 3), (2,)]),
+    ("matmul33", E.matmul, [(3, 2, 4), (3, 4, 5)]),
+    ("matmul32", E.matmul, [(3, 2, 4), (4, 5)]),
+    ("matmul23", E.matmul, [(2, 4), (3, 4, 5)]),
+    ("transpose3", lambda a: a.T, [(3, 2, 4)]),
+    ("softmax_rows3", E.softmax_rows, [(2, 3, 4)]),
+    ("conv_h_batched", E.conv_h, [(3, 5, 2), (2, 3, 2), (2,)]),
+    ("conv_h_batched_nobias", E.conv_h, [(3, 5, 2), (4, 2, 2)]),
     ("embedding", lambda t: E.embedding_lookup(t, [2, 0, 2]), [(4, 3)]),
     ("embedding_1d", lambda t: E.embedding_lookup(t, [1, 1, 0]), [(4,)]),
 ]
@@ -182,6 +189,50 @@ def test_max_over_time_gradient():
     np.testing.assert_array_equal(out.value, [3.0, 5.0])
     grads = E.backward((out * E.const([1.0, 10.0])).sum(), wrt=[x])
     np.testing.assert_array_equal(grads[x], [[0.0, 10.0], [1.0, 0.0], [0.0, 0.0]])
+
+
+def test_max_over_time_batched_gradient():
+    # distinct values per column keep finite differences off the ties
+    x0 = np.random.default_rng(3).permutation(24).reshape(2, 4, 3) * 0.5
+    x = E.param(x0)
+    w = np.random.default_rng(4).normal(size=(2, 3))
+    grads = E.backward((E.max_over_time(x) * E.const(w)).sum(), wrt=[x])
+    numeric = numeric_grad(lambda a: float((a.max(axis=1) * w).sum()), x0)
+    assert max_rel_err(grads[x], numeric) < 1e-6
+
+
+BATCHED_CASES = [
+    # (name, builder, batched input shapes, which inputs carry the batch axis)
+    ("matmul33", E.matmul, [(4, 2, 3), (4, 3, 5)], (True, True)),
+    ("matmul32", E.matmul, [(4, 2, 3), (3, 5)], (True, False)),
+    ("matmul23", E.matmul, [(2, 3), (4, 3, 5)], (False, True)),
+    ("transpose3", lambda a: a.T, [(4, 2, 3)], (True,)),
+    ("softmax_rows3", E.softmax_rows, [(4, 3, 5)], (True,)),
+    ("conv_h", E.conv_h, [(4, 5, 3), (2, 3, 3), (2,)], (True, False, False)),
+    ("conv_h_nobias", E.conv_h, [(4, 5, 3), (2, 5, 3)], (True, False)),
+    ("max_over_time", E.max_over_time, [(4, 5, 3)], (True,)),
+]
+
+
+@pytest.mark.parametrize("name,builder,shapes,batched", BATCHED_CASES,
+                         ids=[c[0] for c in BATCHED_CASES])
+def test_batched_op_equals_stacked_rank2(name, builder, shapes, batched):
+    values = _random_inputs(np.random.default_rng(11), shapes)
+    got = builder(*[E.const(v) for v in values]).value
+    want = np.stack([builder(*[E.const(v[b] if is_b else v)
+                               for v, is_b in zip(values, batched)]).value
+                     for b in range(4)])
+    assert got.shape == want.shape
+    # equal up to rounding: BLAS may pick a different kernel for one row
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_batched_matmul_rejects_mismatched_batch_sizes():
+    with pytest.raises(ShapeError) as err:
+        E.matmul(E.const(np.ones((2, 3, 4))), E.const(np.ones((3, 4, 5))))
+    assert err.value.op == "matmul"
+    with pytest.raises(ShapeError):
+        E.matmul(E.const(np.ones((2, 3, 4))), E.const(np.ones(4)))
 
 
 class TestSoftmaxRows:

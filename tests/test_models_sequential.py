@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradrec import data, engine as E, metrics, synthetic
+from gradrec.data import SequenceInstance
 from gradrec.errors import GradrecError
 from gradrec.models import train
 from gradrec.models.baselines import PopularityRanker
@@ -124,8 +125,10 @@ class TestCaserForward:
         with pytest.raises(GradrecError):
             model.scores_for_window(0, (0, 1))
         leaves = {n: E.const(v) for n, v in model.params.items()}
+        good = SequenceInstance(0, (0, 1, 2), (3,))
+        short = SequenceInstance(1, (0, 1), (2,))
         with pytest.raises(GradrecError):
-            model.item_logits(leaves, 0, (0, 1), np.array([0]))
+            model.build_loss(leaves, [(good, np.array([4])), (short, np.array([4]))])
 
 
 class TestCaserFit:
@@ -227,10 +230,12 @@ class TestAttRecFit:
             pre = np.concatenate([(ew @ model.params["w_query"]).ravel(),
                                   (ew @ model.params["w_key"]).ravel()])
             assert np.abs(pre).min() > 1e-3
+            users, windows = np.array([inst.user]), np.array([inst.window])
+            intents = model.intents(leaves, windows)
             arg = (model.margin
-                   + model.score_node(leaves, inst.user, inst.window, inst.targets[0]).value
-                   - model.score_node(leaves, inst.user, inst.window, neg).value)
-            assert abs(float(arg)) > 1e-3
+                   + model.distances(leaves, users, intents, np.array([inst.targets[0]])).value
+                   - model.distances(leaves, users, intents, np.array([neg])).value)
+            assert abs(float(arg[0])) > 1e-3
         result = E.grad_check(lambda lv: model.build_loss(lv, batch),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
@@ -272,3 +277,84 @@ class TestAttRecFit:
             return train(model, bundle, E.Adam(lr=0.03), epochs=3, batch_size=8, seed=16)
 
         assert run() == run()
+
+
+def softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def randomized(model, pad_table, seed, scale):
+    rng = np.random.default_rng(seed)
+    for name in model.params:
+        model.params[name] = rng.normal(scale=scale, size=model.params[name].shape)
+    model.params[pad_table][model.padding_id] = 0.0
+    return model
+
+
+class TestBatchedParity:
+    """One graph per minibatch computes what one graph per instance did:
+    the per-instance reference here is the numpy serving path."""
+
+    def instances(self, window, horizon):
+        ds = data.build_sequences(
+            synthetic.markov_chains(n_users=6, n_items=9, history=5, seed=21), window, horizon)
+        # every user's first instances are left-padded, their last have
+        # shortened tail targets when horizon > 1
+        assert any(ds.padding_id in x.window for x in ds.instances[:12])
+        return ds.instances[:12]
+
+    def test_caser_loss_and_logits_match_per_instance(self):
+        model = randomized(Caser(6, 9, d=4, window=3, n_h=2, n_v=2, seed=22),
+                           "item_embed", seed=23, scale=0.5)
+        insts = self.instances(window=3, horizon=2)
+        assert {len(x.targets) for x in insts} == {1, 2}
+        rng = np.random.default_rng(24)
+        batch = [(x, rng.integers(0, 9, size=3 * len(x.targets))) for x in insts]
+        leaves = {n: E.const(v) for n, v in model.params.items()}
+
+        total, count = 0.0, 0
+        for inst, neg in batch:
+            items = np.concatenate([np.asarray(inst.targets), neg])
+            labels = np.concatenate([np.ones(len(inst.targets)), np.zeros(neg.size)])
+            logits = model.scores_for_window(inst.user, inst.window)[items]
+            total += float((softplus(logits) - labels * logits).sum())
+            count += items.size
+        loss = model.build_loss(leaves, batch)
+        assert abs(float(loss.value) - total / count) < 1e-12
+
+        users = np.array([x.user for x in insts])
+        windows = np.array([x.window for x in insts])
+        rows = np.repeat(np.arange(len(insts)), 9)
+        items = np.tile(np.arange(9), len(insts))
+        zu = model.user_vectors(leaves, users, windows)
+        got = model.pair_logits(leaves, zu, rows, items).value.reshape(len(insts), 9)
+        want = np.stack([model.scores_for_window(x.user, x.window) for x in insts])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_attrec_loss_and_distances_match_per_instance(self):
+        model = randomized(AttRec(6, 9, d=4, window=3, omega=0.4, margin=1.0, seed=25),
+                           "att_item", seed=26, scale=0.6)
+        insts = self.instances(window=3, horizon=1)
+        rng = np.random.default_rng(27)
+        batch = [(x, int(rng.integers(0, 9))) for x in insts]
+        leaves = {n: E.const(v) for n, v in model.params.items()}
+
+        total = 0.0
+        for inst, neg in batch:
+            dists = model.distances_for_window(inst.user, inst.window)
+            total += max(0.0, model.margin + dists[inst.targets[0]] - dists[neg])
+        loss = model.build_loss(leaves, batch)
+        assert abs(float(loss.value) - total / len(batch)) < 1e-12
+
+        users = np.array([x.user for x in insts])
+        intents = model.intents(leaves, np.array([x.window for x in insts]))
+        for item in range(9):
+            got = model.distances(leaves, users, intents, np.full(len(insts), item)).value
+            want = [model.distances_for_window(x.user, x.window)[item] for x in insts]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_attrec_wrong_window_length_rejected(self):
+        model = AttRec(2, 5, d=4, window=3, seed=28)
+        leaves = {n: E.const(v) for n, v in model.params.items()}
+        with pytest.raises(GradrecError):
+            model.build_loss(leaves, [(SequenceInstance(0, (0, 1, 2, 3), (4,)), 2)])

@@ -200,6 +200,17 @@ class TestCliWorkflows:
         assert code == 1
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_recommend_refuses_fm_exits_1(self, ratings_file, tmp_path, capsys):
+        # even an fm trained on uirt data: recommend serves no fm checkpoint
+        text = rating_config(ratings_file).replace("name = biasedsvd\nk = 4", "name = fm\nk = 4")
+        cfg_path = self.write(tmp_path, "c.ini", text)
+        out = tmp_path / "fm.drec"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = cli.main(["recommend", "--ckpt", str(out), "--user", "u0", "--n", "3"])
+        assert code == 1
+        assert "recommend does not serve fm checkpoints" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.drec"
         bad.write_bytes(b"XXXX" + b"\x00" * 16)
