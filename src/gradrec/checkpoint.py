@@ -13,18 +13,22 @@ Layout (all integers little-endian):
         dims: u64 * rank
         values: f64 little-endian, row-major
 
-Round-trips are bitwise lossless: tensors are stored as raw float64.
+Round-trips are bitwise lossless: tensors are stored as raw float64. The
+file ends with the last tensor; a loader rejects any bytes after it. A
+save writes a temporary file beside the target and renames it over the
+target, so a failed save leaves the previous checkpoint as it was.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from gradrec.errors import (CheckpointMagicError, CheckpointTruncatedError,
-                            CheckpointVersionError)
+from gradrec.errors import (CheckpointMagicError, CheckpointTrailingBytesError,
+                            CheckpointTruncatedError, CheckpointVersionError)
 
 MAGIC = b"DREC"
 VERSION = 1
@@ -48,7 +52,14 @@ def save_checkpoint(path: str | Path, model_name: str, config_text: str,
         out += struct.pack("<B", arr.ndim)
         out += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
         out += arr.tobytes(order="C")
-    Path(path).write_bytes(bytes(out))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(bytes(out))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
@@ -100,4 +111,8 @@ def load_checkpoint(path: str | Path) -> tuple[str, str, dict[str, np.ndarray]]:
             count *= d
         raw = reader.take(8 * count)
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+    extra = len(reader.blob) - reader.pos
+    if extra:
+        raise CheckpointTrailingBytesError(
+            f"{path}: {extra} trailing bytes after the last tensor at offset {reader.pos}")
     return model_name, config_text, tensors

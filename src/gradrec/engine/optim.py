@@ -1,8 +1,14 @@
 """SGD and Adam over named parameter dictionaries.
 
-Steps are functional: they return a fresh parameter dict and never write
-into the arrays a tape may still reference. Adam keeps its moment tensors
-and step counter internally.
+Steps return a fresh parameter dict of fresh arrays and never write into
+the parameter or gradient arrays, which a tape may still reference. Adam
+keeps its moment tensors and step counter internally and updates the
+moments in place, in the textbook's order of operations, so a step gives
+bit for bit what the functional formula gives:
+
+    m = b1*m + (1-b1)*g
+    v = b2*v + ((1-b2)*g)*g
+    p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps)
 """
 
 from __future__ import annotations
@@ -55,15 +61,25 @@ class Adam:
         out: Params = {}
         for name, p in params.items():
             g = grads[name]
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            self.m[name] = m
-            self.v[name] = v
-            out[name] = p - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m, v = self.m[name], self.v[name]
+            # out= keeps 0-d results arrays; numpy returns scalars for them
+            tmp = np.multiply(1.0 - self.beta1, g, out=np.empty_like(p))
+            m *= self.beta1
+            m += tmp
+            np.multiply(1.0 - self.beta2, g, out=tmp)
+            tmp *= g
+            v *= self.beta2
+            v += tmp
+            np.divide(m, bc1, out=tmp)
+            tmp *= self.lr
+            denom = np.divide(v, bc2, out=np.empty_like(p))
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            tmp /= denom
+            out[name] = np.subtract(p, tmp, out=tmp)
         return out
 
 

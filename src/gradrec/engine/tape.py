@@ -9,6 +9,12 @@ every training step.
 Shape rules are strict: the only implicit broadcast is scalar-with-tensor
 for the elementwise ops. Everything else raises :class:`ShapeError`.
 
+Gradients are dense arrays of their input's shape. ``embedding_lookup``
+scatters its gradient into the table with one ``np.bincount`` over flat
+element positions, which sums repeated indices in index order from 0.0,
+bit for bit what a scatter-add into zeros gives. A row-sparse gradient
+would save nothing while the optimizer steps whole tables.
+
 A few ops also take a leading batch axis, so that a minibatch of small
 graphs is one graph over stacked tensors:
 
@@ -193,7 +199,8 @@ def backward(loss: Node, wrt: Iterable[Node] | None = None) -> dict[Node, Array]
 
     Returns a map from gradient-bearing leaves to their gradients. When
     ``wrt`` is given, exactly those leaves are reported and unreachable
-    ones get zeros. ``.grad`` is also set on every visited node.
+    ones get a zero array, built only for them. ``.grad`` is also set on
+    every visited node.
     """
     if loss.value.shape != ():
         raise ShapeError("backward", "scalar loss of shape ()", str(loss.value.shape))
@@ -232,9 +239,10 @@ def backward(loss: Node, wrt: Iterable[Node] | None = None) -> dict[Node, Array]
     if wrt is not None:
         filled: dict[Node, Array] = {}
         for leaf in wrt:
-            filled[leaf] = result.get(leaf, np.zeros_like(leaf.value))
-            if leaf not in result:
-                leaf.grad = filled[leaf]
+            g = result.get(leaf)
+            if g is None:
+                g = leaf.grad = np.zeros_like(leaf.value)
+            filled[leaf] = g
         return filled
     return result
 
@@ -541,9 +549,13 @@ def _embedding_lookup(values, attrs, cache):
 @_vjp("embedding_lookup")
 def _embedding_lookup_vjp(node, g):
     table = node.inputs[0].value
-    grad = np.zeros_like(table)
-    np.add.at(grad, node.cache["indices"], g)
-    return [grad]
+    bins = node.cache["indices"]
+    if table.ndim == 2:
+        k = table.shape[1]
+        bins = (bins[:, None] * k + np.arange(k)).ravel()
+    grad = np.bincount(bins, weights=g.ravel(), minlength=table.size)
+    # with no indices at all bincount returns integers
+    return [grad.astype(np.float64, copy=False).reshape(table.shape)]
 
 
 # ---------------------------------------------------------------------------

@@ -74,3 +74,7 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointTruncatedError(CheckpointError):
     code = "truncated"
+
+
+class CheckpointTrailingBytesError(CheckpointError):
+    code = "trailing_bytes"

@@ -93,22 +93,25 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[A
 class NegativeSampler:
     """Uniform sampling over each user's unconsumed items.
 
-    The candidates live in one CSR layout built once: a flat array of item
-    ids, ascending within each user, plus per-user offsets and sizes. Every
-    draw is one ``rng.integers`` call, so a batch consumes the stream
+    Only the consumed pairs are stored, sorted by user then item. For the
+    j-th consumed item c_j of user u, c_j - j free items come before it,
+    so the r-th free item is r plus the number of j with c_j - j <= r: one
+    ``searchsorted`` over the keys ``u*(n_items+1) + c_j - j``, which are
+    ascending and never cross into another user's range. Every draw picks
+    r with one ``rng.integers`` call, so a batch consumes the stream
     exactly as one call per row would.
     """
 
     def __init__(self, table: InteractionTable):
         users, items, _ = interactions_as_arrays(table)
         self.n_items = n_items = table.n_items
-        free = np.ones((table.n_users, n_items), dtype=bool)
-        free[users, items] = False
-        self._sizes = free.sum(axis=1)
-        self._offsets = np.cumsum(self._sizes) - self._sizes
-        self._flat = np.flatnonzero(free)
-        del free
-        self._flat %= n_items
+        pairs = np.unique(users * n_items + items)
+        users, items = np.divmod(pairs, n_items)
+        counts = np.bincount(users, minlength=table.n_users)
+        self._sizes = n_items - counts
+        self._starts = np.cumsum(counts) - counts
+        ranks = np.arange(pairs.size) - self._starts[users]
+        self._keys = users * (n_items + 1) + items - ranks
 
     def has_candidates(self, user: int) -> bool:
         return bool(self._sizes[user] > 0)
@@ -116,11 +119,16 @@ class NegativeSampler:
     def _exhausted(self, user) -> GradrecError:
         return GradrecError(f"user {user} has consumed every item; nothing to sample")
 
+    def _free_items(self, users: Array, ranks: Array) -> Array:
+        """The ``ranks``-th unconsumed item of each of ``users`` (same shape)."""
+        keys = users * (self.n_items + 1) + ranks
+        return ranks + np.searchsorted(self._keys, keys, side="right") - self._starts[users]
+
     def draw(self, user: int, k: int, rng: np.random.Generator) -> Array:
         size = self._sizes[user]
         if size == 0:
             raise self._exhausted(user)
-        return self._flat[self._offsets[user] + rng.integers(0, size, size=k)]
+        return self._free_items(np.int64(user), rng.integers(0, size, size=k))
 
     def draw_many(self, users: Array, k: int, rng: np.random.Generator) -> Array:
         """One row of k negatives per user; shape (len(users), k)."""
@@ -129,7 +137,7 @@ class NegativeSampler:
         if not sizes.all():
             raise self._exhausted(int(users[np.argmin(sizes)]))
         picks = rng.integers(0, sizes[:, None], size=(users.size, k))
-        return self._flat[self._offsets[users][:, None] + picks]
+        return self._free_items(users[:, None], picks)
 
 
 def clip_rows_to_ball(arr: Array, radius: float = 1.0) -> Array:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gradrec import checkpoint as ckpt
-from gradrec.errors import (CheckpointMagicError, CheckpointTruncatedError,
-                            CheckpointVersionError)
+from gradrec.errors import (CheckpointMagicError, CheckpointTrailingBytesError,
+                            CheckpointTruncatedError, CheckpointVersionError)
 
 
 def sample_tensors():
@@ -81,6 +81,42 @@ class TestCorruption:
             with pytest.raises((CheckpointTruncatedError, CheckpointMagicError)):
                 ckpt.load_checkpoint(path)
 
+    def test_appended_byte_is_rejected(self, tmp_path):
+        path = tmp_path / "model.drec"
+        ckpt.save_checkpoint(path, "fm", "config", sample_tensors())
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(CheckpointTrailingBytesError, match="1 trailing bytes"):
+            ckpt.load_checkpoint(path)
+
     def test_error_codes_are_distinct(self):
-        assert CheckpointMagicError.code != CheckpointVersionError.code
-        assert CheckpointVersionError.code != CheckpointTruncatedError.code
+        codes = [cls.code for cls in (CheckpointMagicError, CheckpointVersionError,
+                                      CheckpointTruncatedError, CheckpointTrailingBytesError)]
+        assert len(set(codes)) == len(codes)
+
+
+class TestAtomicSave:
+    def test_failed_write_leaves_the_old_file_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.drec"
+        ckpt.save_checkpoint(path, "fm", "old", sample_tensors())
+        old = path.read_bytes()
+
+        def write_half_then_fail(self, data):
+            with open(self, "wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(type(path), "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            ckpt.save_checkpoint(path, "fm", "new", {"w": np.ones((50, 50))})
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.drec"]
+        assert ckpt.load_checkpoint(path)[1] == "old"
+
+    def test_save_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "model.drec"
+        ckpt.save_checkpoint(path, "fm", "old", sample_tensors())
+        ckpt.save_checkpoint(path, "fm", "new", {"w": np.ones(2)})
+        assert ckpt.load_checkpoint(path)[1] == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.drec"]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradrec import engine as E
+from gradrec.engine import tape
 from gradrec.errors import GradCheckError, ShapeError, UnknownOpError
 
 
@@ -24,6 +25,34 @@ def numeric_grad(f, x, h=1e-6):
         out[idx] = (f(xp) - f(xm)) / (2 * h)
         it.iternext()
     return out
+
+
+def reference_embedding_vjp(node, g):
+    """The plain scatter-add form of the embedding gradient: np.add.at into zeros."""
+    grad = np.zeros_like(node.inputs[0].value)
+    np.add.at(grad, node.cache["indices"], g)
+    return [grad]
+
+
+def reference_adam_step(opt, params, grads):
+    """Textbook functional Adam over ``opt``'s hyperparameters and state."""
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1 ** opt.t
+    bc2 = 1.0 - opt.beta2 ** opt.t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = opt.beta1 * opt.m.get(name, np.zeros_like(p)) + (1.0 - opt.beta1) * g
+        v = opt.beta2 * opt.v.get(name, np.zeros_like(p)) + (1.0 - opt.beta2) * g * g
+        opt.m[name], opt.v[name] = m, v
+        out[name] = p - opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    return out
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def max_rel_err(a, b):
@@ -266,6 +295,50 @@ def test_backward_is_linear_in_the_loss():
     np.testing.assert_allclose(combined, a * f1 + b * g2, rtol=0, atol=1e-10)
 
 
+def _wide_values(rng, shape):
+    # magnitudes over 16 decades and signed zeros, so any change in the
+    # order or start value of a sum shows in the bits
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    return np.where(rng.random(size=shape) < 0.05, -0.0, values)
+
+
+def _lookups_weighted(table, index_lists, rng):
+    return sum(((E.embedding_lookup(table, idx)
+                 * E.const(_wide_values(rng, (len(idx),) + table.shape[1:]))).sum()
+                for idx in index_lists), E.const(0.0))
+
+
+EMBEDDING_SCATTER_CASES = {
+    # name: (table shape, index lists, loss over the lookups)
+    "duplicates": ((7, 3), [np.repeat([4, 0, 4, 2, 0], 40)], _lookups_weighted),
+    "large_batch": ((50, 8), [np.random.default_rng(8).integers(0, 30, size=4096)],
+                    _lookups_weighted),
+    "rank1_table": ((9,), [np.random.default_rng(5).integers(0, 6, size=60)],
+                    _lookups_weighted),
+    "empty_indices": ((4, 3), [np.array([], dtype=np.int64)], _lookups_weighted),
+    "empty_indices_rank1": ((4,), [np.array([], dtype=np.int64)], _lookups_weighted),
+    "broadcast_upstream": ((5, 2), [np.array([3, 1, 3, 3, 0])],
+                           lambda table, lists, rng: E.embedding_lookup(table, lists[0]).sum()),
+    "two_lookups_one_table": ((6, 4), [np.array([5, 1, 1, 0]), np.array([1, 5, 2, 1, 1])],
+                              _lookups_weighted),
+}
+
+
+@pytest.mark.parametrize("case", list(EMBEDDING_SCATTER_CASES))
+def test_embedding_gradient_equals_scatter_add_bitwise(case, monkeypatch):
+    shape, index_lists, make_loss = EMBEDDING_SCATTER_CASES[case]
+    table0 = _wide_values(np.random.default_rng(1), shape)
+
+    def gradient():
+        table = E.param(table0)
+        loss = make_loss(table, index_lists, np.random.default_rng(2))
+        return E.backward(loss, wrt=[table])[table]
+
+    got = gradient()
+    monkeypatch.setitem(tape._VJP, "embedding_lookup", reference_embedding_vjp)
+    assert_bitwise(got, gradient())
+
+
 class TestOptimizers:
     def test_sgd_scalar(self):
         opt = E.Sgd(lr=0.1)
@@ -315,6 +388,24 @@ class TestOptimizers:
         for step in range(2):
             params = opt.step(params, {"p": np.asarray(1.0)})
             assert float(params["p"]) == pytest.approx(expected[step], abs=0)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_adam_equals_functional_formula_bitwise(self, shape):
+        rng = np.random.default_rng(6)
+        opt, ref = E.Adam(lr=0.01), E.Adam(lr=0.01)
+        params = ref_params = {"p": np.asarray(rng.normal(size=shape))}
+        for _ in range(3):
+            grads = {"p": np.asarray(_wide_values(rng, shape))}
+            before = params["p"].copy()
+            out = opt.step(params, grads)
+            ref_params = reference_adam_step(ref, ref_params, grads)
+            assert_bitwise(out["p"], ref_params["p"])
+            assert_bitwise(opt.m["p"], ref.m["p"])
+            assert_bitwise(opt.v["p"], ref.v["p"])
+            assert_bitwise(params["p"], before)  # the input was not written
+            for other in (params["p"], grads["p"], opt.m["p"], opt.v["p"]):
+                assert not np.shares_memory(out["p"], other)
+            params = out
 
 
 class TestGradCheck:
