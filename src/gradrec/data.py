@@ -6,15 +6,34 @@ File formats:
   separated by tab, comma or space (auto-detected, overridable). Raw ids
   are arbitrary tokens and get remapped to dense 0-based ids in order of
   first appearance. A missing timestamp column falls back to the 0-based
-  data-line index so file order is chronological order.
+  data-line index so file order is chronological order. Ratings must be
+  finite and timestamps must fit in int64.
 * **libfm** — ``<label> <index>:<value> ...`` with 0-based feature
   indices, as used for factorization machines.
+
+An :class:`InteractionTable` is columnar: row r is the interaction
+``(users[r], items[r], ratings[r], timestamps[r])``, int64 ids and
+timestamps and float64 ratings, next to the raw<->dense id maps. The row
+orders are fixed here:
+
+* Loading collapses each duplicated (user, item) pair to its row with the
+  largest (timestamp, line) and keeps the pairs in order of first
+  appearance.
+* Splits and binarization select rows with :meth:`InteractionTable.take`,
+  which shares the id maps. Binarization and the random split keep table
+  order. Leave-one-out and temporal splits list users ascending, then
+  table order within a user, and hold out each user's latest rows in
+  (timestamp, row) order.
+* Sequences read each user's items in (timestamp, row) order.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,6 +43,9 @@ from gradrec.errors import DataFormatError, GradrecError
 
 log = logging.getLogger(__name__)
 
+Array = np.ndarray
+_INT64 = np.iinfo(np.int64)
+
 
 class Interaction(NamedTuple):
     user: int
@@ -32,15 +54,48 @@ class Interaction(NamedTuple):
     timestamp: int
 
 
-@dataclass
-class InteractionTable:
-    """Deduplicated interactions plus the raw<->dense id bijections."""
+class InteractionRows(Sequence):
+    """A read-only row view of a table: :class:`Interaction` tuples built
+    from the columns on access, with an O(1) ``len``."""
 
-    interactions: list[Interaction]
+    def __init__(self, table: InteractionTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, row: int) -> Interaction:
+        t = self._table
+        return Interaction(int(t.users[row]), int(t.items[row]), float(t.ratings[row]),
+                           int(t.timestamps[row]))
+
+    def __iter__(self):
+        t = self._table
+        return map(Interaction, t.users.tolist(), t.items.tolist(), t.ratings.tolist(),
+                   t.timestamps.tolist())
+
+
+@dataclass(eq=False)
+class InteractionTable:
+    """Deduplicated interactions as columns plus the raw<->dense id
+    bijections."""
+
+    users: Array  # int64 dense user id per row
+    items: Array  # int64 dense item id per row
+    ratings: Array  # float64
+    timestamps: Array  # int64
     user_ids: list[str]  # dense id -> raw id
     item_ids: list[str]
     user_index: dict[str, int] = field(repr=False)  # raw id -> dense id
     item_index: dict[str, int] = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.users.size
+
+    @property
+    def interactions(self) -> InteractionRows:
+        """The rows as :class:`Interaction` tuples, built on access."""
+        return InteractionRows(self)
 
     @property
     def n_users(self) -> int:
@@ -52,29 +107,28 @@ class InteractionTable:
 
     @property
     def rating_range(self) -> tuple[float, float]:
-        ratings = [x.rating for x in self.interactions]
-        return (min(ratings), max(ratings))
+        return (float(self.ratings.min()), float(self.ratings.max()))
 
     @property
     def global_mean(self) -> float:
-        return float(np.mean([x.rating for x in self.interactions]))
+        return float(np.mean(self.ratings))
 
-    def with_interactions(self, interactions: list[Interaction]) -> "InteractionTable":
-        """Same id space, different interaction subset."""
-        return InteractionTable(interactions, self.user_ids, self.item_ids,
+    def take(self, rows: Array) -> InteractionTable:
+        """The given rows, in the given order, over the same id maps."""
+        return InteractionTable(self.users[rows], self.items[rows], self.ratings[rows],
+                                self.timestamps[rows], self.user_ids, self.item_ids,
                                 self.user_index, self.item_index)
 
-    def by_user(self) -> dict[int, list[Interaction]]:
-        out: dict[int, list[Interaction]] = {}
-        for x in self.interactions:
-            out.setdefault(x.user, []).append(x)
-        return out
+    def user_rows(self) -> tuple[Array, Array]:
+        """Row indices grouped by ascending user, table order within a user,
+        and the group bounds: user u's rows are ``rows[bounds[u]:bounds[u + 1]]``."""
+        bounds = np.zeros(self.n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.users, minlength=self.n_users), out=bounds[1:])
+        return np.argsort(self.users, kind="stable"), bounds
 
-    def consumed(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for x in self.interactions:
-            out.setdefault(x.user, set()).add(x.item)
-        return out
+    def chronological(self) -> Array:
+        """Row indices by ascending user, then (timestamp, row)."""
+        return np.lexsort((self.timestamps, self.users))
 
 
 @dataclass(frozen=True)
@@ -97,36 +151,92 @@ def _detect_separator(line: str) -> str:
     return " "
 
 
+def _remap(raw) -> tuple[Array, list[str], dict[str, int]]:
+    """Dense ids of raw id tokens, assigned in order of first appearance."""
+    ids = list(dict.fromkeys(raw))
+    index = dict(zip(ids, range(len(ids))))
+    return np.fromiter(map(index.__getitem__, raw), np.int64, len(raw)), ids, index
+
+
+def _collapse(users, items, ratings: Array, timestamps: Array) -> InteractionTable:
+    """A table from remapped (ids, id list, index) users and items: each
+    duplicated (user, item) pair keeps its row with the largest
+    (timestamp, row), at the position of the pair's first row."""
+    table = InteractionTable(users[0], items[0], ratings, timestamps, users[1], items[1],
+                             users[2], items[2])
+    key = table.users * table.n_items + table.items
+    ordered = np.sort(key)
+    if (ordered[1:] != ordered[:-1]).all():
+        return table
+    # lexsort is stable, so rows with equal (key, timestamp) stay in row order
+    order = np.lexsort((timestamps, key))
+    ordered = key[order]
+    new_key = np.ones(key.size + 1, dtype=bool)
+    new_key[1:-1] = ordered[1:] != ordered[:-1]
+    winners = order[new_key[1:]]
+    log.info("collapsed %d duplicate (user, item) pairs", key.size - winners.size)
+    first_rows = np.minimum.reduceat(order, np.flatnonzero(new_key[:-1]))
+    return table.take(winners[np.argsort(first_rows)])
+
+
 def table_from_records(records: list[tuple[str, str, float, int]]) -> InteractionTable:
     """Build a dense-id table from (raw user, raw item, rating, timestamp)
-    records: ids remapped in first-appearance order, duplicate (user, item)
-    pairs collapsed to the latest timestamp (later record wins ties)."""
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    user_ids: list[str] = []
-    item_ids: list[str] = []
-    # (user, item) -> (timestamp, record index, rating); a key keeps the
-    # dict position of its first appearance when a later record replaces it
-    latest: dict[tuple[int, int], tuple[int, int, float]] = {}
+    records, as :func:`load_interactions` builds one from the lines of a
+    file."""
+    raw_users, raw_items, ratings, timestamps = tuple(zip(*records)) or ((),) * 4
+    return _collapse(_remap(raw_users), _remap(raw_items),
+                     np.array(ratings, dtype=np.float64), np.array(timestamps, dtype=np.int64))
 
-    for pos, (u_raw, i_raw, rating, timestamp) in enumerate(records):
-        if u_raw not in user_index:
-            user_index[u_raw] = len(user_ids)
-            user_ids.append(u_raw)
-        if i_raw not in item_index:
-            item_index[i_raw] = len(item_ids)
-            item_ids.append(i_raw)
-        key = (user_index[u_raw], item_index[i_raw])
-        prev = latest.get(key)
-        if prev is None or (timestamp, pos) >= prev[:2]:
-            latest[key] = (timestamp, pos, float(rating))
 
-    # first-appearance order of the surviving pairs
-    interactions = [Interaction(u, i, rating, timestamp)
-                    for (u, i), (timestamp, _, rating) in latest.items()]
-    if len(interactions) < len(records):
-        log.info("collapsed %d duplicate (user, item) pairs", len(records) - len(interactions))
-    return InteractionTable(interactions, user_ids, item_ids, user_index, item_index)
+def _first_bad(tokens: list[str], convert, accept) -> int:
+    """Index of the first token that ``convert`` rejects or whose value
+    ``accept`` rejects."""
+    for k, tok in enumerate(tokens):
+        try:
+            if not accept(convert(tok)):
+                return k
+        except ValueError:
+            return k
+    return len(tokens)
+
+
+def _numbers(tokens: list[str], convert, dtype, accept) -> tuple[Array | None, int]:
+    """The tokens converted in bulk, and the index of the first bad one
+    (``len(tokens)`` when all are good): a token ``convert`` rejects or a
+    value that is not finite or that ``accept`` rejects. The tokens are
+    scanned one by one only after the bulk conversion has failed."""
+    try:
+        values = np.fromiter(map(convert, tokens), dtype, len(tokens))
+    except (ValueError, OverflowError):
+        return None, _first_bad(tokens, convert, accept)
+    finite = np.isfinite(values)
+    return values, len(tokens) if finite.all() else int(np.argmin(finite))
+
+
+def _lines(tokens: list[str], n: int) -> tuple[Array, Array]:
+    """The first token index and the field count of each of the n lines in
+    ``tokens``, where a "\r" token ends every line but the last."""
+    width = tokens.index("\r") if n > 1 else len(tokens)
+    if len(tokens) == n * (width + 1) - 1 and tokens[width::width + 1].count("\r") == n - 1:
+        return np.arange(n) * (width + 1), np.full(n, width)
+    ends = np.append(np.flatnonzero(np.fromiter(map("\r".__eq__, tokens), bool, len(tokens))),
+                     len(tokens))
+    starts = np.append(0, ends[:-1] + 1)
+    return starts, ends - starts
+
+
+def _fields(tokens: list[str], starts: Array, widths: Array, k: int) -> list[str]:
+    """Field k of every line with more than k fields."""
+    width = int(widths[0]) if widths.size else 0
+    if (widths == width).all():  # lines start every width + 1 tokens
+        return tokens[k:(width + 1) * widths.size:width + 1] if k < width else []
+    return list(map(tokens.__getitem__, (starts[widths > k] + k).tolist()))
+
+
+def _line_no(lines: list[str], data_line: int, first_line: int) -> int:
+    """The file line number of the ``data_line``-th non-blank line."""
+    nonblank = (offset for offset, raw in enumerate(lines) if raw.strip())
+    return next(islice(nonblank, data_line, None)) + first_line
 
 
 def load_interactions(path: str | Path, separator: str | None = None,
@@ -137,51 +247,64 @@ def load_interactions(path: str | Path, separator: str | None = None,
     timestamp (later line wins ties).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if has_header and lines:
-        lines = lines[1:]
-
-    records: list[tuple[str, str, float, int]] = []
-    sep = separator
-    first_line = 2 if has_header else 1
-    for offset, raw in enumerate(lines):
-        line = raw.strip()
-        if not line:
-            continue
-        line_no = offset + first_line
-        if sep is None:
-            sep = _detect_separator(line)
-        fields = line.split(sep)
-        if "" in fields:
-            fields = [f for f in fields if f != ""]
-        if len(fields) < 3 or len(fields) > 4:
-            raise DataFormatError(str(path), line_no,
-                                  f"expected 3 or 4 fields, got {len(fields)}")
-        u_raw, i_raw, r_raw = fields[0], fields[1], fields[2]
-        try:
-            rating = float(r_raw)
-        except ValueError:
-            raise DataFormatError(str(path), line_no, f"bad rating {r_raw!r}") from None
-        if len(fields) == 4:
-            try:
-                timestamp = int(fields[3])
-            except ValueError:
-                raise DataFormatError(str(path), line_no, f"bad timestamp {fields[3]!r}") from None
-        else:
-            timestamp = len(records)
-        records.append((u_raw, i_raw, rating, timestamp))
-
-    if not records:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first_line = 1
+    if has_header:
+        lines, first_line = lines[1:], 2
+    data = list(filter(None, map(str.strip, lines)))
+    if not data:
         raise DataFormatError(str(path), None, "no interactions found")
-    return table_from_records(records)
+    sep = _detect_separator(data[0]) if separator is None else separator
+
+    # every line's fields in one list, a "\r" token after each line. No
+    # line holds a line break, so neither does a separator that matches.
+    n = len(data)
+    if "\n" in sep or "\r" in sep:
+        sep = "\x1e"
+    text = "\n\r\n".join(data).replace(sep, "\n")
+    del data
+    tokens = text.split("\n")
+    if "\n\n" in text or text[0] == "\n" or text[-1] == "\n":  # empty fields
+        tokens = list(filter(None, tokens))
+    del text
+    starts, widths = _lines(tokens, n)
+
+    # an error on a line before the first of a bad width comes first
+    bad_width = (widths < 3) | (widths > 4)
+    n_ok = int(np.argmax(bad_width)) if bad_width.any() else n
+    got = int(widths[n_ok]) if n_ok < n else 0
+    starts, widths = starts[:n_ok], widths[:n_ok]
+    rating_tokens = _fields(tokens, starts, widths, 2)
+    ratings, bad_rating = _numbers(rating_tokens, float, np.float64, math.isfinite)
+    stamped = np.flatnonzero(widths[:bad_rating] == 4)
+    stamp_tokens = _fields(tokens, starts, widths, 3)[:stamped.size]
+    stamps, bad_stamp = _numbers(stamp_tokens, int, np.int64,
+                                 lambda v: _INT64.min <= v <= _INT64.max)
+
+    def fail(data_line: int, message: str) -> DataFormatError:
+        return DataFormatError(str(path), _line_no(lines, data_line, first_line), message)
+
+    if bad_stamp < stamped.size:
+        raise fail(int(stamped[bad_stamp]), f"bad timestamp {stamp_tokens[bad_stamp]!r}")
+    if bad_rating < n_ok:
+        raise fail(bad_rating, f"bad rating {rating_tokens[bad_rating]!r}")
+    if n_ok < n:
+        raise fail(n_ok, f"expected 3 or 4 fields, got {got}")
+
+    timestamps = np.arange(n, dtype=np.int64)
+    timestamps[stamped] = stamps
+    users = _remap(_fields(tokens, starts, widths, 0))
+    items = _remap(_fields(tokens, starts, widths, 1))
+    del lines, tokens, rating_tokens, stamp_tokens
+    return _collapse(users, items, ratings, timestamps)
 
 
 def write_uirt(path: str | Path, table: InteractionTable) -> None:
+    users = map(table.user_ids.__getitem__, table.users.tolist())
+    items = map(table.item_ids.__getitem__, table.items.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x in table.interactions:
-            fh.write(f"{table.user_ids[x.user]}\t{table.item_ids[x.item]}\t"
-                     f"{x.rating:g}\t{x.timestamp}\n")
+        fh.writelines(f"{u}\t{i}\t{r:g}\t{t}\n" for u, i, r, t in
+                      zip(users, items, table.ratings.tolist(), table.timestamps.tolist()))
 
 
 def parse_libfm(path: str | Path) -> list[SparseRow]:
@@ -263,50 +386,38 @@ def split(table: InteractionTable, spec: SplitSpec) -> tuple[InteractionTable, I
     if isinstance(spec, (RandomHoldout, Temporal)) and not (0.0 < spec.ratio < 1.0):
         raise GradrecError(f"split ratio must be in (0, 1), got {spec.ratio}")
 
-    interactions = table.interactions
+    n = len(table)
+    held = np.zeros(n, dtype=bool)
     if isinstance(spec, RandomHoldout):
-        rng = np.random.default_rng(spec.seed)
-        order = rng.permutation(len(interactions))
-        n_test = int(round(spec.ratio * len(interactions)))
-        test_idx = set(order[:n_test].tolist())
-        train = [x for k, x in enumerate(interactions) if k not in test_idx]
-        test = [x for k, x in enumerate(interactions) if k in test_idx]
-    elif isinstance(spec, LeaveOneOut):
-        train, test = [], []
-        for user, hist in sorted(table.by_user().items()):
-            if len(hist) < 2:
-                train.extend(hist)
-                continue
-            ordered = sorted(range(len(hist)), key=lambda k: (hist[k].timestamp, k))
-            held = ordered[-1]
-            for k, x in enumerate(hist):
-                (test if k == held else train).append(x)
-    elif isinstance(spec, Temporal):
-        train, test = [], []
-        for user, hist in sorted(table.by_user().items()):
-            n_test = int(np.ceil(spec.ratio * len(hist)))
-            if n_test >= len(hist):
-                n_test = len(hist) - 1
-            ordered = sorted(range(len(hist)), key=lambda k: (hist[k].timestamp, k))
-            held = set(ordered[len(hist) - n_test:])
-            for k, x in enumerate(hist):
-                (test if k in held else train).append(x)
+        order = np.random.default_rng(spec.seed).permutation(n)
+        held[order[:int(round(spec.ratio * n))]] = True
+        rows = np.arange(n)
+    elif isinstance(spec, (LeaveOneOut, Temporal)):
+        rows, bounds = table.user_rows()
+        counts = np.diff(bounds)
+        if isinstance(spec, LeaveOneOut):
+            n_test = (counts >= 2).astype(np.int64)
+        else:
+            # a user keeps at least one train row
+            n_test = np.minimum(np.ceil(spec.ratio * counts).astype(np.int64), counts - 1)
+        # the rank of each row in its user's (timestamp, row) order
+        chrono = table.chronological()
+        users = table.users[chrono]
+        held[chrono] = np.arange(n) - bounds[users] >= (counts - n_test)[users]
     else:
         raise GradrecError(f"unknown split spec: {spec!r}")
 
-    train_users = {x.user for x in train}
-    train_items = {x.item for x in train}
-    kept = [x for x in test if x.user in train_users and x.item in train_items]
-    dropped = len(test) - len(kept)
-    if dropped:
-        log.info("dropped %d cold-start test interactions", dropped)
-    return table.with_interactions(train), table.with_interactions(kept)
+    train, test = rows[~held[rows]], rows[held[rows]]
+    warm = (np.isin(table.users[test], table.users[train])
+            & np.isin(table.items[test], table.items[train]))
+    if not warm.all():
+        log.info("dropped %d cold-start test interactions", warm.size - np.count_nonzero(warm))
+    return table.take(train), table.take(test[warm])
 
 
 def binarize(table: InteractionTable, threshold: float) -> InteractionTable:
     """Keep interactions with rating >= threshold as implicit positives."""
-    kept = [x for x in table.interactions if x.rating >= threshold]
-    return table.with_interactions(kept)
+    return table.take(np.flatnonzero(table.ratings >= threshold))
 
 
 # --------------------------------------------------------------------------
@@ -348,10 +459,10 @@ def build_sequences(table: InteractionTable, window: int, horizon: int) -> Seque
     if window < 1 or horizon < 1:
         raise GradrecError(f"window and horizon must be >= 1, got L={window}, T={horizon}")
     padding_id = table.n_items
-    histories: dict[int, list[int]] = {}
-    for user, hist in sorted(table.by_user().items()):
-        ordered = sorted(range(len(hist)), key=lambda k: (hist[k].timestamp, k))
-        histories[user] = [hist[k].item for k in ordered]
+    chrono = table.chronological()
+    users, firsts = np.unique(table.users[chrono], return_index=True)
+    histories = {user: hist.tolist() for user, hist in
+                 zip(users.tolist(), np.split(table.items[chrono], firsts[1:]))}
 
     instances: list[SequenceInstance] = []
     for user, items in histories.items():

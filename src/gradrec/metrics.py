@@ -57,7 +57,6 @@ class MetricReport:
     protocol: str
     seed: int
     users: int
-    skipped: int = 0
     order: list[str] = field(default_factory=list)
 
     def to_text(self) -> str:
@@ -130,35 +129,30 @@ def evaluate_ranking(score_fn: ScoreFn, train: InteractionTable, test: Interacti
                      seed_echo: int | None = None) -> MetricReport:
     """Macro-averaged ranking metrics under the full or sampled protocol.
 
-    Users are processed in ascending dense id with per-user RNG streams,
-    so the report does not depend on evaluation order. Users whose test
-    set is empty are skipped and counted.
+    Users with test rows are processed in ascending dense id with per-user
+    RNG streams, so the report does not depend on evaluation order.
     """
     if any(n < 1 for n in cutoffs):
         raise GradrecError(f"cutoffs must be >= 1, got {cutoffs}")
-    consumed = train.consumed()
-    relevant_by_user: dict[int, set[int]] = {}
-    for x in test.interactions:
-        relevant_by_user.setdefault(x.user, set()).add(x.item)
+    train_rows, train_bounds = train.user_rows()
+    test_rows, test_bounds = test.user_rows()
 
     n_items = train.n_items
     sums: dict[str, float] = {}
     evaluated = 0
-    skipped = 0
-    for user in range(train.n_users):
-        relevant = relevant_by_user.get(user)
-        if not relevant:
-            if user in relevant_by_user:
-                skipped += 1
-            continue
-        train_items = consumed.get(user, set())
+    for user in np.flatnonzero(np.diff(test_bounds)).tolist():
+        relevant_items = test.items[test_rows[test_bounds[user]:test_bounds[user + 1]]]
+        relevant = set(relevant_items.tolist())
+        train_items = train.items[train_rows[train_bounds[user]:train_bounds[user + 1]]]
         if isinstance(protocol, FullRanking):
-            candidates = [i for i in range(n_items) if i not in train_items]
+            consumed = np.zeros(n_items, dtype=bool)
+            consumed[train_items] = True
+            candidates = np.flatnonzero(~consumed).tolist()
         else:
             rng = np.random.default_rng([protocol.seed, user])
             blocked = np.zeros(n_items, dtype=bool)
-            blocked[list(train_items)] = True
-            blocked[list(relevant)] = True
+            blocked[train_items] = True
+            blocked[relevant_items] = True
             pool = np.flatnonzero(~blocked)
             m = min(protocol.m, pool.size)
             negatives = rng.choice(pool, size=m, replace=False)
@@ -174,7 +168,7 @@ def evaluate_ranking(score_fn: ScoreFn, train: InteractionTable, test: Interacti
     values = {name: sums[name] / evaluated for name in sums}
     seed = seed_echo if seed_echo is not None else getattr(protocol, "seed", 0)
     return MetricReport(values=values, protocol=protocol.describe(), seed=seed,
-                        users=evaluated, skipped=skipped, order=metric_order(cutoffs))
+                        users=evaluated, order=metric_order(cutoffs))
 
 
 def rating_report(pairs: Iterable[tuple[float, float]], seed: int, users: int) -> MetricReport:

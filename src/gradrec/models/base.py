@@ -103,9 +103,8 @@ class NegativeSampler:
     """
 
     def __init__(self, table: InteractionTable):
-        users, items, _ = interactions_as_arrays(table)
         self.n_items = n_items = table.n_items
-        pairs = np.unique(users * n_items + items)
+        pairs = np.unique(table.users * n_items + table.items)
         users, items = np.divmod(pairs, n_items)
         counts = np.bincount(users, minlength=table.n_users)
         self._sizes = n_items - counts
@@ -145,13 +144,6 @@ def clip_rows_to_ball(arr: Array, radius: float = 1.0) -> Array:
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
     return arr * scale
-
-
-def interactions_as_arrays(table: InteractionTable) -> tuple[Array, Array, Array]:
-    users = np.array([x.user for x in table.interactions], dtype=np.int64)
-    items = np.array([x.item for x in table.interactions], dtype=np.int64)
-    ratings = np.array([x.rating for x in table.interactions], dtype=np.float64)
-    return users, items, ratings
 
 
 class Model:

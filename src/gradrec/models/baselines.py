@@ -21,10 +21,7 @@ class PopularityRanker:
     """Scores items by their train-set interaction count."""
 
     def __init__(self, train: InteractionTable):
-        counts = np.zeros(train.n_items, dtype=np.float64)
-        for x in train.interactions:
-            counts[x.item] += 1.0
-        self.counts = counts
+        self.counts = np.bincount(train.items, minlength=train.n_items).astype(np.float64)
 
     def score(self, user: int, item: int) -> float:
         return float(self.counts[item])

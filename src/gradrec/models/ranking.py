@@ -32,11 +32,10 @@ class _SampledPairs(base.Model):
 
     def bind(self, data, batch_size, neg_samples) -> None:
         table = data["train"]
-        users, items, _ = base.interactions_as_arrays(table)
-        if users.size == 0:
+        if len(table) == 0:
             raise GradrecError("empty training set")
         self._sampler = base.NegativeSampler(table)
-        self._examples = (users, items)
+        self._examples = (table.users, table.items)
         self._batch_size, self._neg = batch_size, neg_samples
 
     def batches(self, epoch, rng):
@@ -297,10 +296,12 @@ class Cdae(base.Model):
 
     def serve(self, data) -> None:
         """The uncorrupted input vector of every user with train items."""
+        train = data["train"]
+        rows, bounds = train.user_rows()
         self._train_vectors = {}
-        for user, items in data["train"].consumed().items():
+        for user in np.flatnonzero(np.diff(bounds)).tolist():
             vec = np.zeros(self.n_items)
-            vec[sorted(items)] = 1.0
+            vec[train.items[rows[bounds[user]:bounds[user + 1]]]] = 1.0
             self._train_vectors[user] = vec
         self._score_cache = {}
 

@@ -75,8 +75,9 @@ class BiasedSvd(base.Model):
         return (err * err + reg).mean()
 
     def bind(self, data, batch_size, neg_samples) -> None:
-        self._examples = base.interactions_as_arrays(data["train"])
-        if self._examples[0].size == 0:
+        train = data["train"]
+        self._examples = (train.users, train.items, train.ratings)
+        if len(train) == 0:
             raise GradrecError("empty training set")
         self._batch_size = batch_size
 
@@ -265,9 +266,8 @@ class ItemAutoRec(base.Model):
         and serving feeds an item's column in to predict."""
         self.columns = np.zeros((self.n_items, self.n_users))
         self.mask = np.zeros((self.n_items, self.n_users))
-        for x in table.interactions:
-            self.columns[x.item, x.user] = x.rating
-            self.mask[x.item, x.user] = 1.0
+        self.columns[table.items, table.users] = table.ratings
+        self.mask[table.items, table.users] = 1.0
 
     def build_loss(self, leaves: dict[str, E.Node], item_ids: Array) -> E.Node:
         # mask the input too: only observed ratings may enter the encoder
@@ -286,7 +286,7 @@ class ItemAutoRec(base.Model):
         self.load_columns(data["train"])
 
     def bind(self, data, batch_size, neg_samples) -> None:
-        if not data["train"].interactions:
+        if len(data["train"]) == 0:
             raise GradrecError("empty training set")
         self._batch_size = self.n_items if batch_size is None else batch_size
 

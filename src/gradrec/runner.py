@@ -21,14 +21,13 @@ from gradrec.models import MODELS, base
 log = logging.getLogger(__name__)
 
 
-def interactions_to_fm_rows(table: InteractionTable,
-                            interactions=None) -> tuple[list[SparseRow], int]:
+def interactions_to_fm_rows(table: InteractionTable) -> tuple[list[SparseRow], int]:
     """One-hot user+item encoding: feature u for the user, n_users + i for
     the item; rating as the label."""
-    rows = []
-    for x in (interactions if interactions is not None else table.interactions):
-        rows.append(SparseRow(label=x.rating,
-                              features=((x.user, 1.0), (table.n_users + x.item, 1.0))))
+    rows = [SparseRow(label=rating, features=((user, 1.0), (item, 1.0)))
+            for user, item, rating in zip(table.users.tolist(),
+                                          (table.items + table.n_users).tolist(),
+                                          table.ratings.tolist())]
     return rows, table.n_users + table.n_items
 
 
@@ -66,15 +65,14 @@ def prepare_data(cfg: ExperimentConfig):
     table = datamod.load_interactions(cfg.data.path)
     if task in ("ranking", "sequential"):
         table = datamod.binarize(table, cfgmod.binarize_threshold_for(cfg))
-        if not table.interactions:
+        if len(table) == 0:
             raise GradrecError("no interactions left after binarization; "
                                "lower data.binarize_threshold")
     train, test = datamod.split(table, cfg.data.split)
     bundle = {"task": task, "table": table, "train": train, "test": test}
     if MODELS[cfg.model.name].feature_rows:
-        bundle["train_rows"], bundle["n_features"] = interactions_to_fm_rows(
-            table, train.interactions)
-        bundle["test_rows"], _ = interactions_to_fm_rows(table, test.interactions)
+        bundle["train_rows"], bundle["n_features"] = interactions_to_fm_rows(train)
+        bundle["test_rows"], _ = interactions_to_fm_rows(test)
     if task == "sequential":
         bundle["sequences"] = datamod.build_sequences(train, cfg.model.L, cfg.model.T)
     return bundle
@@ -97,10 +95,11 @@ def evaluate_model(cfg: ExperimentConfig, model, bundle) -> metricsmod.MetricRep
             users = len(test_rows)
         else:
             test = bundle["test"]
-            if not test.interactions:
+            if len(test) == 0:
                 raise GradrecError("empty test split")
-            pairs = [(model.predict(x.user, x.item), x.rating) for x in test.interactions]
-            users = len({x.user for x in test.interactions})
+            pairs = [(model.predict(user, item), rating) for user, item, rating in
+                     zip(test.users.tolist(), test.items.tolist(), test.ratings.tolist())]
+            users = np.unique(test.users).size
         return metricsmod.rating_report(pairs, seed=cfg.data.seed, users=users)
     protocol = cfg.eval.protocol_obj(seed=cfg.data.seed)
     return metricsmod.evaluate_ranking(model.score, bundle["train"], bundle["test"],
@@ -153,6 +152,8 @@ def recommend(checkpoint_path: str | Path, raw_user: str, n: int) -> list[tuple[
     Scores every item (consumed ones included: the checkpoint is the only
     input); ties break by ascending raw item id.
     """
+    if n < 1:
+        raise ConfigError([f"recommend needs n >= 1, got {n}"])
     cfg, model, bundle = load_model(checkpoint_path)
     if MODELS[cfg.model.name].feature_rows:
         raise ConfigError(["recommend does not serve fm checkpoints; "

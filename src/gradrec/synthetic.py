@@ -65,12 +65,10 @@ def block_preferences(users_per_group: int = 20, items_per_group: int = 15,
     # anchor every item id in train so the two tables share a dense id space
     all_records = train + held
     table = table_from_records(all_records)
-    train_keys = {(u, i) for u, i, _, _ in train}
-    train_inter = [x for x in table.interactions
-                   if (table.user_ids[x.user], table.item_ids[x.item]) in train_keys]
-    held_inter = [x for x in table.interactions
-                  if (table.user_ids[x.user], table.item_ids[x.item]) not in train_keys]
-    return table.with_interactions(train_inter), table.with_interactions(held_inter)
+    train_keys = {(table.user_index[u], table.item_index[i]) for u, i, _, _ in train}
+    in_train = np.array([pair in train_keys for pair in
+                         zip(table.users.tolist(), table.items.tolist())], dtype=bool)
+    return table.take(np.flatnonzero(in_train)), table.take(np.flatnonzero(~in_train))
 
 
 def markov_chains(n_users: int = 40, n_items: int = 12, history: int = 20,

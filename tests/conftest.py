@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,9 @@ def ratings_file(tmp_path):
     table, _ = synthetic.planted_factor_ratings(10, 10, rank=2, density=0.85,
                                                 mean=3.0, seed=13)
     # squash into the 1..5 range so clipping is meaningful
-    squashed = [datamod.Interaction(x.user, x.item,
-                                    float(np.clip(np.rint(x.rating), 1, 5)), x.timestamp)
-                for x in table.interactions]
+    squashed = dataclasses.replace(table, ratings=np.clip(np.rint(table.ratings), 1, 5))
     path = tmp_path / "ratings.txt"
-    datamod.write_uirt(path, table.with_interactions(squashed))
+    datamod.write_uirt(path, squashed)
     return path
 
 
@@ -26,6 +26,14 @@ def implicit_file(tmp_path):
     path = tmp_path / "implicit.txt"
     datamod.write_uirt(path, table)
     return path
+
+
+def consumed(table) -> dict[int, set[int]]:
+    """user -> the set of items of its rows."""
+    out: dict[int, set[int]] = {}
+    for user, item in zip(table.users.tolist(), table.items.tolist()):
+        out.setdefault(user, set()).add(item)
+    return out
 
 
 def config_text(path, model_lines, train_lines, data_lines="", eval_lines=None):

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete. Every tolerance is fixed here; nothing is calibrated at runtime.
 """
 
+import dataclasses
 import math
 import time
 
@@ -20,6 +21,8 @@ from gradrec.models.baselines import PopularityRanker
 from gradrec.models.ranking import BprMf, Cdae, Cml, NeuMf
 from gradrec.models.rating import BiasedSvd, FactorizationMachine, ItemAutoRec
 from gradrec.models.sequential import AttRec, Caser, Prme
+
+from conftest import consumed as consumed_items
 
 
 def announce(criterion: str, ok: bool, detail: str):
@@ -61,9 +64,7 @@ def gradient_cases():
 
     table, _ = synthetic.planted_factor_ratings(4, 4, rank=2, density=1.0, seed=1)
     svd = BiasedSvd.for_table(table, k=4, l2=0.01, seed=2)
-    users = np.array([x.user for x in table.interactions][:16])
-    items = np.array([x.item for x in table.interactions][:16])
-    ratings = np.array([x.rating for x in table.interactions][:16])
+    users, items, ratings = table.users[:16], table.items[:16], table.ratings[:16]
     cases.append(("biasedsvd", lambda lv: svd.build_loss(lv, (users, items, ratings)),
                   {n: svd.params[n] for n in svd.trainable}))
 
@@ -259,10 +260,8 @@ def test_criterion_4b_bprmf_block_auc():
     train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
 
     rng = np.random.default_rng(0)
-    consumed = train_table.consumed()
-    held_by_user = {}
-    for x in held.interactions:
-        held_by_user.setdefault(x.user, set()).add(x.item)
+    consumed = consumed_items(train_table)
+    held_by_user = consumed_items(held)
     wins, total = 0.0, 0
     for user, positives in sorted(held_by_user.items()):
         negatives = [i for i in range(train_table.n_items)
@@ -333,7 +332,7 @@ def overfit_runs():
     out = []
     ratings, _ = synthetic.planted_factor_ratings(6, 6, rank=2, density=0.9,
                                                   mean=3.0, seed=20)
-    ratings = ratings.with_interactions(ratings.interactions[:50])
+    ratings = ratings.take(np.arange(len(ratings))[:50])
 
     svd = BiasedSvd.for_table(ratings, k=4, l2=0.0, seed=1)
     out.append(("biasedsvd", train(svd, {"train": ratings}, E.Adam(lr=0.05), 300, 64, seed=2)))
@@ -532,11 +531,9 @@ def small_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("seven")
     ratings, _ = synthetic.planted_factor_ratings(10, 10, rank=2, density=0.85,
                                                   mean=3.0, seed=13)
-    squashed = [datamod.Interaction(x.user, x.item,
-                                    float(np.clip(np.rint(x.rating), 1, 5)), x.timestamp)
-                for x in ratings.interactions]
+    squashed = dataclasses.replace(ratings, ratings=np.clip(np.rint(ratings.ratings), 1, 5))
     ratings_path = root / "ratings.txt"
-    datamod.write_uirt(ratings_path, ratings.with_interactions(squashed))
+    datamod.write_uirt(ratings_path, squashed)
     implicit_path = root / "implicit.txt"
     datamod.write_uirt(implicit_path, synthetic.markov_chains(25, 12, 7, seed=21))
     return {"ratings": ratings_path, "implicit": implicit_path, "root": root}
@@ -574,7 +571,7 @@ def test_criterion_7_reproducibility_and_persistence(small_files):
         else:
             score_a = model.predict if cfg.model.task == "rating" else model.score
             score_b = restored.predict if cfg.model.task == "rating" else restored.score
-            users = sorted({x.user for x in bundle["train"].interactions})
+            users = np.unique(bundle["train"].users).tolist()
             for _ in range(100):
                 u = int(rng.choice(users))
                 i = int(rng.integers(0, table.n_items))

@@ -1,11 +1,18 @@
+import gc
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradrec import data
+from gradrec import cli, data, runner, synthetic
+from gradrec import config as cfgmod
 from gradrec.errors import DataFormatError, GradrecError
 from gradrec.models.base import NegativeSampler
+
+from conftest import config_text, consumed
 
 
 def write(tmp_path, text, name="data.txt"):
@@ -64,6 +71,23 @@ class TestLoadInteractions:
             data.load_interactions(write(tmp_path, "u i five 1\n"))
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_rating_rejected(self, tmp_path, token):
+        text = f"u1 i1 4 1\nu2 i1 3 2\nu1 i2 {token} 3\nu3 i3 5 4\nu2 i2 2 5\n"
+        with pytest.raises(DataFormatError, match=f"bad rating '{token}'") as err:
+            data.load_interactions(write(tmp_path, text))
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("token", ["9223372036854775808", "-9223372036854775809",
+                                       "1" + "0" * 30])
+    def test_timestamp_beyond_int64_rejected(self, tmp_path, token):
+        text = f"u1 i1 4 9223372036854775807\nu2 i1 3 -9223372036854775808\nu1 i2 5 {token}\n"
+        with pytest.raises(DataFormatError, match=f"bad timestamp '{token}'") as err:
+            data.load_interactions(write(tmp_path, text))
+        assert err.value.line_no == 3
+        table = data.load_interactions(write(tmp_path, text.rsplit("\n", 2)[0] + "\n"))
+        assert table.timestamps.tolist() == [2**63 - 1, -2**63]
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
             data.load_interactions(write(tmp_path, "\n\n"))
@@ -80,7 +104,7 @@ class TestLoadInteractions:
         out = tmp_path / "copy.txt"
         data.write_uirt(out, table)
         again = data.load_interactions(out)
-        assert again.interactions == table.interactions
+        assert list(again.interactions) == list(table.interactions)
         assert again.user_ids == table.user_ids
 
 
@@ -151,7 +175,7 @@ class TestSplit:
     def test_random_holdout_partitions(self):
         table = make_table([("u%d" % (k % 7), "i%d" % (k % 5), 1, k) for k in range(60)])
         train, test = data.split(table, data.RandomHoldout(0.25, seed=3))
-        joined = train.interactions + test.interactions
+        joined = list(train.interactions) + list(test.interactions)
         assert len(joined) <= len(table.interactions)
         assert set(joined) <= set(table.interactions)
         assert not (set(train.interactions) & set(test.interactions))
@@ -192,10 +216,10 @@ class TestSampleNegatives:
         table = self.table()
         sampler = NegativeSampler(table)
         u = table.user_index["u"]
-        consumed = table.consumed()[u]
+        own = consumed(table)[u]
         for seed in range(5):
             drawn = sampler.draw(u, 50, np.random.default_rng(seed))
-            assert set(drawn.tolist()) <= set(range(table.n_items)) - consumed
+            assert set(drawn.tolist()) <= set(range(table.n_items)) - own
 
     def test_k_zero(self):
         table = self.table()
@@ -204,12 +228,12 @@ class TestSampleNegatives:
     def test_exclude_respected(self):
         # draw_many excludes each row's own user's items, not one shared set
         table = self.table()
-        consumed = table.consumed()
+        items = consumed(table)
         users = np.array([table.user_index[u] for u in ("u", "v", "u", "v")])
         drawn = NegativeSampler(table).draw_many(users, 100, np.random.default_rng(2))
         assert drawn.shape == (4, 100)
         for user, row in zip(users, drawn):
-            assert set(row.tolist()) == set(range(table.n_items)) - consumed[user]
+            assert set(row.tolist()) == set(range(table.n_items)) - items[user]
 
     def test_all_consumed_raises(self):
         table = make_table([("u", "a", 1, 1), ("u", "b", 1, 2)])
@@ -235,10 +259,10 @@ class TestSampleNegatives:
 
     def reference_draws(self, table, users, k, rng):
         """One setdiff1d candidate array and one rng.integers call per row."""
-        consumed = table.consumed()
+        items = consumed(table)
         rows = []
         for user in users:
-            blocked = np.array(sorted(consumed.get(int(user), ())), dtype=np.int64)
+            blocked = np.array(sorted(items.get(int(user), ())), dtype=np.int64)
             cand = np.setdiff1d(np.arange(table.n_items), blocked)
             rows.append(cand[rng.integers(0, cand.size, size=k)])
         return np.array(rows, dtype=np.int64).reshape(len(users), k)
@@ -332,3 +356,286 @@ def test_binarize_threshold():
     implicit = data.binarize(table, 4.0)
     assert len(implicit.interactions) == 2
     assert all(x.rating >= 4.0 for x in implicit.interactions)
+
+
+# --------------------------------------------------------------------------
+# reference: the row-wise parser, dedupe, splits and histories that the
+# columnar code replaced, kept as the oracle it must match bit for bit
+# --------------------------------------------------------------------------
+
+
+def reference_separator(line):
+    for sep in ("\t", ",", " "):
+        if sep in line:
+            return sep
+    return " "
+
+
+def reference_table(records):
+    """(rows, user_ids, item_ids): ids in first-appearance order; a
+    duplicated pair keeps the record with the largest (timestamp, record
+    index), at the position of the pair's first record."""
+    user_index, item_index = {}, {}
+    latest = {}
+    for pos, (u_raw, i_raw, rating, timestamp) in enumerate(records):
+        user = user_index.setdefault(u_raw, len(user_index))
+        item = item_index.setdefault(i_raw, len(item_index))
+        prev = latest.get((user, item))
+        if prev is None or (timestamp, pos) >= prev[:2]:
+            latest[(user, item)] = (timestamp, pos, float(rating))
+    rows = [(u, i, rating, t) for (u, i), (t, _, rating) in latest.items()]
+    return rows, list(user_index), list(item_index)
+
+
+def reference_load(path, separator=None, has_header=False):
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if has_header and lines:
+        lines = lines[1:]
+    records = []
+    sep = separator
+    first_line = 2 if has_header else 1
+    for offset, raw in enumerate(lines):
+        line = raw.strip()
+        if not line:
+            continue
+        line_no = offset + first_line
+        if sep is None:
+            sep = reference_separator(line)
+        fields = [f for f in line.split(sep) if f != ""]
+        if len(fields) < 3 or len(fields) > 4:
+            raise DataFormatError(str(path), line_no,
+                                  f"expected 3 or 4 fields, got {len(fields)}")
+        try:
+            rating = float(fields[2])
+        except ValueError:
+            rating = math.nan
+        if not math.isfinite(rating):
+            raise DataFormatError(str(path), line_no, f"bad rating {fields[2]!r}")
+        if len(fields) == 4:
+            try:
+                timestamp = int(fields[3])
+            except ValueError:
+                timestamp = None
+            if timestamp is None or not -2**63 <= timestamp < 2**63:
+                raise DataFormatError(str(path), line_no, f"bad timestamp {fields[3]!r}")
+        else:
+            timestamp = len(records)
+        records.append((fields[0], fields[1], rating, timestamp))
+    if not records:
+        raise DataFormatError(str(path), None, "no interactions found")
+    return reference_table(records)
+
+
+def reference_binarize(rows, threshold):
+    return [x for x in rows if x[2] >= threshold]
+
+
+def reference_by_user(rows):
+    by_user = {}
+    for x in rows:
+        by_user.setdefault(x[0], []).append(x)
+    return sorted(by_user.items())
+
+
+def reference_chronological(hist):
+    return sorted(range(len(hist)), key=lambda k: (hist[k][3], k))
+
+
+def reference_split(rows, spec):
+    if isinstance(spec, data.RandomHoldout):
+        order = np.random.default_rng(spec.seed).permutation(len(rows))
+        test_idx = set(order[:int(round(spec.ratio * len(rows)))].tolist())
+        train = [x for k, x in enumerate(rows) if k not in test_idx]
+        test = [x for k, x in enumerate(rows) if k in test_idx]
+    else:
+        train, test = [], []
+        for _, hist in reference_by_user(rows):
+            if isinstance(spec, data.LeaveOneOut):
+                n_test = 1 if len(hist) >= 2 else 0
+            else:
+                n_test = min(int(np.ceil(spec.ratio * len(hist))), len(hist) - 1)
+            held = set(reference_chronological(hist)[len(hist) - n_test:])
+            for k, x in enumerate(hist):
+                (test if k in held else train).append(x)
+    train_users = {x[0] for x in train}
+    train_items = {x[1] for x in train}
+    return train, [x for x in test if x[0] in train_users and x[1] in train_items]
+
+
+def reference_histories(rows):
+    return {user: [hist[k][1] for k in reference_chronological(hist)]
+            for user, hist in reference_by_user(rows)}
+
+
+def reference_uirt(rows, user_ids, item_ids) -> bytes:
+    return "".join(f"{user_ids[u]}\t{item_ids[i]}\t{r:g}\t{t}\n"
+                   for u, i, r, t in rows).encode("utf-8")
+
+
+def assert_rows(table, rows):
+    """The table holds exactly ``rows``, in order, ratings bit for bit."""
+    assert [c.dtype for c in (table.users, table.items, table.ratings, table.timestamps)] \
+        == [np.int64, np.int64, np.float64, np.int64]
+    assert list(zip(table.users.tolist(), table.items.tolist(),
+                    table.timestamps.tolist())) == [(u, i, t) for u, i, _, t in rows]
+    assert table.ratings.tobytes() == np.array([x[2] for x in rows], dtype=np.float64).tobytes()
+
+
+RAW_IDS = ("u1", "u2", "10", "x-y", "\u00fc", "007")
+RATINGS = ("1", "2.5", "4", "5.0", "3e0", "-0", "+2", "0.5")
+BAD_LINES = ("{u}{s}{i}", "{u}{s}{i}{s}4{s}1{s}9", "{u}{s}{i}{s}x{s}1", "{u}{s}{i}{s}nan",
+             "{u}{s}{i}{s}-inf{s}2", "{u}{s}{i}{s}1e999", "{u}{s}{i}{s}3{s}t1",
+             "{u}{s}{i}{s}3{s}1.5", "{u}{s}{i}{s}3{s}9223372036854775808",
+             "{u}{s}{i}{s}x{s}t1")
+
+
+@st.composite
+def uirt_files(draw, bad_lines=0):
+    """(file text, load_interactions keywords): duplicate pairs at earlier,
+    equal and later timestamps, mixed 3/4 fields, blank lines, doubled and
+    leading or trailing separators, CRLF, a header, each separator."""
+    sep = draw(st.sampled_from(["\t", ",", " "]))
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        fields = [draw(st.sampled_from(RAW_IDS[:4])), draw(st.sampled_from(RAW_IDS)),
+                  draw(st.sampled_from(RATINGS))]
+        if draw(st.booleans()):
+            fields.append(str(draw(st.integers(-2, 40))))
+        line = fields[0]
+        for f in fields[1:]:
+            line += sep * draw(st.integers(1, 2)) + f
+        lines.append(sep * draw(st.integers(0, 1)) + line + sep * draw(st.integers(0, 1)))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    for _ in range(bad_lines):
+        bad = draw(st.sampled_from(BAD_LINES)).format(u="u9", i="i9", s=sep)
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.insert(0, sep.join(["user", "item", "rating"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    kwargs = {"has_header": has_header}
+    if draw(st.booleans()):
+        kwargs["separator"] = sep
+    return text, kwargs
+
+
+def load_both(path, kwargs):
+    results = []
+    for load in (data.load_interactions, reference_load):
+        try:
+            results.append(load(path, **kwargs))
+        except DataFormatError as err:
+            results.append(err)
+    return results
+
+
+SPECS = (data.LeaveOneOut(), data.Temporal(0.3), data.Temporal(0.7),
+         data.RandomHoldout(0.3, seed=4))
+
+
+@given(uirt_files())
+@settings(max_examples=150, deadline=None)
+def test_columnar_table_splits_and_histories_match_reference(tmp_path_factory, case):
+    text, kwargs = case
+    path = tmp_path_factory.getbasetemp() / "parity.uirt"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = load_both(path, kwargs)
+    if isinstance(want, DataFormatError):  # a file of blank lines only
+        assert isinstance(got, DataFormatError) and str(got) == str(want)
+        return
+    rows, user_ids, item_ids = want
+    assert got.user_ids == user_ids and got.item_ids == item_ids
+    assert got.user_index == {raw: k for k, raw in enumerate(user_ids)}
+    assert got.item_index == {raw: k for k, raw in enumerate(item_ids)}
+    assert_rows(got, rows)
+    for threshold in (None, 2.5):
+        table, ref = got, rows
+        if threshold is not None:
+            table, ref = data.binarize(got, threshold), reference_binarize(rows, threshold)
+            assert_rows(table, ref)
+        for spec in SPECS:
+            train, test = data.split(table, spec)
+            ref_train, ref_test = reference_split(ref, spec)
+            assert_rows(train, ref_train)
+            assert_rows(test, ref_test)
+            assert train.user_ids is got.user_ids and test.item_index is got.item_index
+        assert data.build_sequences(table, 2, 1).histories == reference_histories(ref)
+
+
+@given(uirt_files(bad_lines=2))
+@example(("u1 i1 5\nu1 i2 4 7\nu2 i1\n", {"has_header": False}))  # 3 lines, 9 fields
+@settings(max_examples=150, deadline=None)
+def test_malformed_files_fail_like_reference(tmp_path_factory, case):
+    text, kwargs = case
+    path = tmp_path_factory.getbasetemp() / "malformed.uirt"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = load_both(path, kwargs)
+    assert isinstance(want, DataFormatError) and isinstance(got, DataFormatError)
+    assert (str(got), got.line_no) == (str(want), want.line_no)
+
+
+def desk_file_with_duplicates(path):
+    """A small desk-shaped file plus re-rated pairs at earlier, equal and
+    later timestamps, some without a timestamp field."""
+    table = synthetic.desk_scale_ratings(n_users=40, n_items=60, n_ratings=900, seed=3)
+    lines = [f"{table.user_ids[u]}\t{table.item_ids[i]}\t{r:g}\t{t}"
+             for u, i, r, t in zip(table.users.tolist(), table.items.tolist(),
+                                   table.ratings.tolist(), table.timestamps.tolist())]
+    rng = np.random.default_rng(8)
+    for row in rng.choice(len(lines), size=120, replace=False).tolist():
+        user, item, _, stamp = lines[row].split("\t")
+        rating = int(rng.integers(1, 6))
+        shift = int(rng.integers(-1, 2))
+        lines.append(f"{user}\t{item}\t{rating}" if shift == 0 and row % 2 else
+                     f"{user}\t{item}\t{rating}\t{int(stamp) + shift * 500}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("split,model", [("random:0.3", "biasedsvd"), ("loo", "bprmf"),
+                                         ("temporal:0.4", "bprmf")])
+def test_cli_split_writes_reference_bytes(tmp_path, split, model):
+    path = desk_file_with_duplicates(tmp_path / "desk.uirt")
+    ranking = model == "bprmf"
+    cfg_path = tmp_path / "split.ini"
+    cfg_path.write_text(config_text(
+        path, f"name = {model}\nk = 4",
+        "optimizer = adam\nlr = 0.01\nl2 = 0.0\nepochs = 1\nbatch_size = 64\nseed = 1",
+        data_lines=f"split = {split}\nseed = 9\n"
+                   + ("binarize_threshold = 3.0\n" if ranking else ""),
+        eval_lines="cutoffs = 5\nprotocol = full" if ranking else None), encoding="utf-8")
+    assert cli.main(["split", "--config", str(cfg_path), "--train-out",
+                     str(tmp_path / "train.uirt"), "--test-out", str(tmp_path / "test.uirt")]) == 0
+
+    cfg = cfgmod.load_config(cfg_path)
+    rows, user_ids, item_ids = reference_load(path)
+    if ranking:
+        rows = reference_binarize(rows, cfgmod.binarize_threshold_for(cfg))
+    ref_train, ref_test = reference_split(rows, cfg.data.split)
+    assert len(ref_test) > 20
+    assert (tmp_path / "train.uirt").read_bytes() == reference_uirt(ref_train, user_ids, item_ids)
+    assert (tmp_path / "test.uirt").read_bytes() == reference_uirt(ref_test, user_ids, item_ids)
+
+
+def test_prepare_data_keeps_no_per_row_objects(tmp_path):
+    """The bundle of a 24K-row ranking set-up holds a few GC-tracked
+    objects, not one or more per row."""
+    path = tmp_path / "desk.uirt"
+    data.write_uirt(path, synthetic.desk_scale_ratings(n_users=943, n_items=400,
+                                                       n_ratings=24_000))
+    cfg = cfgmod.parse_config(config_text(
+        path, "name = bprmf\nk = 8",
+        "optimizer = adam\nlr = 0.01\nl2 = 0.0\nepochs = 1\nbatch_size = 256\nseed = 1",
+        data_lines="split = loo\nseed = 3\nbinarize_threshold = 4.0\n",
+        eval_lines="cutoffs = 10\nprotocol = full"))
+    runner.prepare_data(cfg)  # first-call imports and caches do not count
+    gc.collect()
+    before = len(gc.get_objects())
+    bundle = runner.prepare_data(cfg)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(bundle["train"]) > 4_000
+    assert added < 100, added

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from gradrec import data, metrics
 from gradrec.errors import EvaluationError, GradrecError
+
+from conftest import consumed
 
 
 # --------------------------------------------------------------------------
@@ -164,13 +167,9 @@ class TestEvaluateRanking:
                             ("u2", "i0", 1, 1), ("u2", "i3", 1, 2),
                             ("u2", "i4", 1, 3), ("u3", "i5", 1, 1),
                             ("u4", "i2", 1, 1), ("u4", "i5", 1, 2)])
-        test = train.with_interactions([
-            data.Interaction(0, 3, 1.0, 9),
-            data.Interaction(1, 4, 1.0, 9),
-            data.Interaction(2, 5, 1.0, 9),
-            data.Interaction(3, 0, 1.0, 9),
-            data.Interaction(4, 1, 1.0, 9),
-        ])
+        # (user, item) = (0, 3), (1, 4), (2, 5), (3, 0), (4, 1)
+        test = dataclasses.replace(train, users=np.arange(5), items=np.array([3, 4, 5, 0, 1]),
+                                   ratings=np.ones(5), timestamps=np.full(5, 9))
         return train, test
 
     def test_oracle_scorer_gets_perfect_metrics(self):
@@ -192,10 +191,8 @@ class TestEvaluateRanking:
         report = metrics.evaluate_ranking(lambda u, i: scores[(u, i)], train, test,
                                           metrics.FullRanking(), [1, 3, 5])
 
-        train_items = train.consumed()
-        test_items = {}
-        for x in test.interactions:
-            test_items.setdefault(x.user, set()).add(x.item)
+        train_items = consumed(train)
+        test_items = consumed(test)
         want, count = oracle_full_evaluation(scores, train_items, test_items, 6, [1, 3, 5])
         assert report.users == count
         assert set(report.values) == set(want)
@@ -234,9 +231,8 @@ class TestEvaluateRanking:
 
         per_user = {}
         for user in reversed(range(5)):  # deliberately backwards
-            single_test = test.with_interactions(
-                [x for x in test.interactions if x.user == user])
-            if not single_test.interactions:
+            single_test = test.take(np.flatnonzero(test.users == user))
+            if len(single_test) == 0:
                 continue
             one = metrics.evaluate_ranking(lambda u, i: scores[(u, i)], train,
                                            single_test, proto, [2])
@@ -254,9 +250,9 @@ class TestEvaluateRanking:
             return float(i)
 
         metrics.evaluate_ranking(score, train, test, metrics.FullRanking(), [2])
-        consumed = train.consumed()
+        train_items = consumed(train)
         for u, items in seen.items():
-            assert not (set(items) & consumed.get(u, set()))
+            assert not (set(items) & train_items.get(u, set()))
             assert len(items) == len(set(items))
 
 

@@ -9,6 +9,8 @@ from gradrec.models import train
 from gradrec.models.baselines import PopularityRanker
 from gradrec.models.ranking import BprMf, Cdae, Cml, NeuMf
 
+from conftest import consumed
+
 
 def loss_value(model, batch):
     leaves = {n: E.param(model.params[n], n) for n in model.trainable}
@@ -55,13 +57,11 @@ class TestBprLoss:
 def auc_on_holdout(model, train, held):
     """Probability that a held-out positive outscores a random unseen negative."""
     rng = np.random.default_rng(0)
-    consumed = train.consumed()
-    held_by_user = {}
-    for x in held.interactions:
-        held_by_user.setdefault(x.user, set()).add(x.item)
+    train_items = consumed(train)
+    held_by_user = consumed(held)
     wins, total = 0, 0
     for user, positives in sorted(held_by_user.items()):
-        blocked = consumed.get(user, set()) | positives
+        blocked = train_items.get(user, set()) | positives
         negatives = [i for i in range(train.n_items) if i not in blocked]
         for pos in sorted(positives):
             s_pos = model.score(user, pos)
@@ -280,9 +280,10 @@ class TestCdae:
                                              items_per_cluster=6, likes_per_user=3, seed=1)
         model = Cdae(table.n_users, table.n_items, hidden=4, corruption=0.0, seed=2)
         train(model, {"train": table}, E.Sgd(lr=0.0), epochs=1, seed=3)
-        consumed = table.consumed()
+        train_items = consumed(table)
         for user, vec in model._train_vectors.items():
-            np.testing.assert_array_equal(np.flatnonzero(vec), np.array(sorted(consumed[user])))
+            np.testing.assert_array_equal(np.flatnonzero(vec),
+                                          np.array(sorted(train_items[user])))
 
     def test_corruption_bounds_validated(self):
         with pytest.raises(GradrecError):
@@ -321,11 +322,10 @@ class TestCdae:
         # pad the id space with the unconsumed items
         full = data.table_from_records(records)
         model = Cdae(full.n_users, full.n_items, hidden=6, corruption=0.0, seed=7)
-        consumed_table = full.with_interactions(
-            [x for x in full.interactions if x.rating == 1.0])
+        consumed_table = full.take(np.flatnonzero(full.ratings == 1.0))
         train(model, {"train": consumed_table}, E.Adam(lr=0.1), epochs=150, seed=8,
               neg_samples=2)
-        own = sorted(consumed_table.consumed()[0])
+        own = sorted(consumed(consumed_table)[0])
         scores = model.forward(0, model._train_vectors[0])
         top = np.argsort(-scores)[:len(own)]
         assert set(top.tolist()) == set(own)

@@ -72,9 +72,7 @@ class TestBiasedSvdFit:
     def test_gradient_check(self):
         table, _ = synthetic.planted_factor_ratings(3, 3, rank=2, density=1.0, seed=2)
         model = BiasedSvd.for_table(table, k=4, l2=0.01, seed=5)
-        users, items, ratings = (np.array([x.user for x in table.interactions]),
-                                 np.array([x.item for x in table.interactions]),
-                                 np.array([x.rating for x in table.interactions]))
+        users, items, ratings = table.users, table.items, table.ratings
         result = E.grad_check(lambda lv: model.build_loss(lv, (users, items, ratings)),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
@@ -100,7 +98,7 @@ class TestBiasedSvdFit:
         assert not np.isfinite(err.value.loss)
         # the failing step is the one after the last completed step
         assert err.value.step == len(steps)
-        steps_per_epoch = -(-len(table.interactions) // 16)
+        steps_per_epoch = -(-len(table) // 16)
         assert err.value.epoch == err.value.step // steps_per_epoch
         assert f"epoch {err.value.epoch}, step {err.value.step}:" in str(err.value)
 
@@ -242,7 +240,7 @@ class TestAutoRec:
         table = self.toy_table()
         model = ItemAutoRec.for_table(table, hidden=2, l2=0.0, seed=1)
         with pytest.raises(GradrecError, match="empty training set"):
-            train(model, {"train": table.with_interactions([])}, E.Sgd(lr=0.1), epochs=1,
+            train(model, {"train": table.take(np.arange(0))}, E.Sgd(lr=0.1), epochs=1,
                   seed=0)
 
     def test_masked_gradient_check(self):

@@ -104,8 +104,8 @@ class TestCliWorkflows:
         train = datamod.load_interactions(tmp_path / "train.txt")
         test = datamod.load_interactions(tmp_path / "test.txt")
         full = datamod.load_interactions(ratings_file)
-        assert 0 < len(test.interactions) < len(train.interactions)
-        assert len(train.interactions) + len(test.interactions) <= len(full.interactions)
+        assert 0 < len(test) < len(train)
+        assert len(train) + len(test) <= len(full)
 
     def test_train_then_evaluate_and_recommend(self, implicit_file, tmp_path, capsys):
         cfg_path = self.write(tmp_path, "c.ini", ranking_config(implicit_file))
@@ -210,6 +210,18 @@ class TestCliWorkflows:
         code = cli.main(["recommend", "--ckpt", str(out), "--user", "u0", "--n", "3"])
         assert code == 1
         assert "recommend does not serve fm checkpoints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_recommend_n_below_one_exits_1(self, ratings_file, tmp_path, capsys, n):
+        cfg_path = self.write(tmp_path, "c.ini", rating_config(ratings_file))
+        out = tmp_path / "svd.drec"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = cli.main(["recommend", "--ckpt", str(out), "--user", "u0", "--n", n])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"recommend needs n >= 1, got {n}" in captured.err
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.drec"
