@@ -19,9 +19,16 @@ model = BiasedSvd.for_table(train_set, k=2, l2=0.0, seed=2)
 trace = train(model, {"train": train_set}, E.Adam(lr=0.05), epochs=150, batch_size=64, seed=3)
 print(f"training loss: {trace[0]:.4f} -> {trace[-1]:.6f}")
 
-pairs = [(model.predict(x.user, x.item), x.rating) for x in test.interactions]
-baseline = GlobalMeanRating(train_set)
-base_pairs = [(baseline.predict(x.user, x.item), x.rating) for x in test.interactions]
+
+
+def test_pairs(scorer):
+    """(prediction, rating) per test row, read from the scorer's score_matrix rows."""
+    predicted = metrics.pair_scores(scorer.score_matrix, test.users, test.items)
+    return list(zip(predicted.tolist(), test.ratings.tolist()))
+
+
+pairs = test_pairs(model)
+base_pairs = test_pairs(GlobalMeanRating(train_set))
 rmse, mae = metrics.rmse_mae(pairs)
 base_rmse, _ = metrics.rmse_mae(base_pairs)
 print(f"test RMSE {rmse:.4f} vs global-mean baseline {base_rmse:.4f}")
@@ -60,8 +67,8 @@ print(f"train RMSE on the planted degree-2 function: {rmse:.4f}")
 print("\n== item-based autoencoder ==")
 ar = ItemAutoRec.for_table(train_set, hidden=8, l2=0.01, seed=7)
 trace = train(ar, {"train": train_set}, E.Adam(lr=0.05), epochs=200, seed=8)
-pairs = [(ar.predict(x.user, x.item), x.rating) for x in test.interactions]
+pairs = test_pairs(ar)
 rmse, mae = metrics.rmse_mae(pairs)
 print(f"reconstruction loss {trace[0]:.1f} -> {trace[-1]:.3f}; test RMSE {rmse:.4f}")
-report = metrics.rating_report(pairs, seed=7, users=len({x.user for x in test.interactions}))
+report = metrics.rating_report(pairs, seed=7, users=len(set(test.users.tolist())))
 print("\nreport block:\n" + report.to_text())

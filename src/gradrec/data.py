@@ -302,9 +302,11 @@ def load_interactions(path: str | Path, separator: str | None = None,
 def write_uirt(path: str | Path, table: InteractionTable) -> None:
     users = map(table.user_ids.__getitem__, table.users.tolist())
     items = map(table.item_ids.__getitem__, table.items.tolist())
+    # {:g} keeps integer ratings short; a rating it would round is written exactly
+    ratings = [g if float(g := f"{r:g}") == r else repr(r) for r in table.ratings.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{u}\t{i}\t{r:g}\t{t}\n" for u, i, r, t in
-                      zip(users, items, table.ratings.tolist(), table.timestamps.tolist()))
+        fh.writelines(f"{u}\t{i}\t{r}\t{t}\n" for u, i, r, t in
+                      zip(users, items, ratings, table.timestamps.tolist()))
 
 
 def parse_libfm(path: str | Path) -> list[SparseRow]:

@@ -1,6 +1,6 @@
 """Evaluation: RMSE/MAE for rating prediction, Precision/Recall/NDCG/MRR
-for ranking, and the protocol that turns a scoring function into per-user
-ranked lists.
+for ranking, and the protocol that ranks each relevant item among a user's
+candidates from ``score_matrix(users) -> (len(users), n_items)`` rows.
 
 Conventions fixed here: binary gains, 1-based ranks with 1/log2(rank+1)
 discount, macro (per-user) averaging over users with a non-empty relevant
@@ -19,7 +19,9 @@ import numpy as np
 from gradrec.data import InteractionTable
 from gradrec.errors import EvaluationError, GradrecError
 
-ScoreFn = Callable[[int, int], float]
+ScoreRows = Callable[[np.ndarray], np.ndarray]
+
+BLOCK = 64  # users per score_matrix call, relevant items per rank compare
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ Protocol = FullRanking | SampledRanking
 @dataclass
 class RankingResult:
     user: int
-    ranked: list[int]  # candidate item ids, best first
-    relevant: set[int]
+    ranks: list[int]  # ascending 1-based ranks of the relevant items among the candidates
+    n_relevant: int  # relevant items, ranked or not
 
 
 @dataclass
@@ -83,25 +85,18 @@ def _ideal_dcg(n_relevant: int, cutoff: int) -> float:
 
 def ranking_metrics(result: RankingResult, cutoffs: list[int]) -> dict[str, float]:
     """Precision/Recall/NDCG at each cutoff plus MRR over the full ranking."""
-    if not result.relevant:
+    if not result.n_relevant:
         raise GradrecError(f"user {result.user} has an empty relevant set")
     if any(n < 1 for n in cutoffs):
         raise GradrecError(f"cutoffs must be >= 1, got {cutoffs}")
     out: dict[str, float] = {}
     for n in cutoffs:
-        top = result.ranked[:n]
-        hits = sum(1 for item in top if item in result.relevant)
-        out[f"precision@{n}"] = hits / n
-        out[f"recall@{n}"] = hits / len(result.relevant)
-        dcg = sum(1.0 / math.log2(rank + 1)
-                  for rank, item in enumerate(top, start=1) if item in result.relevant)
-        out[f"ndcg@{n}"] = dcg / _ideal_dcg(len(result.relevant), n)
-    mrr = 0.0
-    for rank, item in enumerate(result.ranked, start=1):
-        if item in result.relevant:
-            mrr = 1.0 / rank
-            break
-    out["mrr"] = mrr
+        top = [rank for rank in result.ranks if rank <= n]
+        out[f"precision@{n}"] = len(top) / n
+        out[f"recall@{n}"] = len(top) / result.n_relevant
+        dcg = sum(1.0 / math.log2(rank + 1) for rank in top)
+        out[f"ndcg@{n}"] = dcg / _ideal_dcg(result.n_relevant, n)
+    out["mrr"] = 1.0 / result.ranks[0] if result.ranks else 0.0
     return out
 
 
@@ -112,63 +107,89 @@ def metric_order(cutoffs: list[int]) -> list[str]:
     return names + ["mrr"]
 
 
-def rank_candidates(score_fn: ScoreFn, user: int, candidates: Iterable[int]) -> list[int]:
-    """Sort candidates by descending score, ties by ascending item id."""
-    scored = []
-    for item in candidates:
-        s = float(score_fn(user, item))
-        if not math.isfinite(s):
-            raise EvaluationError(f"non-finite score for user {user}, item {item}")
-        scored.append((-s, item))
-    scored.sort()
-    return [item for _, item in scored]
+def rank_candidates(users: np.ndarray, scores: np.ndarray, candidates: np.ndarray,
+                    relevant: np.ndarray) -> np.ndarray:
+    """1-based ranks, in row-major order, of the ``relevant`` (B, n_items)
+    mask's candidates among the ``candidates`` mask of their row of
+    ``scores``, the rows of ``users``: item i with score s ranks 1 + #{j:
+    s_j > s or s_j == s, j < i}, the (-score, item id) order. A non-finite
+    candidate score raises; other scores are never read."""
+    bad = candidates & ~np.isfinite(scores)
+    if bad.any():
+        row, item = divmod(int(np.argmax(bad)), scores.shape[1])
+        raise EvaluationError(f"non-finite score for user {users[row]}, item {item}")
+    rows, items = np.nonzero(relevant & candidates)
+    ranks = np.empty(rows.size, dtype=np.int64)
+    ids = np.arange(scores.shape[1])
+    for lo in range(0, rows.size, BLOCK):
+        r, i = rows[lo:lo + BLOCK], items[lo:lo + BLOCK]
+        row_scores = scores[r]
+        own = row_scores[np.arange(r.size), i][:, None]
+        ahead = (row_scores > own) | ((row_scores == own) & (ids < i[:, None]))
+        ahead &= candidates[r]
+        ranks[lo:lo + BLOCK] = 1 + np.count_nonzero(ahead, axis=1)
+    return ranks
 
 
-def evaluate_ranking(score_fn: ScoreFn, train: InteractionTable, test: InteractionTable,
+def _items_of(table: InteractionTable, block: np.ndarray, n_items: int) -> np.ndarray:
+    """Mask (len(block), n_items) of the items each sorted ``block`` user has."""
+    mask = np.zeros((block.size, n_items), dtype=bool)
+    rows = np.isin(table.users, block)
+    mask[np.searchsorted(block, table.users[rows]), table.items[rows]] = True
+    return mask
+
+
+def evaluate_ranking(score_rows: ScoreRows, train: InteractionTable, test: InteractionTable,
                      protocol: Protocol, cutoffs: list[int],
                      seed_echo: int | None = None) -> MetricReport:
-    """Macro-averaged ranking metrics under the full or sampled protocol.
-
-    Users with test rows are processed in ascending dense id with per-user
-    RNG streams, so the report does not depend on evaluation order.
-    """
+    """Macro-averaged ranking metrics under the full protocol (candidates:
+    the items not consumed in train) or the sampled one (the relevant items
+    plus m negatives from the rest, one RNG stream per user). Users with
+    test rows are scored ``BLOCK`` at a time in ascending id."""
     if any(n < 1 for n in cutoffs):
         raise GradrecError(f"cutoffs must be >= 1, got {cutoffs}")
-    train_rows, train_bounds = train.user_rows()
-    test_rows, test_bounds = test.user_rows()
-
-    n_items = train.n_items
-    sums: dict[str, float] = {}
-    evaluated = 0
-    for user in np.flatnonzero(np.diff(test_bounds)).tolist():
-        relevant_items = test.items[test_rows[test_bounds[user]:test_bounds[user + 1]]]
-        relevant = set(relevant_items.tolist())
-        train_items = train.items[train_rows[train_bounds[user]:train_bounds[user + 1]]]
-        if isinstance(protocol, FullRanking):
-            consumed = np.zeros(n_items, dtype=bool)
-            consumed[train_items] = True
-            candidates = np.flatnonzero(~consumed).tolist()
-        else:
-            rng = np.random.default_rng([protocol.seed, user])
-            blocked = np.zeros(n_items, dtype=bool)
-            blocked[train_items] = True
-            blocked[relevant_items] = True
-            pool = np.flatnonzero(~blocked)
-            m = min(protocol.m, pool.size)
-            negatives = rng.choice(pool, size=m, replace=False)
-            candidates = sorted(relevant) + negatives.tolist()
-        ranked = rank_candidates(score_fn, user, candidates)
-        per_user = ranking_metrics(RankingResult(user, ranked, relevant), cutoffs)
-        for name, value in per_user.items():
-            sums[name] = sums.get(name, 0.0) + value
-        evaluated += 1
-
-    if evaluated == 0:
+    users = np.unique(test.users)
+    if users.size == 0:
         raise GradrecError("no users could be evaluated")
-    values = {name: sums[name] / evaluated for name in sums}
+    sums: dict[str, float] = {}
+    for lo in range(0, users.size, BLOCK):
+        block = users[lo:lo + BLOCK]
+        consumed = _items_of(train, block, train.n_items)
+        relevant = _items_of(test, block, train.n_items)
+        if isinstance(protocol, FullRanking):
+            candidates = ~consumed
+        else:
+            candidates = relevant.copy()
+            free = ~(consumed | relevant)
+            for row, user in enumerate(block.tolist()):
+                rng = np.random.default_rng([protocol.seed, user])
+                pool = np.flatnonzero(free[row])
+                m = min(protocol.m, pool.size)
+                candidates[row, rng.choice(pool, size=m, replace=False)] = True
+        ranks = rank_candidates(block, score_rows(block), candidates, relevant)
+        rows = np.nonzero(relevant & candidates)[0]  # ascending, as the ranks come
+        per_user = np.split(ranks[np.lexsort((ranks, rows))],
+                            np.cumsum(np.bincount(rows, minlength=block.size))[:-1])
+        for user, user_ranks, n_relevant in zip(block.tolist(), per_user,
+                                                relevant.sum(axis=1).tolist()):
+            result = RankingResult(user, user_ranks.tolist(), n_relevant)
+            for name, value in ranking_metrics(result, cutoffs).items():
+                sums[name] = sums.get(name, 0.0) + value
+    values = {name: sums[name] / users.size for name in sums}
     seed = seed_echo if seed_echo is not None else getattr(protocol, "seed", 0)
     return MetricReport(values=values, protocol=protocol.describe(), seed=seed,
-                        users=evaluated, order=metric_order(cutoffs))
+                        users=users.size, order=metric_order(cutoffs))
+
+
+def pair_scores(score_rows: ScoreRows, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """``score_rows([u])[0, i]`` for each (u, i) pair; every distinct user
+    is scored once, ``BLOCK`` users per call."""
+    distinct, inverse = np.unique(users, return_inverse=True)
+    out = np.empty(users.size)
+    for lo in range(0, distinct.size, BLOCK):
+        sel = np.flatnonzero((inverse >= lo) & (inverse < lo + BLOCK))
+        out[sel] = score_rows(distinct[lo:lo + BLOCK])[inverse[sel] - lo, items[sel]]
+    return out
 
 
 def rating_report(pairs: Iterable[tuple[float, float]], seed: int, users: int) -> MetricReport:

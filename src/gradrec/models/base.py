@@ -139,6 +139,25 @@ class NegativeSampler:
         return self._free_items(users[:, None], picks)
 
 
+def sq_dists(a: Array, b: Array) -> Array:
+    """Squared L2 distances of the rows of ``a`` (B, k) to those of ``b``
+    (n, k), shape (B, n): |a|^2 - 2 a.b + |b|^2 floored at 0, one matmul."""
+    out = a @ b.T
+    out *= -2.0
+    out += (a * a).sum(axis=1)[:, None]
+    out += (b * b).sum(axis=1)
+    return np.maximum(out, 0.0, out=out)
+
+
+def served(state: dict[int, Any], users: Array) -> list[Any]:
+    """``state[user]`` for each of ``users``; a user without one has no history."""
+    users = np.asarray(users).tolist()
+    missing = [user for user in users if user not in state]
+    if missing:
+        raise GradrecError(f"no history recorded for user {missing[0]}")
+    return [state[user] for user in users]
+
+
 def clip_rows_to_ball(arr: Array, radius: float = 1.0) -> Array:
     """Rescale rows with norm > radius back onto the sphere."""
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
@@ -172,6 +191,7 @@ class Model:
     batched = True
     feature_rows = False
     params: dict[str, Array]
+    _row: tuple[int, Array] | None = None  # (user, score_matrix row) behind score
 
     @property
     def trainable(self) -> tuple[str, ...]:
@@ -212,7 +232,8 @@ class Model:
 
     def serve(self, data: dict) -> None:
         """Attach the data-derived state that scoring (and for some models
-        training) reads, and drop score caches."""
+        training) reads. Overrides call this to drop the score cache."""
+        self._row = None
 
     def bind(self, data: dict, batch_size: int | None, neg_samples: int | None) -> None:
         """Take the training examples (and a sampler) from the bundle."""
@@ -226,7 +247,35 @@ class Model:
         raise NotImplementedError
 
     def after_step(self) -> None:
-        """Restore invariants the optimizer step may break."""
+        """Restore invariants the optimizer step may break. Overrides call
+        this to drop the score cache."""
+        self._row = None
+
+    def const_leaves(self) -> dict[str, E.Node]:
+        """The parameters as constant leaves: the training graph's pieces
+        then compute scores without anything to differentiate."""
+        return {name: E.const(value) for name, value in self.params.items()}
+
+    def score_matrix(self, users: Array) -> Array:
+        """The score of every item for each of ``users``, shape
+        (len(users), n_items), float64; higher ranks first. Rating models
+        score with their served (clipped) predictions. Evaluation,
+        ``recommend`` and :meth:`score` read nothing else."""
+        raise NotImplementedError
+
+    def score(self, user: int, item: int) -> float:
+        """One entry of ``score_matrix([user])``, from a one-row cache that
+        :meth:`serve` and :meth:`after_step` drop."""
+        try:
+            if user < 0 or item < 0:  # numpy would wrap them around
+                raise IndexError
+            if self._row is None or self._row[0] != user:
+                self._row = (user, self.score_matrix(np.array([user]))[0])
+            return float(self._row[1][item])
+        except IndexError:
+            raise GradrecError(f"id out of range: user={user}, item={item}") from None
+
+    predict = score  # rating models' name for the same entry
 
 
 def train(model: Model, data: dict, optimizer, epochs: int, batch_size: int | None = None, *,

@@ -12,9 +12,10 @@ class GlobalMeanRating:
 
     def __init__(self, train: InteractionTable):
         self.mean = train.global_mean
+        self.n_items = train.n_items
 
-    def predict(self, user: int, item: int) -> float:
-        return self.mean
+    def score_matrix(self, users) -> np.ndarray:
+        return np.full((len(users), self.n_items), self.mean)
 
 
 class PopularityRanker:
@@ -23,5 +24,5 @@ class PopularityRanker:
     def __init__(self, train: InteractionTable):
         self.counts = np.bincount(train.items, minlength=train.n_items).astype(np.float64)
 
-    def score(self, user: int, item: int) -> float:
-        return float(self.counts[item])
+    def score_matrix(self, users) -> np.ndarray:
+        return np.tile(self.counts, (len(users), 1))

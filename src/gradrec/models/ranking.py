@@ -14,6 +14,8 @@ from gradrec.models import base
 
 Array = np.ndarray
 
+PAIR_BLOCK = 4096  # (user, item) pairs per NeuMf scoring graph
+
 
 def _triplets(users: Array, pos: Array, neg: Array) -> tuple[Array, Array, Array]:
     """Flat (u, i, j) arrays, one per sampled negative, from a batch whose
@@ -84,8 +86,8 @@ class BprMf(_SampledPairs):
                 "skipping %d positives of fully-saturated users", int((~keep).sum()))
             self._examples = (users[keep], items[keep])
 
-    def score(self, user: int, item: int) -> float:
-        return float(self.params["user_factors"][user] @ self.params["item_factors"][item])
+    def score_matrix(self, users):
+        return self.params["user_factors"][users] @ self.params["item_factors"].T
 
 
 class Cml(_SampledPairs):
@@ -129,10 +131,10 @@ class Cml(_SampledPairs):
 
     def after_step(self) -> None:
         self.project()
+        super().after_step()
 
-    def score(self, user: int, item: int) -> float:
-        d = self.params["user_points"][user] - self.params["item_points"][item]
-        return -float(d @ d)
+    def score_matrix(self, users):
+        return -base.sq_dists(self.params["user_points"][users], self.params["item_points"])
 
 
 class NeuMf(_SampledPairs):
@@ -223,14 +225,16 @@ class NeuMf(_SampledPairs):
         for idx in base.minibatches(all_users.size, self._batch_size, rng):
             yield idx.size, (all_users[idx], all_items[idx], all_labels[idx])
 
-    def raw_score(self, user: int, item: int, variant: str | None = None) -> float:
-        leaves = {n: E.const(v) for n, v in self.params.items()}
-        node = self.logits(leaves, np.array([user]), np.array([item]), variant)
-        return float(node.value[0])
-
-    def score(self, user: int, item: int) -> float:
-        z = self.raw_score(user, item)
-        return float(np.exp(-np.logaddexp(0.0, -z)))
+    def score_matrix(self, users):
+        """The sigmoid of ``logits`` on every (user, item) pair, PAIR_BLOCK per graph."""
+        n_items = self.params["gmf_item"].shape[0]
+        pair_users = np.repeat(np.asarray(users, dtype=np.int64), n_items)
+        pair_items = np.tile(np.arange(n_items), len(users))
+        leaves = self.const_leaves()
+        z = np.concatenate([self.logits(leaves, pair_users[lo:lo + PAIR_BLOCK],
+                                        pair_items[lo:lo + PAIR_BLOCK]).value
+                            for lo in range(0, pair_users.size, PAIR_BLOCK)])
+        return np.exp(-np.logaddexp(0.0, -z)).reshape(len(users), n_items)
 
 
 class Cdae(base.Model):
@@ -257,8 +261,7 @@ class Cdae(base.Model):
             "decoder_w": base.init_normal(rng, n_items, hidden),  # row per item
             "decoder_bias": np.zeros(n_items),
         }
-        self._train_vectors: dict[int, Array] = {}
-        self._score_cache: dict[int, Array] = {}
+        self._inputs = np.zeros((n_users, n_items), dtype=bool)  # train items per user
 
     @classmethod
     def settings(cls, cfg) -> dict:
@@ -267,20 +270,6 @@ class Cdae(base.Model):
     @property
     def n_items(self) -> int:
         return self.params["decoder_bias"].shape[0]
-
-    def hidden(self, user: int, preference: Array) -> Array:
-        p = self.params
-        pre = preference @ p["encoder_w"] + p["user_embed"][user] + p["hidden_bias"]
-        return 1.0 / (1.0 + np.exp(-pre))
-
-    def forward(self, user: int, preference: Array) -> Array:
-        """Per-item probabilities from a (possibly corrupted) preference vector."""
-        if preference.shape != (self.n_items,):
-            raise GradrecError(f"preference vector must have length {self.n_items}, "
-                               f"got {preference.shape}")
-        z = self.hidden(user, preference)
-        logits = self.params["decoder_w"] @ z + self.params["decoder_bias"]
-        return 1.0 / (1.0 + np.exp(-logits))
 
     def build_loss(self, leaves, batch) -> E.Node:
         """``batch`` is (user, corrupted preference vector, target items,
@@ -295,27 +284,26 @@ class Cdae(base.Model):
         return base.bce_from_logits(logits, labels)
 
     def serve(self, data) -> None:
-        """The uncorrupted input vector of every user with train items."""
+        """Every user's uncorrupted input vector: ones at its train items."""
         train = data["train"]
-        rows, bounds = train.user_rows()
-        self._train_vectors = {}
-        for user in np.flatnonzero(np.diff(bounds)).tolist():
-            vec = np.zeros(self.n_items)
-            vec[train.items[rows[bounds[user]:bounds[user + 1]]]] = 1.0
-            self._train_vectors[user] = vec
-        self._score_cache = {}
+        if train.n_items != self.n_items:
+            raise GradrecError(f"preference vectors must have length {self.n_items}, "
+                               f"got {train.n_items} items")
+        super().serve(data)
+        self._inputs = np.zeros((self.params["user_embed"].shape[0], self.n_items), dtype=bool)
+        self._inputs[train.users, train.items] = True
 
     def bind(self, data, batch_size, neg_samples) -> None:
-        if not self._train_vectors:
+        self._users = np.flatnonzero(self._inputs.any(axis=1))
+        if not self._users.size:
             raise GradrecError("empty training set")
         self._sampler = base.NegativeSampler(data["train"])
-        self._users = np.array(sorted(self._train_vectors))
         self._neg = neg_samples
 
     def batches(self, epoch, rng):
         for user in self._users[rng.permutation(self._users.size)]:
             user = int(user)
-            vec = self._train_vectors[user].copy()
+            vec = self._inputs[user].astype(np.float64)
             observed = np.flatnonzero(vec)
             if self.corruption > 0.0:
                 dropped = rng.random(observed.size) < self.corruption
@@ -326,15 +314,11 @@ class Cdae(base.Model):
             labels = np.concatenate([np.ones(observed.size), np.zeros(negatives.size)])
             yield 1, (user, vec, targets, labels)
 
-    def after_step(self) -> None:
-        self._score_cache = {}
-
-    def score(self, user: int, item: int) -> float:
-        cached = self._score_cache.get(user)
-        if cached is None:
-            vec = self._train_vectors.get(user)
-            if vec is None:
-                vec = np.zeros(self.n_items)
-            cached = self.forward(user, vec)
-            self._score_cache[user] = cached
-        return float(cached[item])
+    def score_matrix(self, users):
+        """Decoder probabilities from each user's uncorrupted input vector
+        (zeros for a user without train items)."""
+        p = self.params
+        pre = self._inputs[users] @ p["encoder_w"] + p["user_embed"][users] + p["hidden_bias"]
+        z = 1.0 / (1.0 + np.exp(-pre))
+        logits = z @ p["decoder_w"].T + p["decoder_bias"]
+        return 1.0 / (1.0 + np.exp(-logits))

@@ -54,14 +54,6 @@ class BiasedSvd(base.Model):
     def create(cls, cfg, data) -> "BiasedSvd":
         return cls.for_table(data["train"], cfg.model.k, seed=cfg.train.seed, **cls.settings(cfg))
 
-    @property
-    def n_users(self) -> int:
-        return self.params["user_bias"].shape[0]
-
-    @property
-    def n_items(self) -> int:
-        return self.params["item_bias"].shape[0]
-
     def build_loss(self, leaves: dict[str, E.Node], batch) -> E.Node:
         """``batch`` is (users, items, ratings), one entry per rating."""
         users, items, ratings = batch
@@ -86,16 +78,12 @@ class BiasedSvd(base.Model):
         for idx in base.minibatches(users.size, self._batch_size, rng):
             yield idx.size, (users[idx], items[idx], ratings[idx])
 
-    def raw_score(self, user: int, item: int) -> float:
+    def score_matrix(self, users):
+        """mu + b_u + b_i + p_u . q_i for every item, clipped to the rating range."""
         p = self.params
-        return float(p["global_mean"] + p["user_bias"][user] + p["item_bias"][item]
-                     + p["user_factors"][user] @ p["item_factors"][item])
-
-    def predict(self, user: int, item: int) -> float:
-        if not (0 <= user < self.n_users and 0 <= item < self.n_items):
-            raise GradrecError(f"id out of range: user={user}, item={item}")
-        lo, hi = float(self.params["rating_min"]), float(self.params["rating_max"])
-        return float(np.clip(self.raw_score(user, item), lo, hi))
+        raw = (p["global_mean"] + p["user_bias"][users][:, None] + p["item_bias"]
+               + p["user_factors"][users] @ p["item_factors"].T)
+        return np.clip(raw, float(p["rating_min"]), float(p["rating_max"]))
 
 
 class FactorizationMachine(base.Model):
@@ -283,6 +271,7 @@ class ItemAutoRec(base.Model):
         return data + reg
 
     def serve(self, data) -> None:
+        super().serve(data)
         self.load_columns(data["train"])
 
     def bind(self, data, batch_size, neg_samples) -> None:
@@ -294,12 +283,10 @@ class ItemAutoRec(base.Model):
         for idx in base.minibatches(self.n_items, self._batch_size, rng):
             yield idx.size, idx
 
-    def reconstruct(self, column: Array) -> Array:
-        """Raw reconstruction of a full rating column (no clipping)."""
+    def score_matrix(self, users):
+        """The reconstruction of every item's train column at ``users``,
+        clipped to the rating range."""
         p = self.params
-        z = 1.0 / (1.0 + np.exp(-(p["encoder_w"] @ column + p["encoder_b"])))
-        return p["decoder_w"] @ z + p["decoder_b"]
-
-    def predict(self, user: int, item: int) -> float:
-        lo, hi = float(self.params["rating_min"]), float(self.params["rating_max"])
-        return float(np.clip(self.reconstruct(self.columns[item])[user], lo, hi))
+        z = 1.0 / (1.0 + np.exp(-(self.columns @ p["encoder_w"].T + p["encoder_b"])))
+        out = z @ p["decoder_w"][users].T + p["decoder_b"][users]  # (n_items, B)
+        return np.clip(out.T, float(p["rating_min"]), float(p["rating_max"]))

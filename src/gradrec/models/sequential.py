@@ -25,15 +25,16 @@ class _Windows(base.Model):
 
     task = "sequential"
     required = ("k", "L")
+    serve_windows: dict[int, tuple[int, ...]] = {}  # user -> latest window; set by serve
 
     @property
     def padding_id(self) -> int:
         return self.n_items
 
     def serve(self, data) -> None:
+        super().serve(data)
         sequences = data["sequences"]
         self.serve_windows = {u: sequences.latest_window(u) for u in sequences.histories}
-        self._score_cache = {}
 
     def bind(self, data, batch_size, neg_samples) -> None:
         sequences = data["sequences"]
@@ -45,17 +46,12 @@ class _Windows(base.Model):
         self._sampler = base.NegativeSampler(data["train"])
         self._batch_size, self._neg = batch_size, neg_samples
 
-    def after_step(self) -> None:
-        self._score_cache = {}
-
-    def _pack(self, batch) -> tuple[Array, Array]:
-        """The users (B,) and windows (B, L) of a batch of instances."""
-        bad = [len(x.window) for x, _ in batch if len(x.window) != self.window]
+    def _pack(self, users, windows) -> tuple[Array, Array]:
+        """``users`` (B,) and their ``windows`` (B, L) as int64 arrays."""
+        bad = [len(w) for w in windows if len(w) != self.window]
         if bad:
             raise GradrecError(f"window must have length {self.window}, got {bad[0]}")
-        users = np.array([x.user for x, _ in batch], dtype=np.int64)
-        windows = np.array([x.window for x, _ in batch], dtype=np.int64)
-        return users, windows
+        return np.asarray(users, dtype=np.int64), np.array(windows, dtype=np.int64)
 
     def _embed_windows(self, table: E.Node, windows: Array) -> E.Node:
         """One lookup of every window id, shape (B, L, d)."""
@@ -96,12 +92,6 @@ class Prme(base.Model):
             return ["[model] prme is first-order: L must be 1 when given"]
         return []
 
-    def distance(self, user: int, prev_item: int, item: int) -> float:
-        p = self.params
-        du = p["user_embed"][user] - p["pref_item"][item]
-        ds = p["seq_item"][prev_item] - p["seq_item"][item]
-        return float(self.alpha * (du @ du) + (1.0 - self.alpha) * (ds @ ds))
-
     def build_loss(self, leaves, batch) -> E.Node:
         """``batch`` is (users, previous items, next items, negatives)."""
         users, prevs, pos, neg = batch
@@ -128,6 +118,7 @@ class Prme(base.Model):
         return data.mean()
 
     def serve(self, data) -> None:
+        super().serve(data)
         self.last_item = {u: h[-1] for u, h in data["sequences"].histories.items() if h}
 
     def bind(self, data, batch_size, neg_samples) -> None:
@@ -148,11 +139,15 @@ class Prme(base.Model):
             neg = self._sampler.draw_many(users[idx], 1, rng).ravel()
             yield idx.size, (users[idx], prevs[idx], pos[idx], neg)
 
-    def score(self, user: int, item: int) -> float:
-        prev = self.last_item.get(user)
-        if prev is None:
-            raise GradrecError(f"no history recorded for user {user}")
-        return -self.distance(user, prev, item)
+    def score_matrix(self, users):
+        """Negated blend of the user's and its last item's distances to every item."""
+        p = self.params
+        scores = base.sq_dists(p["user_embed"][users], p["pref_item"])
+        scores *= -self.alpha  # in place: no third (B, n_items) array at the peak
+        seq = base.sq_dists(p["seq_item"][base.served(self.last_item, users)], p["seq_item"])
+        seq *= 1.0 - self.alpha
+        scores -= seq
+        return scores
 
 
 class Caser(_Windows):
@@ -184,8 +179,6 @@ class Caser(_Windows):
         self.params["user_embed"] = base.init_normal(rng, n_users, d)
         self.params["out_w"] = base.init_normal(rng, n_items, 2 * d)
         self.params["out_b"] = np.zeros(n_items)
-        self.serve_windows: dict[int, tuple[int, ...]] = {}
-        self._score_cache: dict[int, Array] = {}
 
     @classmethod
     def settings(cls, cfg) -> dict:
@@ -219,7 +212,7 @@ class Caser(_Windows):
     def build_loss(self, leaves, batch: list[tuple[SequenceInstance, Array]]) -> E.Node:
         """batch pairs each instance with its sampled negatives; BCE is
         averaged over all (positive + negative) examples in the batch."""
-        users, windows = self._pack(batch)
+        users, windows = self._pack([x.user for x, _ in batch], [x.window for x, _ in batch])
         counts = np.array([(len(x.targets), neg.size) for x, neg in batch])  # (pos, neg)
         items = np.concatenate([part for x, neg in batch for part in (x.targets, neg)])
         labels = np.repeat(np.tile([1.0, 0.0], len(batch)), counts.ravel())
@@ -244,31 +237,11 @@ class Caser(_Windows):
         self.params["item_embed"][self.padding_id] = 0.0
         super().after_step()
 
-    def scores_for_window(self, user: int, window) -> Array:
-        """Numpy serving path over the full catalog."""
-        if len(window) != self.window:
-            raise GradrecError(f"window must have length {self.window}, got {len(window)}")
-        p = self.params
-        ew = p["item_embed"][np.asarray(window)]
-        pooled = []
-        for h in range(1, self.window + 1):
-            windows = np.lib.stride_tricks.sliding_window_view(ew, (h, ew.shape[1]))[:, 0]
-            conv = np.einsum("thd,fhd->tf", windows, p[f"h_filters_{h}"]) + p[f"h_bias_{h}"]
-            pooled.append(np.maximum(conv, 0.0).max(axis=0))
-        vert = (p["v_filters"] @ ew).ravel()
-        cat = np.concatenate(pooled + [vert])
-        z = np.maximum(p["fc_w"] @ cat + p["fc_b"], 0.0)
-        zu = np.concatenate([z, p["user_embed"][user]])
-        return p["out_w"] @ zu + p["out_b"]
-
-    def score(self, user: int, item: int) -> float:
-        window = self.serve_windows.get(user)
-        if window is None:
-            raise GradrecError(f"no history recorded for user {user}")
-        scores = self._score_cache.get(user)
-        if scores is None:
-            scores = self._score_cache[user] = self.scores_for_window(user, window)
-        return float(scores[item])
+    def score_matrix(self, users):
+        """The output layer over ``user_vectors`` of the users' latest windows."""
+        users, windows = self._pack(users, base.served(self.serve_windows, users))
+        zu = self.user_vectors(self.const_leaves(), users, windows).value
+        return zu @ self.params["out_w"].T + self.params["out_b"]
 
 
 class AttRec(_Windows):
@@ -298,8 +271,6 @@ class AttRec(_Windows):
             "lt_item": base.init_normal(rng, n_items, k_lt),
         }
         self.params["att_item"][n_items] = 0.0
-        self.serve_windows: dict[int, tuple[int, ...]] = {}
-        self._score_cache: dict[int, Array] = {}
 
     @classmethod
     def settings(cls, cfg) -> dict:
@@ -334,7 +305,7 @@ class AttRec(_Windows):
                 + (1.0 - self.omega) * E.sq_l2_dist(intents, xi))
 
     def build_loss(self, leaves, batch: list[tuple[SequenceInstance, int]]) -> E.Node:
-        users, windows = self._pack(batch)
+        users, windows = self._pack([x.user for x, _ in batch], [x.window for x, _ in batch])
         pos = np.array([x.targets[0] for x, _ in batch], dtype=np.int64)
         neg = np.array([n for _, n in batch], dtype=np.int64)
         intents = self.intents(leaves, windows)
@@ -363,29 +334,14 @@ class AttRec(_Windows):
         self.project()
         super().after_step()
 
-    def intent_vector(self, window) -> Array:
+    def score_matrix(self, users):
+        """Negated blend of the user's and its latest intent's distances to every item."""
         p = self.params
-        ew = p["att_item"][np.asarray(window)]
-        q = np.maximum(ew @ p["w_query"], 0.0)
-        k = np.maximum(ew @ p["w_key"], 0.0)
-        logits = (q @ k.T) / np.sqrt(self.d)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        attn = e / e.sum(axis=1, keepdims=True)
-        return (attn @ ew).mean(axis=0)
-
-    def distances_for_window(self, user: int, window) -> Array:
-        p = self.params
-        intent = self.intent_vector(window)
-        d_lt = ((p["lt_user"][user] - p["lt_item"]) ** 2).sum(axis=1)
-        d_st = ((intent - p["att_item"][:self.n_items]) ** 2).sum(axis=1)
-        return self.omega * d_lt + (1.0 - self.omega) * d_st
-
-    def score(self, user: int, item: int) -> float:
-        window = self.serve_windows.get(user)
-        if window is None:
-            raise GradrecError(f"no history recorded for user {user}")
-        dists = self._score_cache.get(user)
-        if dists is None:
-            dists = self._score_cache[user] = self.distances_for_window(user, window)
-        return -float(dists[item])
+        users, windows = self._pack(users, base.served(self.serve_windows, users))
+        intents = self.intents(self.const_leaves(), windows).value
+        scores = base.sq_dists(p["lt_user"][users], p["lt_item"])
+        scores *= -self.omega
+        short = base.sq_dists(intents, p["att_item"][:self.n_items])
+        short *= 1.0 - self.omega
+        scores -= short
+        return scores

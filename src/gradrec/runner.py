@@ -97,12 +97,12 @@ def evaluate_model(cfg: ExperimentConfig, model, bundle) -> metricsmod.MetricRep
             test = bundle["test"]
             if len(test) == 0:
                 raise GradrecError("empty test split")
-            pairs = [(model.predict(user, item), rating) for user, item, rating in
-                     zip(test.users.tolist(), test.items.tolist(), test.ratings.tolist())]
+            predicted = metricsmod.pair_scores(model.score_matrix, test.users, test.items)
+            pairs = zip(predicted.tolist(), test.ratings.tolist())
             users = np.unique(test.users).size
         return metricsmod.rating_report(pairs, seed=cfg.data.seed, users=users)
     protocol = cfg.eval.protocol_obj(seed=cfg.data.seed)
-    return metricsmod.evaluate_ranking(model.score, bundle["train"], bundle["test"],
+    return metricsmod.evaluate_ranking(model.score_matrix, bundle["train"], bundle["test"],
                                        protocol, cfg.eval.cutoffs, seed_echo=cfg.data.seed)
 
 
@@ -149,8 +149,8 @@ def load_model(checkpoint_path: str | Path, override_cfg: ExperimentConfig | Non
 def recommend(checkpoint_path: str | Path, raw_user: str, n: int) -> list[tuple[str, float]]:
     """Top-n (raw item id, score) for a user, over the full catalog.
 
-    Scores every item (consumed ones included: the checkpoint is the only
-    input); ties break by ascending raw item id.
+    Ranks the user's ``score_matrix`` row (consumed items included: the
+    checkpoint is the only input); ties break by ascending raw item id.
     """
     if n < 1:
         raise ConfigError([f"recommend needs n >= 1, got {n}"])
@@ -162,9 +162,8 @@ def recommend(checkpoint_path: str | Path, raw_user: str, n: int) -> list[tuple[
     user = table.user_index.get(raw_user)
     if user is None:
         raise GradrecError(f"unknown user id {raw_user!r}")
-    score_fn = model.predict if bundle["task"] == "rating" else model.score
-    scored = []
-    for item in range(table.n_items):
-        scored.append((-float(score_fn(user, item)), table.item_ids[item]))
-    scored.sort()
-    return [(raw_id, -neg_score) for neg_score, raw_id in scored[:n]]
+    row = model.score_matrix(np.array([user]))[0]
+    # the inverse of the raw-id order: each item's rank under Python string order
+    raw_rank = np.argsort(sorted(range(table.n_items), key=table.item_ids.__getitem__))
+    top = np.lexsort((raw_rank, -row))[:n].tolist()
+    return [(table.item_ids[item], float(row[item])) for item in top]

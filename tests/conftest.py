@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradrec import data as datamod
-from gradrec import synthetic
+from gradrec import metrics, synthetic
 
 
 @pytest.fixture
@@ -34,6 +34,21 @@ def consumed(table) -> dict[int, set[int]]:
     for user, item in zip(table.users.tolist(), table.items.tolist()):
         out.setdefault(user, set()).add(item)
     return out
+
+
+def ranking_result(ranked, relevant, user=0) -> metrics.RankingResult:
+    """The ranks ``ranking_metrics`` reads, from a best-first candidate list
+    and the relevant set."""
+    ranks = [rank for rank, item in enumerate(ranked, start=1) if item in relevant]
+    return metrics.RankingResult(user, ranks, len(relevant))
+
+
+def score_rows(score_fn, n_items):
+    """A ``score_matrix``-style row function from a per-pair score function."""
+    def rows(users):
+        return np.array([[float(score_fn(u, i)) for i in range(n_items)]
+                         for u in np.asarray(users).tolist()]).reshape(len(users), n_items)
+    return rows
 
 
 def config_text(path, model_lines, train_lines, data_lines="", eval_lines=None):

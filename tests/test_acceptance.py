@@ -22,7 +22,7 @@ from gradrec.models.ranking import BprMf, Cdae, Cml, NeuMf
 from gradrec.models.rating import BiasedSvd, FactorizationMachine, ItemAutoRec
 from gradrec.models.sequential import AttRec, Caser, Prme
 
-from conftest import consumed as consumed_items
+from conftest import consumed as consumed_items, ranking_result
 
 
 def announce(criterion: str, ok: bool, detail: str):
@@ -215,7 +215,7 @@ def test_criterion_3_metric_oracle():
         n_rel = int(rng.integers(1, min(6, n_items) + 1))
         relevant = set(rng.choice(n_items, size=n_rel, replace=False).tolist())
         cutoffs = sorted(set(rng.integers(1, n_items + 1, size=3).tolist()))
-        got = metrics.ranking_metrics(metrics.RankingResult(0, ranked, relevant), cutoffs)
+        got = metrics.ranking_metrics(ranking_result(ranked, relevant), cutoffs)
         want = oracle_metrics(ranked, relevant, cutoffs)
         for n in cutoffs:
             assert got[f"precision@{n}"] == want[f"precision@{n}"], trial  # bitwise
@@ -294,7 +294,7 @@ def test_criterion_4c_sequential_planted_markov():
     table, train_table, test, bundle = markov_next_item_setup(window=1)
     prme = Prme(table.n_users, table.n_items, k=8, alpha=0.2, l2=0.0, seed=1)
     train(prme, bundle, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
-    hr1 = metrics.evaluate_ranking(prme.score, train_table, test,
+    hr1 = metrics.evaluate_ranking(prme.score_matrix, train_table, test,
                                    metrics.FullRanking(), [1]).values["recall@1"]
     details.append(f"PRME HR@1 {hr1:.3f}")
     assert hr1 >= 0.9
@@ -302,7 +302,7 @@ def test_criterion_4c_sequential_planted_markov():
     table, train_table, test, bundle = markov_next_item_setup(window=5, seed=6)
     caser = Caser(table.n_users, table.n_items, d=8, window=5, n_h=2, n_v=1, seed=7)
     train(caser, bundle, E.Adam(lr=0.05), epochs=12, batch_size=16, seed=8, neg_samples=3)
-    hr1c = metrics.evaluate_ranking(caser.score, train_table, test,
+    hr1c = metrics.evaluate_ranking(caser.score_matrix, train_table, test,
                                     metrics.FullRanking(), [1]).values["recall@1"]
     details.append(f"Caser HR@1 {hr1c:.3f}")
     assert hr1c >= 0.9
@@ -311,9 +311,9 @@ def test_criterion_4c_sequential_planted_markov():
     attrec = AttRec(table.n_users, table.n_items, d=8, window=3, omega=0.3,
                     margin=0.5, clip_rho=1.5, seed=9)
     train(attrec, bundle, E.Adam(lr=0.05), epochs=15, batch_size=16, seed=10)
-    hr5 = metrics.evaluate_ranking(attrec.score, train_table, test,
+    hr5 = metrics.evaluate_ranking(attrec.score_matrix, train_table, test,
                                    metrics.FullRanking(), [5]).values["recall@5"]
-    pop5 = metrics.evaluate_ranking(PopularityRanker(train_table).score, train_table, test,
+    pop5 = metrics.evaluate_ranking(PopularityRanker(train_table).score_matrix, train_table, test,
                                     metrics.FullRanking(), [5]).values["recall@5"]
     details.append(f"AttRec HR@5 {hr5:.3f} vs 1.5x popularity {1.5 * pop5:.3f}")
     assert hr5 >= 1.5 * pop5
@@ -462,7 +462,7 @@ protocol = sampled:100
     report, _, _ = runner.run(cfg)
     bundle = runner.prepare_data(cfg)
     pop = PopularityRanker(bundle["train"])
-    base = metrics.evaluate_ranking(pop.score, bundle["train"], bundle["test"],
+    base = metrics.evaluate_ranking(pop.score_matrix, bundle["train"], bundle["test"],
                                     cfg.eval.protocol_obj(cfg.data.seed),
                                     [10]).values["ndcg@10"]
     ratio = report.values["ndcg@10"] / base

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gradrec import data, metrics
 from gradrec.errors import EvaluationError, GradrecError
 
-from conftest import consumed
+from conftest import consumed, ranking_result, score_rows
 
 
 # --------------------------------------------------------------------------
@@ -60,6 +60,70 @@ def oracle_full_evaluation(scores, train_items, test_items, n_items, cutoffs):
     return {k: v / count for k, v in sums.items()}, count
 
 
+def reference_rank_candidates(score_fn, user, candidates):
+    """Sort candidates by descending score, ties by ascending item id."""
+    scored = []
+    for item in candidates:
+        s = float(score_fn(user, item))
+        if not math.isfinite(s):
+            raise EvaluationError(f"non-finite score for user {user}, item {item}")
+        scored.append((-s, item))
+    scored.sort()
+    return [item for _, item in scored]
+
+
+def reference_ranking_metrics(user, ranked, relevant, cutoffs):
+    if not relevant:
+        raise GradrecError(f"user {user} has an empty relevant set")
+    out = {}
+    for n in cutoffs:
+        top = ranked[:n]
+        hits = sum(1 for item in top if item in relevant)
+        out[f"precision@{n}"] = hits / n
+        out[f"recall@{n}"] = hits / len(relevant)
+        dcg = sum(1.0 / math.log2(rank + 1)
+                  for rank, item in enumerate(top, start=1) if item in relevant)
+        out[f"ndcg@{n}"] = dcg / sum(1.0 / math.log2(r + 1)
+                                     for r in range(1, min(len(relevant), n) + 1))
+    mrr = 0.0
+    for rank, item in enumerate(ranked, start=1):
+        if item in relevant:
+            mrr = 1.0 / rank
+            break
+    out["mrr"] = mrr
+    return out
+
+
+def reference_evaluate_ranking(score_fn, train, test, protocol, cutoffs):
+    """The per-user loop that ranked with one score call per candidate and a
+    list sort: the report every blocked evaluation must reproduce bit for bit."""
+    train_items, test_items = consumed(train), consumed(test)
+    n_items = train.n_items
+    sums, evaluated = {}, 0
+    for user in sorted(test_items):
+        relevant = test_items[user]
+        seen = np.array(sorted(train_items.get(user, ())), dtype=np.int64)
+        if isinstance(protocol, metrics.FullRanking):
+            free = np.ones(n_items, dtype=bool)
+            free[seen] = False
+            candidates = np.flatnonzero(free).tolist()
+        else:
+            rng = np.random.default_rng([protocol.seed, user])
+            blocked = np.zeros(n_items, dtype=bool)
+            blocked[seen] = True
+            blocked[sorted(relevant)] = True
+            pool = np.flatnonzero(~blocked)
+            negatives = rng.choice(pool, size=min(protocol.m, pool.size), replace=False)
+            candidates = sorted(relevant) + negatives.tolist()
+        ranked = reference_rank_candidates(score_fn, user, candidates)
+        for name, value in reference_ranking_metrics(user, ranked, relevant, cutoffs).items():
+            sums[name] = sums.get(name, 0.0) + value
+        evaluated += 1
+    return metrics.MetricReport(values={k: v / evaluated for k, v in sums.items()},
+                                protocol=protocol.describe(), seed=getattr(protocol, "seed", 0),
+                                users=evaluated, order=metrics.metric_order(cutoffs))
+
+
 def table_from(entries):
     lines = "\n".join(f"{u}\t{i}\t{r}\t{t}" for u, i, r, t in entries)
     import os, tempfile
@@ -103,34 +167,34 @@ class TestRmseMae:
 
 class TestRankingMetrics:
     def test_single_relevant_at_rank_two(self):
-        result = metrics.RankingResult(0, ranked=[5, 9, 1, 2], relevant={9})
+        result = ranking_result([5, 9, 1, 2], {9})
         out = metrics.ranking_metrics(result, [10])
         assert out["ndcg@10"] == pytest.approx(1 / math.log2(3), abs=1e-12)
         assert out["mrr"] == 0.5
 
     def test_hit_ratios(self):
-        result = metrics.RankingResult(0, ranked=[1, 2, 3, 4, 5, 6], relevant={2, 4, 7, 8})
+        result = ranking_result([1, 2, 3, 4, 5, 6], {2, 4, 7, 8})
         out = metrics.ranking_metrics(result, [5])
         assert out["precision@5"] == 0.4
         assert out["recall@5"] == 0.5
 
     def test_first_relevant_at_rank_four(self):
-        result = metrics.RankingResult(0, ranked=[1, 2, 3, 9], relevant={9})
+        result = ranking_result([1, 2, 3, 9], {9})
         assert metrics.ranking_metrics(result, [2])["mrr"] == 0.25
 
     def test_absent_relevant_gives_zero_mrr(self):
-        result = metrics.RankingResult(0, ranked=[1, 2], relevant={7})
+        result = ranking_result([1, 2], {7})
         assert metrics.ranking_metrics(result, [2])["mrr"] == 0.0
 
     def test_perfect_prefix_gives_unit_ndcg(self):
-        result = metrics.RankingResult(0, ranked=[7, 8, 1, 2], relevant={7, 8})
+        result = ranking_result([7, 8, 1, 2], {7, 8})
         out = metrics.ranking_metrics(result, [2, 4])
         assert out["ndcg@2"] == 1.0
         assert out["ndcg@4"] == 1.0
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(GradrecError):
-            metrics.ranking_metrics(metrics.RankingResult(0, [1], set()), [1])
+            metrics.ranking_metrics(ranking_result([1], set()), [1])
 
     @given(st.integers(2, 30), st.integers(1, 10), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -139,7 +203,7 @@ class TestRankingMetrics:
         ranked = rng.permutation(n_candidates).tolist()
         relevant = set(rng.choice(n_candidates, size=min(n_relevant, n_candidates),
                                   replace=False).tolist())
-        out = metrics.ranking_metrics(metrics.RankingResult(0, ranked, relevant), [1, 3, 5])
+        out = metrics.ranking_metrics(ranking_result(ranked, relevant), [1, 3, 5])
         for name, value in out.items():
             assert 0.0 <= value <= 1.0, name
         for n in (1, 3, 5):
@@ -148,15 +212,26 @@ class TestRankingMetrics:
                 out[f"recall@{n}"] * len(relevant), abs=1e-12)
 
 
+def ranked_by(scores, candidates, user=0):
+    """The candidates best first, read back from rank_candidates."""
+    n = max(candidates) + 1
+    row = np.zeros((1, n))
+    row[0, list(scores)] = list(scores.values())
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, candidates] = True
+    ranks = metrics.rank_candidates(np.array([user]), row, mask, mask)
+    return [item for _, item in sorted(zip(ranks.tolist(), sorted(candidates)))]
+
+
 class TestRankCandidates:
     def test_tie_broken_by_ascending_id(self):
         scores = {1: 0.9, 2: 0.9, 3: 0.1}
-        ranked = metrics.rank_candidates(lambda u, i: scores[i], 0, [3, 2, 1])
+        ranked = ranked_by(scores, [3, 2, 1])
         assert ranked == [1, 2, 3]
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(EvaluationError) as err:
-            metrics.rank_candidates(lambda u, i: float("nan"), 4, [1])
+            ranked_by({1: float("nan")}, [1], user=4)
         assert "user 4" in str(err.value)
 
 
@@ -179,7 +254,8 @@ class TestEvaluateRanking:
         def score(u, i):
             return 1.0 if relevant[u] == i else 0.0
 
-        report = metrics.evaluate_ranking(score, train, test, metrics.FullRanking(), [1])
+        report = metrics.evaluate_ranking(score_rows(score, 6), train, test,
+                                          metrics.FullRanking(), [1])
         for name, value in report.values.items():
             assert value == 1.0, name
 
@@ -188,8 +264,8 @@ class TestEvaluateRanking:
         rng = np.random.default_rng(11)
         scores = {(u, i): float(rng.normal()) for u in range(5) for i in range(6)}
 
-        report = metrics.evaluate_ranking(lambda u, i: scores[(u, i)], train, test,
-                                          metrics.FullRanking(), [1, 3, 5])
+        rows = score_rows(lambda u, i: scores[(u, i)], 6)
+        report = metrics.evaluate_ranking(rows, train, test, metrics.FullRanking(), [1, 3, 5])
 
         train_items = consumed(train)
         test_items = consumed(test)
@@ -204,8 +280,9 @@ class TestEvaluateRanking:
         rng = np.random.default_rng(5)
         scores = {(u, i): float(rng.normal()) for u in range(5) for i in range(6)}
         proto = metrics.SampledRanking(m=2, seed=99)
-        a = metrics.evaluate_ranking(lambda u, i: scores[(u, i)], train, test, proto, [3])
-        b = metrics.evaluate_ranking(lambda u, i: scores[(u, i)], train, test, proto, [3])
+        rows = score_rows(lambda u, i: scores[(u, i)], 6)
+        a = metrics.evaluate_ranking(rows, train, test, proto, [3])
+        b = metrics.evaluate_ranking(rows, train, test, proto, [3])
         assert a.values == b.values
         assert a.protocol == "sampled:2"
 
@@ -213,10 +290,11 @@ class TestEvaluateRanking:
         train, test = self.make_tables()
         rng = np.random.default_rng(7)
         scores = {(u, i): float(rng.normal()) for u in range(5) for i in range(6)}
-        base = metrics.evaluate_ranking(lambda u, i: scores[(u, i)], train, test,
-                                        metrics.FullRanking(), [2, 4])
-        warped = metrics.evaluate_ranking(lambda u, i: math.exp(3 * scores[(u, i)]) + 1,
-                                          train, test, metrics.FullRanking(), [2, 4])
+        base = metrics.evaluate_ranking(score_rows(lambda u, i: scores[(u, i)], 6), train,
+                                        test, metrics.FullRanking(), [2, 4])
+        warped = metrics.evaluate_ranking(
+            score_rows(lambda u, i: math.exp(3 * scores[(u, i)]) + 1, 6),
+            train, test, metrics.FullRanking(), [2, 4])
         assert base.values == warped.values
 
     def test_report_is_independent_of_user_processing_order(self):
@@ -226,34 +304,141 @@ class TestEvaluateRanking:
         rng = np.random.default_rng(13)
         scores = {(u, i): float(rng.normal()) for u in range(5) for i in range(6)}
         proto = metrics.SampledRanking(m=3, seed=17)
-        report = metrics.evaluate_ranking(lambda u, i: scores[(u, i)], train, test,
-                                          proto, [2])
+        rows = score_rows(lambda u, i: scores[(u, i)], 6)
+        report = metrics.evaluate_ranking(rows, train, test, proto, [2])
 
         per_user = {}
         for user in reversed(range(5)):  # deliberately backwards
             single_test = test.take(np.flatnonzero(test.users == user))
             if len(single_test) == 0:
                 continue
-            one = metrics.evaluate_ranking(lambda u, i: scores[(u, i)], train,
-                                           single_test, proto, [2])
+            one = metrics.evaluate_ranking(rows, train, single_test, proto, [2])
             per_user[user] = one.values
         for name in report.values:
             total = sum(per_user[u][name] for u in sorted(per_user))
             assert report.values[name] == total / len(per_user), name
 
-    def test_ranked_lists_exclude_train_items(self):
+    def test_ranked_lists_exclude_train_items(self, monkeypatch):
         train, test = self.make_tables()
         seen = {}
+        real_rank = metrics.rank_candidates
 
-        def score(u, i):
-            seen.setdefault(u, []).append(i)
-            return float(i)
+        def spy(users, scores, candidates, relevant):
+            for user, row in zip(users.tolist(), candidates):
+                seen.setdefault(user, []).extend(np.flatnonzero(row).tolist())
+            return real_rank(users, scores, candidates, relevant)
 
-        metrics.evaluate_ranking(score, train, test, metrics.FullRanking(), [2])
+        monkeypatch.setattr(metrics, "rank_candidates", spy)
+        metrics.evaluate_ranking(score_rows(lambda u, i: float(i), 6), train, test,
+                                 metrics.FullRanking(), [2])
         train_items = consumed(train)
         for u, items in seen.items():
             assert not (set(items) & train_items.get(u, set()))
             assert len(items) == len(set(items))
+
+
+def dense_tables(n_users, n_items, train_pairs, test_pairs):
+    """Train and test tables over one id space from (user, item) pairs; a
+    test pair may repeat a train pair."""
+    base = data.table_from_records([(f"u{u}", f"i{i}", 1.0, 0)
+                                    for u in range(n_users) for i in range(n_items)])
+
+    def with_pairs(pairs):
+        users = np.array([u for u, _ in pairs], dtype=np.int64)
+        items = np.array([i for _, i in pairs], dtype=np.int64)
+        return dataclasses.replace(base, users=users, items=items, ratings=np.ones(users.size),
+                                   timestamps=np.zeros(users.size, dtype=np.int64))
+
+    return with_pairs(train_pairs), with_pairs(test_pairs)
+
+
+@st.composite
+def ranking_cases(draw):
+    n_users = draw(st.integers(1, 6))
+    n_items = draw(st.integers(2, 9))
+    # small integers force exact ties
+    scores = np.array(draw(st.lists(st.integers(-2, 2), min_size=n_users * n_items,
+                                    max_size=n_users * n_items)),
+                      dtype=np.float64).reshape(n_users, n_items)
+    items = st.integers(0, n_items - 1)
+    train_pairs, test_pairs = [], []
+    for user in range(n_users):
+        train_pairs += [(user, i) for i in sorted(draw(st.sets(items, max_size=n_items - 1)))]
+        if draw(st.booleans()) or (user == n_users - 1 and not test_pairs):
+            test_pairs += [(user, i) for i in sorted(draw(st.sets(items, min_size=1,
+                                                                  max_size=4)))]
+    cutoffs = sorted(draw(st.sets(st.integers(1, n_items + 3), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        protocol = metrics.FullRanking()
+    else:
+        protocol = metrics.SampledRanking(m=draw(st.integers(0, n_items + 2)),
+                                          seed=draw(st.integers(0, 50)))
+    return scores, dense_tables(n_users, n_items, train_pairs, test_pairs), protocol, cutoffs
+
+
+class TestAgainstReference:
+    @given(ranking_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_report_equals_per_pair_sort_reference(self, case):
+        scores, (train, test), protocol, cutoffs = case
+        want = reference_evaluate_ranking(lambda u, i: scores[u, i], train, test, protocol,
+                                          cutoffs)
+        got = metrics.evaluate_ranking(lambda users: scores[users], train, test, protocol,
+                                       cutoffs)
+        assert got.to_text() == want.to_text()
+        assert got.values == want.values  # bitwise
+
+    @pytest.mark.parametrize("protocol", [metrics.FullRanking(),
+                                          metrics.SampledRanking(m=9, seed=3)])
+    def test_many_blocks_equal_reference(self, protocol):
+        # more users than one block and more relevant items than one compare
+        rng = np.random.default_rng(41)
+        n_users, n_items = 3 * metrics.BLOCK + 5, 23
+        pairs = [(u, i) for u in range(n_users)
+                 for i in rng.choice(n_items, size=8, replace=False).tolist()]
+        train, test = dense_tables(n_users, n_items,
+                                   [x for k, x in enumerate(pairs) if k % 8 < 5],
+                                   [x for k, x in enumerate(pairs) if k % 8 >= 5])
+        scores = rng.integers(0, 6, size=(n_users, n_items)).astype(np.float64)
+        calls = []
+
+        def rows(users):
+            calls.append(len(users))
+            return scores[users]
+
+        want = reference_evaluate_ranking(lambda u, i: scores[u, i], train, test, protocol,
+                                          [1, 5, 30])
+        got = metrics.evaluate_ranking(rows, train, test, protocol, [1, 5, 30])
+        assert got.values == want.values
+        assert calls == [metrics.BLOCK] * 3 + [5]
+
+
+class TestNonFiniteScores:
+    def tables(self):
+        return TestEvaluateRanking().make_tables()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("protocol", [metrics.FullRanking(),
+                                          metrics.SampledRanking(m=3, seed=1)])
+    def test_candidate_score_raises_naming_user_and_item(self, bad, protocol):
+        train, test = self.tables()
+        scores = np.zeros((5, 6))
+        scores[2, 5] = bad  # user 2's held-out item: a candidate under both protocols
+        with pytest.raises(EvaluationError) as err:
+            metrics.evaluate_ranking(lambda users: scores[users], train, test, protocol, [2])
+        assert "user 2, item 5" in str(err.value)
+
+    def test_consumed_item_score_is_ignored(self):
+        train, test = self.tables()
+        rng = np.random.default_rng(3)
+        scores = rng.normal(size=(5, 6))
+        want = metrics.evaluate_ranking(lambda users: scores[users], train, test,
+                                        metrics.FullRanking(), [1, 3])
+        scores[0, 0] = float("nan")  # user 0 consumed item 0 in train
+        scores[2, 4] = float("inf")  # ... and user 2 item 4
+        got = metrics.evaluate_ranking(lambda users: scores[users], train, test,
+                                       metrics.FullRanking(), [1, 3])
+        assert got.values == want.values
 
 
 class TestReportFormat:

@@ -9,7 +9,7 @@ from gradrec.models import train
 from gradrec.models.baselines import PopularityRanker
 from gradrec.models.ranking import BprMf, Cdae, Cml, NeuMf
 
-from conftest import consumed
+from conftest import consumed, score_rows
 
 
 def loss_value(model, batch):
@@ -85,9 +85,9 @@ class TestBprFit:
         train_table, held = synthetic.block_preferences(seed=3)
         model = BprMf(train_table.n_users, train_table.n_items, k=4, l2=0.0, seed=4)
         train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=5, batch_size=64, seed=5)
-        base = metrics.evaluate_ranking(model.score, train_table, held,
+        base = metrics.evaluate_ranking(model.score_matrix, train_table, held,
                                         metrics.FullRanking(), [10])
-        shifted = metrics.evaluate_ranking(lambda u, i: model.score(u, i) + 42.0,
+        shifted = metrics.evaluate_ranking(lambda users: model.score_matrix(users) + 42.0,
                                            train_table, held, metrics.FullRanking(), [10])
         assert base.values == shifted.values
 
@@ -98,7 +98,7 @@ class TestBprFit:
             model = BprMf(train_table.n_users, train_table.n_items, k=4, l2=0.0, seed=9)
             train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=5, batch_size=32,
                   seed=11)
-            report = metrics.evaluate_ranking(model.score, train_table, held,
+            report = metrics.evaluate_ranking(model.score_matrix, train_table, held,
                                               metrics.FullRanking(), [10])
             return report.values
 
@@ -175,12 +175,12 @@ class TestCmlFit:
         model = Cml(table.n_users, table.n_items, k=8, margin=0.8, seed=3)
         train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=40, batch_size=32, seed=4,
               neg_samples=4)
-        got = metrics.evaluate_ranking(model.score, train_table, test,
+        got = metrics.evaluate_ranking(model.score_matrix, train_table, test,
                                        metrics.FullRanking(), [5])
         relevant = {x.user: x.item for x in test.interactions}
         oracle = metrics.evaluate_ranking(
-            lambda u, i: 1.0 if relevant.get(u) == i else 0.0, train_table, test,
-            metrics.FullRanking(), [5])
+            score_rows(lambda u, i: 1.0 if relevant.get(u) == i else 0.0, table.n_items),
+            train_table, test, metrics.FullRanking(), [5])
         assert got.values["recall@5"] >= 0.8 * oracle.values["recall@5"]
 
     def test_zero_loss_reachable_on_separable_toy(self):
@@ -272,7 +272,7 @@ class TestCdae:
         model = Cdae(2, 5, hidden=3, corruption=0.0, seed=0)
         for name in model.params:
             model.params[name] = np.zeros_like(model.params[name])
-        scores = model.forward(0, np.zeros(5))
+        scores = model.score_matrix(np.array([0]))[0]  # no train items: a zero input
         np.testing.assert_allclose(scores, 0.5)
 
     def test_zero_corruption_keeps_input(self):
@@ -281,9 +281,9 @@ class TestCdae:
         model = Cdae(table.n_users, table.n_items, hidden=4, corruption=0.0, seed=2)
         train(model, {"train": table}, E.Sgd(lr=0.0), epochs=1, seed=3)
         train_items = consumed(table)
-        for user, vec in model._train_vectors.items():
+        for user, vec in enumerate(model._inputs):
             np.testing.assert_array_equal(np.flatnonzero(vec),
-                                          np.array(sorted(train_items[user])))
+                                          np.array(sorted(train_items.get(user, ()))))
 
     def test_corruption_bounds_validated(self):
         with pytest.raises(GradrecError):
@@ -291,8 +291,10 @@ class TestCdae:
 
     def test_wrong_length_preference_rejected(self):
         model = Cdae(2, 4, hidden=2)
+        three_items = data.table_from_records([("u0", "i0", 1.0, 0), ("u1", "i2", 1.0, 0),
+                                               ("u1", "i1", 1.0, 1)])
         with pytest.raises(GradrecError):
-            model.forward(0, np.zeros(3))
+            model.serve({"train": three_items})
 
     def test_gradient_check(self):
         model = Cdae(3, 6, hidden=3, corruption=0.0, seed=4)
@@ -310,9 +312,11 @@ class TestCdae:
         train_table, test = data.split(table, data.LeaveOneOut())
         model = Cdae(table.n_users, table.n_items, hidden=12, corruption=0.2, seed=5)
         train(model, {"train": train_table}, E.Adam(lr=0.05), epochs=40, seed=6, neg_samples=4)
-        got = metrics.evaluate_ranking(model.score, train_table, test, metrics.FullRanking(), [10])
+        got = metrics.evaluate_ranking(model.score_matrix, train_table, test,
+                                       metrics.FullRanking(), [10])
         pop = PopularityRanker(train_table)
-        base = metrics.evaluate_ranking(pop.score, train_table, test, metrics.FullRanking(), [10])
+        base = metrics.evaluate_ranking(pop.score_matrix, train_table, test,
+                                        metrics.FullRanking(), [10])
         assert got.values["ndcg@10"] >= 1.2 * base.values["ndcg@10"]
 
     def test_single_user_overfit_ranks_own_items_on_top(self):
@@ -326,7 +330,7 @@ class TestCdae:
         train(model, {"train": consumed_table}, E.Adam(lr=0.1), epochs=150, seed=8,
               neg_samples=2)
         own = sorted(consumed(consumed_table)[0])
-        scores = model.forward(0, model._train_vectors[0])
+        scores = model.score_matrix(np.array([0]))[0]
         top = np.argsort(-scores)[:len(own)]
         assert set(top.tolist()) == set(own)
         del table

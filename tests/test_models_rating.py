@@ -17,6 +17,13 @@ def fm_bruteforce(w0, w, v, x):
     return acc
 
 
+def raw_biasedsvd(model, user, item):
+    """mu + b_u + b_i + p_u . q_i, unclipped."""
+    p = model.params
+    return float(p["global_mean"] + p["user_bias"][user] + p["item_bias"][item]
+                 + p["user_factors"][user] @ p["item_factors"][item])
+
+
 class TestBiasedSvdScore:
     def make(self, **kw):
         return BiasedSvd(n_users=3, n_items=3, k=2, rating_range=(1, 5), **kw)
@@ -41,13 +48,14 @@ class TestBiasedSvdScore:
         model = self.make(global_mean=3.0)
         model.params["user_bias"][0] = 2.0
         model.params["item_bias"][0] = 0.7
-        assert model.raw_score(0, 0) == pytest.approx(5.7)
+        assert raw_biasedsvd(model, 0, 0) == pytest.approx(5.7)
         assert model.predict(0, 0) == 5.0
 
     def test_out_of_range_ids(self):
         model = self.make()
-        with pytest.raises(GradrecError):
-            model.predict(3, 0)
+        for user, item in ((3, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(GradrecError):
+                model.predict(user, item)
 
 
 class TestBiasedSvdFit:
@@ -224,7 +232,8 @@ class TestAutoRec:
         model.params["encoder_w"][:] = 0.0
         model.params["decoder_w"][:] = 0.0
         model.params["decoder_b"][:] = 3.0
-        out = model.reconstruct(np.array([4.0, 0.0, 0.0, 2.0]))
+        model.columns = np.array([[4.0, 0.0, 0.0, 2.0]] * 3)  # every item's train column
+        out = model.score_matrix(np.arange(4))
         np.testing.assert_allclose(out, 3.0)
 
     def test_hidden_is_half_at_zero_preactivation(self):

@@ -18,18 +18,30 @@ def markov_split(window, horizon=1, **gen_kw):
     return table, train_table, test, bundle
 
 
+def prme_distance(model, user, prev_item, item):
+    """The blended distance PRME ranks by, served from ``prev_item``."""
+    model.last_item = {user: prev_item}
+    return -model.score_matrix(np.array([user]))[0, item]
+
+
+def window_scores(model, user, window):
+    """The score_matrix row of ``user`` served from ``window``."""
+    model.serve_windows = {user: tuple(window)}
+    return model.score_matrix(np.array([user]))[0]
+
+
 class TestPrmeDistance:
     def test_pure_preference_distance(self):
         model = Prme(2, 3, k=2, alpha=1.0)
         model.params["user_embed"][0] = [0.0, 0.0]
         model.params["pref_item"][1] = [3.0, 4.0]
-        assert model.distance(0, prev_item=2, item=1) == pytest.approx(25.0)
+        assert prme_distance(model, 0, prev_item=2, item=1) == pytest.approx(25.0)
 
     def test_alpha_zero_ignores_user(self):
         model = Prme(2, 3, k=2, alpha=0.0, seed=1)
-        before = model.distance(0, 1, 2)
+        before = prme_distance(model, 0, 1, 2)
         model.params["user_embed"][0] += 17.0
-        assert model.distance(0, 1, 2) == pytest.approx(before)
+        assert prme_distance(model, 0, 1, 2) == pytest.approx(before)
 
     def test_convex_blend(self):
         model = Prme(1, 3, k=2, alpha=0.5)
@@ -37,13 +49,13 @@ class TestPrmeDistance:
         model.params["pref_item"][2] = [3.0, 4.0]  # d^2 = 25
         model.params["seq_item"][1] = [0.0, 0.0]
         model.params["seq_item"][2] = [1.0, 0.0]  # d^2 = 1
-        assert model.distance(0, prev_item=1, item=2) == pytest.approx(13.0)
+        assert prme_distance(model, 0, prev_item=1, item=2) == pytest.approx(13.0)
 
     def test_scores_are_nonneg_distances(self):
         model = Prme(3, 4, k=3, alpha=0.3, seed=2)
         for prev in range(4):
             for item in range(4):
-                assert model.distance(0, prev, item) >= 0.0
+                assert prme_distance(model, 0, prev, item) >= 0.0
 
 
 class TestPrmeFit:
@@ -65,7 +77,7 @@ class TestPrmeFit:
                                                         history=8, seed=2)
         model = Prme(table.n_users, table.n_items, k=8, alpha=0.2, l2=0.0, seed=1)
         train(model, bundle, E.Adam(lr=0.05), epochs=30, batch_size=64, seed=2)
-        report = metrics.evaluate_ranking(model.score, train_table, test,
+        report = metrics.evaluate_ranking(model.score_matrix, train_table, test,
                                           metrics.FullRanking(), [1])
         assert report.values["recall@1"] >= 0.9  # HR@1 on single held-out items
 
@@ -117,13 +129,13 @@ class TestCaserForward:
         for h in range(1, 4):
             model.params[f"h_bias_{h}"][:] = 0.0
         window = (model.padding_id,) * 3
-        scores = model.scores_for_window(0, window)
+        scores = window_scores(model, 0, window)
         assert np.allclose(scores, scores[0])
 
     def test_wrong_window_length_rejected(self):
         model = Caser(2, 5, d=4, window=3, seed=3)
         with pytest.raises(GradrecError):
-            model.scores_for_window(0, (0, 1))
+            window_scores(model, 0, (0, 1))
         leaves = {n: E.const(v) for n, v in model.params.items()}
         good = SequenceInstance(0, (0, 1, 2), (3,))
         short = SequenceInstance(1, (0, 1), (2,))
@@ -150,7 +162,7 @@ class TestCaserFit:
                                                         history=8, seed=6)
         model = Caser(table.n_users, table.n_items, d=8, window=5, n_h=2, n_v=1, seed=7)
         train(model, bundle, E.Adam(lr=0.05), epochs=12, batch_size=16, seed=8, neg_samples=3)
-        report = metrics.evaluate_ranking(model.score, train_table, test,
+        report = metrics.evaluate_ranking(model.score_matrix, train_table, test,
                                           metrics.FullRanking(), [1])
         assert report.values["recall@1"] >= 0.9
 
@@ -183,23 +195,23 @@ class TestAttRecScore:
 
     def test_omega_one_ignores_window(self):
         model = AttRec(2, 6, d=4, window=3, omega=1.0, seed=2)
-        model.serve_windows = {0: (0, 1, 2)}
-        base = model.score(0, 3)
-        model.serve_windows = {0: (4, 5, 0)}
-        model._score_cache = {}
-        assert model.score(0, 3) == pytest.approx(base)
+        base = window_scores(model, 0, (0, 1, 2))[3]
+        assert window_scores(model, 0, (4, 5, 0))[3] == pytest.approx(base)
 
     def test_single_token_window_intent_is_embedding(self):
         model = AttRec(2, 6, d=4, window=1, seed=3)
         rng = np.random.default_rng(4)
         model.params["att_item"] = rng.normal(size=model.params["att_item"].shape)
-        intent = model.intent_vector((2,))
+        leaves = {n: E.const(v) for n, v in model.params.items()}
+        intent = model.intents(leaves, np.array([[2]])).value[0]
         np.testing.assert_allclose(intent, model.params["att_item"][2], atol=1e-12)
 
     def test_scores_are_negated_distances(self):
         model = AttRec(2, 6, d=4, window=2, seed=5)
         model.serve_windows = {0: (1, 2)}
-        dists = model.distances_for_window(0, (1, 2))
+        leaves = {n: E.const(v) for n, v in model.params.items()}
+        intents = model.intents(leaves, np.array([(1, 2)] * 6))
+        dists = model.distances(leaves, np.zeros(6, dtype=np.int64), intents, np.arange(6)).value
         assert np.all(dists >= 0.0)
         assert model.score(0, 3) == pytest.approx(-dists[3])
 
@@ -246,10 +258,10 @@ class TestAttRecFit:
         model = AttRec(table.n_users, table.n_items, d=8, window=3, omega=0.3,
                        margin=0.5, clip_rho=1.5, seed=9)
         train(model, bundle, E.Adam(lr=0.05), epochs=15, batch_size=16, seed=10)
-        got = metrics.evaluate_ranking(model.score, train_table, test,
+        got = metrics.evaluate_ranking(model.score_matrix, train_table, test,
                                        metrics.FullRanking(), [5])
         pop = PopularityRanker(train_table)
-        base = metrics.evaluate_ranking(pop.score, train_table, test,
+        base = metrics.evaluate_ranking(pop.score_matrix, train_table, test,
                                         metrics.FullRanking(), [5])
         assert got.values["recall@5"] >= 1.5 * base.values["recall@5"]
 
@@ -293,7 +305,8 @@ def randomized(model, pad_table, seed, scale):
 
 class TestBatchedParity:
     """One graph per minibatch computes what one graph per instance did:
-    the per-instance reference here is the numpy serving path."""
+    the per-instance reference here is a one-user ``score_matrix`` served
+    from the instance's window."""
 
     def instances(self, window, horizon):
         ds = data.build_sequences(
@@ -316,7 +329,7 @@ class TestBatchedParity:
         for inst, neg in batch:
             items = np.concatenate([np.asarray(inst.targets), neg])
             labels = np.concatenate([np.ones(len(inst.targets)), np.zeros(neg.size)])
-            logits = model.scores_for_window(inst.user, inst.window)[items]
+            logits = window_scores(model, inst.user, inst.window)[items]
             total += float((softplus(logits) - labels * logits).sum())
             count += items.size
         loss = model.build_loss(leaves, batch)
@@ -328,7 +341,7 @@ class TestBatchedParity:
         items = np.tile(np.arange(9), len(insts))
         zu = model.user_vectors(leaves, users, windows)
         got = model.pair_logits(leaves, zu, rows, items).value.reshape(len(insts), 9)
-        want = np.stack([model.scores_for_window(x.user, x.window) for x in insts])
+        want = np.stack([window_scores(model, x.user, x.window) for x in insts])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_attrec_loss_and_distances_match_per_instance(self):
@@ -341,7 +354,7 @@ class TestBatchedParity:
 
         total = 0.0
         for inst, neg in batch:
-            dists = model.distances_for_window(inst.user, inst.window)
+            dists = -window_scores(model, inst.user, inst.window)
             total += max(0.0, model.margin + dists[inst.targets[0]] - dists[neg])
         loss = model.build_loss(leaves, batch)
         assert abs(float(loss.value) - total / len(batch)) < 1e-12
@@ -350,7 +363,7 @@ class TestBatchedParity:
         intents = model.intents(leaves, np.array([x.window for x in insts]))
         for item in range(9):
             got = model.distances(leaves, users, intents, np.full(len(insts), item)).value
-            want = [model.distances_for_window(x.user, x.window)[item] for x in insts]
+            want = [-window_scores(model, x.user, x.window)[item] for x in insts]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_attrec_wrong_window_length_rejected(self):

@@ -1,14 +1,19 @@
 """Every registered model through the one training loop: config
 validation, the on_step hook, seeded reproducibility, bitwise parity with
 the reference embedding gradient and Adam, and the checkpoint round-trip,
-from nothing but the registry entry."""
+from nothing but the registry entry. Then the one scoring path:
+``score_matrix`` against the training forward, and the per-pair API,
+``recommend`` and evaluation reading nothing but its rows."""
+
+import math
 
 import numpy as np
 import pytest
 
 from gradrec import checkpoint as ckpt
 from gradrec import config as cfgmod
-from gradrec import runner
+from gradrec import engine as E
+from gradrec import metrics, runner
 from gradrec.engine import make_optimizer, optim, tape
 from gradrec.models import MODELS, base
 
@@ -90,3 +95,157 @@ def test_training_equals_reference_scatter_and_adam_bitwise(name, ratings_file, 
     assert list(tensors) == list(want_tensors)
     for key, value in want_tensors.items():
         assert_bitwise(tensors[key], value)
+
+
+SCORED = [name for name in MODELS if not MODELS[name].feature_rows]
+
+
+def trained(name, ratings_file, implicit_file):
+    data_file = ratings_file if ALL_MODEL_CONFIGS[name][0] == "ratings" else implicit_file
+    cfg = cfgmod.parse_config(model_config_text(name, data_file))
+    bundle = runner.prepare_data(cfg)
+    model = runner.build_model(cfg, **bundle)
+    runner.fit_model(cfg, model, bundle)
+    return cfg, model, bundle
+
+
+def served_users(model, bundle) -> np.ndarray:
+    """Every user the model can score: sequence models need a history."""
+    if bundle["task"] != "sequential":
+        return np.arange(bundle["train"].n_users)
+    history = getattr(model, "last_item", None) or model.serve_windows
+    return np.array(sorted(history))
+
+
+def sigmoid(node):
+    return node.sigmoid().value
+
+
+def training_forward(name, model, bundle, users, items):
+    """The score of each (user, item) pair from the pieces ``build_loss``
+    differentiates, on constant leaves; the rating models' per-pair
+    serving formulas are written out here."""
+    leaves = model.const_leaves()
+    p = model.params
+    lookup = E.embedding_lookup
+    if name == "bprmf":
+        return (lookup(leaves["user_factors"], users)
+                * lookup(leaves["item_factors"], items)).sum(axis=1).value
+    if name == "cml":
+        return -E.sq_l2_dist(lookup(leaves["user_points"], users),
+                             lookup(leaves["item_points"], items)).value
+    if name in ("gmf", "mlp", "neumf"):
+        return sigmoid(model.logits(leaves, users, items))
+    if name == "cdae":
+        out = []
+        for user, item in zip(users.tolist(), items.tolist()):
+            vec = model._inputs[user].astype(np.float64)
+            z = (E.matmul(E.const(vec), leaves["encoder_w"])
+                 + lookup(leaves["user_embed"], [user]).reshape((p["hidden_bias"].size,))
+                 + leaves["hidden_bias"]).sigmoid()
+            logit = (E.matmul(lookup(leaves["decoder_w"], [item]), z)
+                     + lookup(leaves["decoder_bias"], [item]))
+            out.append(sigmoid(logit)[0])
+        return np.array(out)
+    if name == "prme":
+        prevs = np.array([model.last_item[u] for u in users.tolist()])
+        d_pref = E.sq_l2_dist(lookup(leaves["user_embed"], users),
+                              lookup(leaves["pref_item"], items))
+        d_seq = E.sq_l2_dist(lookup(leaves["seq_item"], prevs),
+                             lookup(leaves["seq_item"], items))
+        return -(model.alpha * d_pref + (1.0 - model.alpha) * d_seq).value
+    if name in ("caser", "attrec"):
+        windows = np.array([model.serve_windows[u] for u in users.tolist()])
+        if name == "caser":
+            zu = model.user_vectors(leaves, users, windows)
+            return model.pair_logits(leaves, zu, np.arange(users.size), items).value
+        return -model.distances(leaves, users, model.intents(leaves, windows), items).value
+    lo, hi = float(p["rating_min"]), float(p["rating_max"])
+    if name == "biasedsvd":
+        raw = [float(p["global_mean"] + p["user_bias"][u] + p["item_bias"][i]
+                     + p["user_factors"][u] @ p["item_factors"][i])
+               for u, i in zip(users.tolist(), items.tolist())]
+        return np.clip(raw, lo, hi)
+    assert name == "autorec"
+    out = []
+    for user, item in zip(users.tolist(), items.tolist()):
+        z = 1.0 / (1.0 + np.exp(-(p["encoder_w"] @ model.columns[item] + p["encoder_b"])))
+        out.append(float(np.clip((p["decoder_w"] @ z + p["decoder_b"])[user], lo, hi)))
+    return np.array(out)
+
+
+def test_every_unscored_model_reads_feature_rows():
+    # fm predicts from sparse rows; every other model scores through score_matrix
+    assert [name for name in MODELS if name not in SCORED] == ["fm"]
+
+
+@pytest.mark.parametrize("name", SCORED)
+def test_score_matrix_equals_training_forward(name, ratings_file, implicit_file):
+    _, model, bundle = trained(name, ratings_file, implicit_file)
+    users = served_users(model, bundle)
+    rows = model.score_matrix(users)
+    n_items = bundle["train"].n_items
+    assert rows.shape == (users.size, n_items) and rows.dtype == np.float64
+    pair_users, pair_items = np.repeat(users, n_items), np.tile(np.arange(n_items), users.size)
+    want = training_forward(name, model, bundle, pair_users, pair_items)
+    np.testing.assert_allclose(rows.ravel(), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", SCORED)
+def test_per_pair_score_and_recommend_read_the_row(name, ratings_file, implicit_file,
+                                                   tmp_path):
+    cfg, model, bundle = trained(name, ratings_file, implicit_file)
+    path = tmp_path / f"{name}.drec"
+    ckpt.save_checkpoint(path, name, cfg.text, runner.checkpoint_tensors(cfg, model))
+    table = bundle["table"]
+    per_pair = model.predict if bundle["task"] == "rating" else model.score
+    for user in served_users(model, bundle)[:3].tolist():
+        row = model.score_matrix(np.array([user]))[0]
+        for item in range(table.n_items):
+            assert per_pair(user, item) == row[item]  # bitwise
+        want = sorted((-row[item], table.item_ids[item]) for item in range(table.n_items))
+        got = runner.recommend(path, table.user_ids[user], table.n_items)
+        assert got == [(raw, -neg) for neg, raw in want]
+
+
+@pytest.mark.parametrize("name", SCORED)
+def test_evaluation_scores_rows_not_pairs(name, ratings_file, implicit_file, monkeypatch):
+    # per-pair scoring must not creep back into evaluation
+    cfg, model, bundle = trained(name, ratings_file, implicit_file)
+    want = runner.evaluate_model(cfg, model, bundle).to_text()
+    monkeypatch.setattr(metrics, "BLOCK", 4)  # several blocks on the fixture data
+    counts = {"pairs": 0, "rows": 0}
+
+    def per_pair(*args, **kwargs):
+        counts["pairs"] += 1
+        raise AssertionError("per-pair scoring during evaluation")
+
+    real_rows = type(model).score_matrix
+
+    def rows(self, users):
+        counts["rows"] += 1
+        return real_rows(self, users)
+
+    monkeypatch.setattr(base.Model, "score", per_pair)
+    monkeypatch.setattr(base.Model, "predict", per_pair)
+    monkeypatch.setattr(type(model), "score_matrix", rows)
+    report = runner.evaluate_model(cfg, model, bundle)
+    assert counts["pairs"] == 0
+    assert counts["rows"] <= math.ceil(np.unique(bundle["test"].users).size / 4)
+    assert report.to_text() == want  # the block size does not change the report
+
+
+@pytest.mark.parametrize("name", SCORED)
+def test_score_cache_follows_every_optimizer_step(name, ratings_file, implicit_file):
+    cfg, model, bundle = trained(name, ratings_file, implicit_file)
+    user = int(served_users(model, bundle)[0])
+    model.score(user, 0)  # fills the one-row cache
+    fresh = []
+
+    def check(params):
+        fresh.append(model.score(user, 0) == model.score_matrix(np.array([user]))[0, 0])
+
+    t = cfg.train
+    base.train(model, bundle, make_optimizer(t.optimizer, t.lr), t.epochs, t.batch_size,
+               seed=t.seed, neg_samples=t.neg_samples, on_step=check)
+    assert fresh and all(fresh)

@@ -107,6 +107,31 @@ class TestCliWorkflows:
         assert 0 < len(test) < len(train)
         assert len(train) + len(test) <= len(full)
 
+    def test_split_keeps_ratings_bitwise(self, tmp_path, capsys):
+        # {:g} alone would write 2.123456789 as 2.12346
+        values = [2.123456789, 0.1, 3.5, 4.0]
+        lines = [f"u{u}\ti{i}\t{values[(u + i) % 4]!r}\t{u * 10 + i}"
+                 for u in range(6) for i in range(5)]
+        source = tmp_path / "src.txt"
+        source.write_text("\n".join(lines) + "\n")
+        cfg_path = self.write(tmp_path, "c.ini", rating_config(source))
+        code = cli.main(["split", "--config", str(cfg_path),
+                         "--train-out", str(tmp_path / "train.txt"),
+                         "--test-out", str(tmp_path / "test.txt")])
+        assert code == 0
+        full = datamod.load_interactions(source)
+        want = {(full.user_ids[u], full.item_ids[i]): r for u, i, r in
+                zip(full.users.tolist(), full.items.tolist(), full.ratings.tolist())}
+        seen = set()
+        for name in ("train.txt", "test.txt"):
+            part = datamod.load_interactions(tmp_path / name)
+            for u, i, r in zip(part.users.tolist(), part.items.tolist(), part.ratings.tolist()):
+                key = (part.user_ids[u], part.item_ids[i])
+                assert r.hex() == want[key].hex(), key  # bitwise
+                seen.add(r)
+        assert seen == set(values)
+        assert "\t4\t" in (tmp_path / "train.txt").read_text()  # integers stay short
+
     def test_train_then_evaluate_and_recommend(self, implicit_file, tmp_path, capsys):
         cfg_path = self.write(tmp_path, "c.ini", ranking_config(implicit_file))
         out = tmp_path / "bpr.drec"
