@@ -131,14 +131,6 @@ def rank_candidates(users: np.ndarray, scores: np.ndarray, candidates: np.ndarra
     return ranks
 
 
-def _items_of(table: InteractionTable, block: np.ndarray, n_items: int) -> np.ndarray:
-    """Mask (len(block), n_items) of the items each sorted ``block`` user has."""
-    mask = np.zeros((block.size, n_items), dtype=bool)
-    rows = np.isin(table.users, block)
-    mask[np.searchsorted(block, table.users[rows]), table.items[rows]] = True
-    return mask
-
-
 def evaluate_ranking(score_rows: ScoreRows, train: InteractionTable, test: InteractionTable,
                      protocol: Protocol, cutoffs: list[int],
                      seed_echo: int | None = None) -> MetricReport:
@@ -151,11 +143,18 @@ def evaluate_ranking(score_rows: ScoreRows, train: InteractionTable, test: Inter
     users = np.unique(test.users)
     if users.size == 0:
         raise GradrecError("no users could be evaluated")
+    order, bounds = train.user_rows()
+    train_items, train_bounds = train.items[order], bounds.tolist()  # grouped by user
+    order, bounds = test.user_rows()
+    test_items, test_bounds = test.items[order], bounds.tolist()
     sums: dict[str, float] = {}
     for lo in range(0, users.size, BLOCK):
         block = users[lo:lo + BLOCK]
-        consumed = _items_of(train, block, train.n_items)
-        relevant = _items_of(test, block, train.n_items)
+        consumed = np.zeros((block.size, train.n_items), dtype=bool)
+        relevant = np.zeros_like(consumed)
+        for row, user in enumerate(block.tolist()):
+            consumed[row, train_items[train_bounds[user]:train_bounds[user + 1]]] = True
+            relevant[row, test_items[test_bounds[user]:test_bounds[user + 1]]] = True
         if isinstance(protocol, FullRanking):
             candidates = ~consumed
         else:
@@ -167,12 +166,10 @@ def evaluate_ranking(score_rows: ScoreRows, train: InteractionTable, test: Inter
                 m = min(protocol.m, pool.size)
                 candidates[row, rng.choice(pool, size=m, replace=False)] = True
         ranks = rank_candidates(block, score_rows(block), candidates, relevant)
-        rows = np.nonzero(relevant & candidates)[0]  # ascending, as the ranks come
-        per_user = np.split(ranks[np.lexsort((ranks, rows))],
-                            np.cumsum(np.bincount(rows, minlength=block.size))[:-1])
-        for user, user_ranks, n_relevant in zip(block.tolist(), per_user,
-                                                relevant.sum(axis=1).tolist()):
-            result = RankingResult(user, user_ranks.tolist(), n_relevant)
+        rows = np.nonzero(relevant & candidates)[0]  # the row of each rank
+        for row, (user, n_relevant) in enumerate(zip(block.tolist(),
+                                                     relevant.sum(axis=1).tolist())):
+            result = RankingResult(user, sorted(ranks[rows == row].tolist()), n_relevant)
             for name, value in ranking_metrics(result, cutoffs).items():
                 sums[name] = sums.get(name, 0.0) + value
     values = {name: sums[name] / users.size for name in sums}

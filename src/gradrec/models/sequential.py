@@ -25,7 +25,7 @@ class _Windows(base.Model):
 
     task = "sequential"
     required = ("k", "L")
-    serve_windows: dict[int, tuple[int, ...]] = {}  # user -> latest window; set by serve
+    serve_windows: dict[int, tuple[int, ...]]  # user -> latest window; set by serve
 
     @property
     def padding_id(self) -> int:
@@ -179,6 +179,7 @@ class Caser(_Windows):
         self.params["user_embed"] = base.init_normal(rng, n_users, d)
         self.params["out_w"] = base.init_normal(rng, n_items, 2 * d)
         self.params["out_b"] = np.zeros(n_items)
+        self.serve_windows = {}
 
     @classmethod
     def settings(cls, cfg) -> dict:
@@ -271,6 +272,7 @@ class AttRec(_Windows):
             "lt_item": base.init_normal(rng, n_items, k_lt),
         }
         self.params["att_item"][n_items] = 0.0
+        self.serve_windows = {}
 
     @classmethod
     def settings(cls, cfg) -> dict:

@@ -30,6 +30,44 @@ def window_scores(model, user, window):
     return model.score_matrix(np.array([user]))[0]
 
 
+def reference_caser_scores(model, user, window):
+    """Caser's logits over the catalog for one window, in plain numpy:
+    the reference the batched tape graph is checked against."""
+    p = model.params
+    ew = p["item_embed"][np.asarray(window)]
+    pooled = []
+    for h in range(1, model.window + 1):
+        windows = np.lib.stride_tricks.sliding_window_view(ew, (h, ew.shape[1]))[:, 0]
+        conv = np.einsum("thd,fhd->tf", windows, p[f"h_filters_{h}"]) + p[f"h_bias_{h}"]
+        pooled.append(np.maximum(conv, 0.0).max(axis=0))
+    vert = (p["v_filters"] @ ew).ravel()
+    cat = np.concatenate(pooled + [vert])
+    z = np.maximum(p["fc_w"] @ cat + p["fc_b"], 0.0)
+    zu = np.concatenate([z, p["user_embed"][user]])
+    return p["out_w"] @ zu + p["out_b"]
+
+
+def reference_attrec_intent(model, window):
+    """AttRec's short-term intent for one window, in plain numpy."""
+    p = model.params
+    ew = p["att_item"][np.asarray(window)]
+    q = np.maximum(ew @ p["w_query"], 0.0)
+    k = np.maximum(ew @ p["w_key"], 0.0)
+    logits = (q @ k.T) / np.sqrt(model.d)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    attn = e / e.sum(axis=1, keepdims=True)
+    return (attn @ ew).mean(axis=0)
+
+
+def reference_attrec_distances(model, user, window):
+    """AttRec's blended distances over the catalog for one window, in plain numpy."""
+    p = model.params
+    intent = reference_attrec_intent(model, window)
+    d_lt = ((p["lt_user"][user] - p["lt_item"]) ** 2).sum(axis=1)
+    d_st = ((intent - p["att_item"][:model.n_items]) ** 2).sum(axis=1)
+    return model.omega * d_lt + (1.0 - model.omega) * d_st
+
+
 class TestPrmeDistance:
     def test_pure_preference_distance(self):
         model = Prme(2, 3, k=2, alpha=1.0)
@@ -304,9 +342,8 @@ def randomized(model, pad_table, seed, scale):
 
 
 class TestBatchedParity:
-    """One graph per minibatch computes what one graph per instance did:
-    the per-instance reference here is a one-user ``score_matrix`` served
-    from the instance's window."""
+    """The batched tape graph of a minibatch and the served ``score_matrix``
+    rows compute what the plain-numpy per-window references do."""
 
     def instances(self, window, horizon):
         ds = data.build_sequences(
@@ -329,7 +366,7 @@ class TestBatchedParity:
         for inst, neg in batch:
             items = np.concatenate([np.asarray(inst.targets), neg])
             labels = np.concatenate([np.ones(len(inst.targets)), np.zeros(neg.size)])
-            logits = window_scores(model, inst.user, inst.window)[items]
+            logits = reference_caser_scores(model, inst.user, inst.window)[items]
             total += float((softplus(logits) - labels * logits).sum())
             count += items.size
         loss = model.build_loss(leaves, batch)
@@ -341,7 +378,7 @@ class TestBatchedParity:
         items = np.tile(np.arange(9), len(insts))
         zu = model.user_vectors(leaves, users, windows)
         got = model.pair_logits(leaves, zu, rows, items).value.reshape(len(insts), 9)
-        want = np.stack([window_scores(model, x.user, x.window) for x in insts])
+        want = np.stack([reference_caser_scores(model, x.user, x.window) for x in insts])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_attrec_loss_and_distances_match_per_instance(self):
@@ -354,7 +391,7 @@ class TestBatchedParity:
 
         total = 0.0
         for inst, neg in batch:
-            dists = -window_scores(model, inst.user, inst.window)
+            dists = reference_attrec_distances(model, inst.user, inst.window)
             total += max(0.0, model.margin + dists[inst.targets[0]] - dists[neg])
         loss = model.build_loss(leaves, batch)
         assert abs(float(loss.value) - total / len(batch)) < 1e-12
@@ -363,8 +400,22 @@ class TestBatchedParity:
         intents = model.intents(leaves, np.array([x.window for x in insts]))
         for item in range(9):
             got = model.distances(leaves, users, intents, np.full(len(insts), item)).value
-            want = [-window_scores(model, x.user, x.window)[item] for x in insts]
+            want = [reference_attrec_distances(model, x.user, x.window)[item] for x in insts]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_served_rows_match_reference(self):
+        insts = self.instances(window=3, horizon=1)
+        latest = {x.user: x for x in insts}  # one window per user
+        users = np.array(sorted(latest))
+        caser = randomized(Caser(6, 9, d=4, window=3, n_h=2, n_v=2, seed=29),
+                           "item_embed", seed=30, scale=0.5)
+        attrec = randomized(AttRec(6, 9, d=4, window=3, omega=0.4, seed=31),
+                            "att_item", seed=32, scale=0.6)
+        for model, reference, sign in ((caser, reference_caser_scores, 1.0),
+                                       (attrec, reference_attrec_distances, -1.0)):
+            model.serve_windows = {u: latest[u].window for u in latest}
+            want = np.stack([sign * reference(model, u, latest[u].window) for u in users.tolist()])
+            np.testing.assert_allclose(model.score_matrix(users), want, rtol=0, atol=1e-12)
 
     def test_attrec_wrong_window_length_rejected(self):
         model = AttRec(2, 5, d=4, window=3, seed=28)
