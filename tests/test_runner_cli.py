@@ -45,6 +45,39 @@ def sequential_config(path):
     )
 
 
+def libfm_config(path):
+    return config_text(
+        path,
+        model_lines="name = fm\nk = 4",
+        train_lines="optimizer = adam\nlr = 0.05\nl2 = 0.0\nepochs = 60\n"
+                    "batch_size = 32\nseed = 5",
+        data_lines="split = random:0.2\nseed = 11\n",
+    ).replace("format = uirt", "format = libfm")
+
+
+def planted_libfm_file(path, n_rows=300, n_features=10, seed=3):
+    """libfm rows of 2-4 features (values 1 or 0.5) labelled by a planted
+    rank-2 FM, every number short enough to print exactly with {:g}."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=n_features)
+    v = rng.normal(scale=0.7, size=(n_features, 2))
+    lines = []
+    for _ in range(n_rows):
+        idx = np.sort(rng.choice(n_features, size=int(rng.integers(2, 5)), replace=False))
+        x = rng.choice([1.0, 0.5], size=idx.size)
+        xv = x @ v[idx]
+        label = 1.0 + x @ w[idx] + 0.5 * (xv @ xv - ((x[:, None] * v[idx]) ** 2).sum())
+        feats = " ".join(f"{i}:{val:g}" for i, val in zip(idx.tolist(), x.tolist()))
+        lines.append(f"{round(float(label), 3):g} {feats}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def libfm_rows(path):
+    """The rows of a libfm file as sortable (label, features) tuples."""
+    return sorted((row.label, row.features) for row in datamod.parse_libfm(path))
+
+
 class TestRun:
     def test_rating_report_has_exactly_rmse_mae(self, ratings_file):
         cfg = cfgmod.parse_config(rating_config(ratings_file))
@@ -157,6 +190,27 @@ class TestCliWorkflows:
         assert len(lines) == 4
         scores = [float(line.split("\t")[1]) for line in lines]
         assert scores == sorted(scores, reverse=True)
+
+    def test_libfm_train_evaluate_split(self, tmp_path, capsys):
+        source = planted_libfm_file(tmp_path / "planted.libfm")
+        cfg_path = self.write(tmp_path, "c.ini", libfm_config(source))
+        out, trained = tmp_path / "fm.drec", tmp_path / "train.report"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out),
+                         "--report", str(trained)]) == 0
+        evaluated = tmp_path / "eval.report"
+        assert cli.main(["evaluate", "--ckpt", str(out), "--config", str(cfg_path),
+                         "--report", str(evaluated)]) == 0
+        assert evaluated.read_bytes() == trained.read_bytes()
+        report = dict(line.split("\t") for line in trained.read_text().splitlines())
+        assert report["users"] == "60"  # libfm rows have no users: the test row count
+        assert float(report["rmse"]) < 0.25
+
+        assert cli.main(["split", "--config", str(cfg_path),
+                         "--train-out", str(tmp_path / "train.libfm"),
+                         "--test-out", str(tmp_path / "test.libfm")]) == 0
+        parts = libfm_rows(tmp_path / "train.libfm"), libfm_rows(tmp_path / "test.libfm")
+        assert len(parts[1]) == 60
+        assert sorted(parts[0] + parts[1]) == libfm_rows(source)
 
     def test_recommend_ties_break_by_ascending_raw_id(self, ratings_file, tmp_path, capsys):
         # hand-build a checkpoint whose scores are all identical
