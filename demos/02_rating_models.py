@@ -1,5 +1,5 @@
 """Rating prediction on synthetic data with planted structure: biased SVD
-against the global-mean baseline, a factorization machine on libfm-style
+against the global-mean baseline, a factorization machine on sparse feature
 rows, and the item autoencoder."""
 
 import numpy as np
@@ -49,17 +49,15 @@ def planted(x):
     return acc
 
 
-rows = []
-for _ in range(80):
-    x = np.where(rng.random(6) < 0.5, rng.normal(size=6), 0.0)
-    rows.append(data.SparseRow(planted(x), tuple((i, float(v))
-                                                 for i, v in enumerate(x) if v != 0.0)))
+xs = np.array([np.where(rng.random(6) < 0.5, rng.normal(size=6), 0.0) for _ in range(80)])
+labels = np.array([planted(x) for x in xs])
+# every row lists all six features; a zero value adds nothing
+rows = data.FeatureRows(labels, np.tile(np.arange(6), (80, 1)), xs, n_features=6)
 
-fm = FactorizationMachine.for_rows(rows, n_features=6, k=2, l2=0.0,
-                                   task="regression", seed=5)
+fm = FactorizationMachine(6, k=2, l2=0.0, label_range=(labels.min(), labels.max()), seed=5)
 train(fm, {"train_rows": rows}, E.Adam(lr=0.05), epochs=300, batch_size=80, seed=6)
-preds = [fm.raw_score(r) for r in rows]
-rmse = float(np.sqrt(np.mean([(p - r.label) ** 2 for p, r in zip(preds, rows)])))
+preds = fm.raw(fm.const_leaves(), rows.index, rows.value).value
+rmse = float(np.sqrt(np.mean((preds - labels) ** 2)))
 print(f"train RMSE on the planted degree-2 function: {rmse:.4f}")
 
 # ---- item autoencoder ------------------------------------------------------

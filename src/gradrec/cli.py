@@ -53,11 +53,9 @@ def build_parser() -> _Parser:
 def cmd_split(args) -> int:
     cfg = cfgmod.load_config(args.config)
     if cfg.data.format == "libfm":
-        rows = datamod.parse_libfm(cfg.data.path)
-        train_rows, test_rows = runner.split_libfm_rows(rows, cfg.data.split.ratio,
-                                                        cfg.data.seed)
-        datamod.write_libfm(args.train_out, train_rows)
-        datamod.write_libfm(args.test_out, test_rows)
+        bundle = runner.prepare_data(cfg)
+        datamod.write_libfm(args.train_out, bundle["train_rows"])
+        datamod.write_libfm(args.test_out, bundle["test_rows"])
     else:
         table = datamod.load_interactions(cfg.data.path)
         if cfg.model.task in ("ranking", "sequential"):

@@ -283,7 +283,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # format / task coupling
     if fmt == "libfm":
-        if cls is not None and not cls.feature_rows:
+        if cls is not None and name != "fm":
             issues.append(f"[data] libfm format requires model fm, got {name!r}")
         if split_spec is not None and not isinstance(split_spec, RandomHoldout):
             issues.append("[data] libfm rows carry no user/timestamp; split must be random:<ratio>")

@@ -9,7 +9,8 @@ File formats:
   data-line index so file order is chronological order. Ratings must be
   finite and timestamps must fit in int64.
 * **libfm** — ``<label> <index>:<value> ...`` with 0-based feature
-  indices, as used for factorization machines.
+  indices, as used for factorization machines. Parsed into
+  :class:`FeatureRows`, padded arrays with one row per line.
 
 An :class:`InteractionTable` is columnar: row r is the interaction
 ``(users[r], items[r], ratings[r], timestamps[r])``, int64 ids and
@@ -131,12 +132,31 @@ class InteractionTable:
         return np.lexsort((self.timestamps, self.users))
 
 
-@dataclass(frozen=True)
-class SparseRow:
-    """A libfm-format labeled sparse feature vector."""
+@dataclass(frozen=True, eq=False)
+class FeatureRows:
+    """Labelled sparse feature rows as arrays: row r has label ``labels[r]``
+    and value ``value[r, j]`` at feature ``index[r, j]``. Rows narrower than
+    the widest are padded with (index 0, value 0.0), which adds nothing to
+    a linear or a pairwise term."""
 
-    label: float
-    features: tuple[tuple[int, float], ...]  # (index, value), strictly increasing indices
+    labels: Array  # float64 (N,)
+    index: Array  # int64 (N, width), ascending within a row before the padding
+    value: Array  # float64 (N, width)
+    n_features: int  # one more than the largest index of the source
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def take(self, rows: Array) -> FeatureRows:
+        return FeatureRows(self.labels[rows], self.index[rows], self.value[rows],
+                           self.n_features)
+
+    @classmethod
+    def one_hot(cls, table: InteractionTable) -> FeatureRows:
+        """A table's ratings as width-2 rows: feature u for the user and
+        n_users + i for the item, both 1.0."""
+        index = np.stack([table.users, table.n_users + table.items], axis=1)
+        return cls(table.ratings, index, np.ones(index.shape), table.n_users + table.n_items)
 
 
 # --------------------------------------------------------------------------
@@ -299,31 +319,38 @@ def load_interactions(path: str | Path, separator: str | None = None,
     return _collapse(users, items, ratings, timestamps)
 
 
+def _exact(x: float) -> str:
+    """``{:g}``, which keeps integers short, when it reads back as the same
+    float; the exact ``repr`` otherwise."""
+    return g if float(g := f"{x:g}") == x else repr(x)
+
+
 def write_uirt(path: str | Path, table: InteractionTable) -> None:
     users = map(table.user_ids.__getitem__, table.users.tolist())
     items = map(table.item_ids.__getitem__, table.items.tolist())
-    # {:g} keeps integer ratings short; a rating it would round is written exactly
-    ratings = [g if float(g := f"{r:g}") == r else repr(r) for r in table.ratings.tolist()]
+    ratings = map(_exact, table.ratings.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{u}\t{i}\t{r}\t{t}\n" for u, i, r, t in
                       zip(users, items, ratings, table.timestamps.tolist()))
 
 
-def parse_libfm(path: str | Path) -> list[SparseRow]:
-    """Parse libfm-format rows; indices must be unique and non-negative."""
+def parse_libfm(path: str | Path) -> FeatureRows:
+    """Parse libfm-format rows; indices must be unique and non-negative.
+    A zero-valued feature adds nothing to a model, so it is checked, then
+    dropped."""
     path = Path(path)
-    rows: list[SparseRow] = []
+    labels: list[float] = []
+    rows: list[list[tuple[int, float]]] = []
+    n_features = 0
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
-            label = float(tokens[0])
+            labels.append(float(tokens[0]))
         except ValueError:
             raise DataFormatError(str(path), line_no, f"bad label {tokens[0]!r}") from None
-        feats: list[tuple[int, float]] = []
-        seen: set[int] = set()
+        feats: dict[int, float] = {}
         for tok in tokens[1:]:
             idx_str, _, val_str = tok.partition(":")
             try:
@@ -333,26 +360,31 @@ def parse_libfm(path: str | Path) -> list[SparseRow]:
                 raise DataFormatError(str(path), line_no, f"bad feature token {tok!r}") from None
             if idx < 0:
                 raise DataFormatError(str(path), line_no, f"negative feature index {idx}")
-            if idx in seen:
+            if idx >= _INT64.max:
+                raise DataFormatError(str(path), line_no, f"feature index {idx} out of range")
+            if idx in feats:
                 raise DataFormatError(str(path), line_no, f"duplicate feature index {idx}")
-            seen.add(idx)
-            feats.append((idx, val))
-        feats.sort(key=lambda p: p[0])
-        rows.append(SparseRow(label=label, features=tuple(feats)))
+            feats[idx] = val
+        n_features = max(n_features, 1 + max(feats, default=-1))
+        rows.append(sorted((idx, val) for idx, val in feats.items() if val != 0.0))
     if not rows:
         raise DataFormatError(str(path), None, "no rows found")
-    return rows
+    width = max(map(len, rows))
+    index = np.zeros((len(rows), width), dtype=np.int64)
+    value = np.zeros((len(rows), width))
+    for r, feats in enumerate(rows):
+        index[r, :len(feats)] = [idx for idx, _ in feats]
+        value[r, :len(feats)] = [val for _, val in feats]
+    return FeatureRows(np.array(labels), index, value, n_features)
 
 
-def write_libfm(path: str | Path, rows: list[SparseRow]) -> None:
+def write_libfm(path: str | Path, rows: FeatureRows) -> None:
+    """One line per row, padding left out; numbers read back bit for bit."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            feats = " ".join(f"{i}:{v:g}" for i, v in row.features)
-            fh.write(f"{row.label:g}{' ' if feats else ''}{feats}\n")
-
-
-def n_features(rows: list[SparseRow]) -> int:
-    return 1 + max((i for row in rows for i, _ in row.features), default=-1)
+        for label, index, value in zip(rows.labels.tolist(), rows.index.tolist(),
+                                       rows.value.tolist()):
+            feats = "".join(f" {i}:{_exact(v)}" for i, v in zip(index, value) if v != 0.0)
+            fh.write(f"{_exact(label)}{feats}\n")
 
 
 # --------------------------------------------------------------------------
@@ -379,6 +411,14 @@ class Temporal:
 SplitSpec = RandomHoldout | LeaveOneOut | Temporal
 
 
+def held_out(n: int, spec: RandomHoldout) -> Array:
+    """The random holdout's test mask over n rows: the first
+    round(ratio * n) positions of a seeded permutation."""
+    held = np.zeros(n, dtype=bool)
+    held[np.random.default_rng(spec.seed).permutation(n)[:int(round(spec.ratio * n))]] = True
+    return held
+
+
 def split(table: InteractionTable, spec: SplitSpec) -> tuple[InteractionTable, InteractionTable]:
     """Partition interactions into train/test per the protocol.
 
@@ -389,12 +429,11 @@ def split(table: InteractionTable, spec: SplitSpec) -> tuple[InteractionTable, I
         raise GradrecError(f"split ratio must be in (0, 1), got {spec.ratio}")
 
     n = len(table)
-    held = np.zeros(n, dtype=bool)
     if isinstance(spec, RandomHoldout):
-        order = np.random.default_rng(spec.seed).permutation(n)
-        held[order[:int(round(spec.ratio * n))]] = True
+        held = held_out(n, spec)
         rows = np.arange(n)
     elif isinstance(spec, (LeaveOneOut, Temporal)):
+        held = np.zeros(n, dtype=bool)
         rows, bounds = table.user_rows()
         counts = np.diff(bounds)
         if isinstance(spec, LeaveOneOut):

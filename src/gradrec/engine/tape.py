@@ -110,9 +110,6 @@ class Node:
     def mean(self, axis: int | None = None):
         return forward("mean", [self], axis=axis)
 
-    def dot(self, other):
-        return forward("dot", [self, self._coerce(other)])
-
     def sigmoid(self):
         return forward("sigmoid", [self])
 
@@ -121,9 +118,6 @@ class Node:
 
     def relu(self):
         return forward("relu", [self])
-
-    def log(self):
-        return forward("log", [self])
 
     def softplus(self):
         return forward("softplus", [self])
@@ -315,20 +309,6 @@ def _mul_vjp(node, g):
     return [_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)]
 
 
-@_op("dot")
-def _dot(values, attrs, cache):
-    a, b = values
-    _check(a.ndim == 1 and b.ndim == 1 and a.shape == b.shape, "dot",
-           "two vectors of equal length", f"{a.shape} vs {b.shape}")
-    return np.asarray(a @ b)
-
-
-@_vjp("dot")
-def _dot_vjp(node, g):
-    a, b = (i.value for i in node.inputs)
-    return [g * b, g * a]
-
-
 @_op("sum")
 def _sum(values, attrs, cache):
     (x,) = values
@@ -398,16 +378,6 @@ def _relu_vjp(node, g):
     return [g * (node.inputs[0].value > 0.0)]
 
 
-@_op("log")
-def _log(values, attrs, cache):
-    return np.log(values[0])
-
-
-@_vjp("log")
-def _log_vjp(node, g):
-    return [g / node.inputs[0].value]
-
-
 @_op("softplus")
 def _softplus(values, attrs, cache):
     return np.logaddexp(0.0, values[0])
@@ -449,8 +419,8 @@ def _matmul(values, attrs, cache):
     a, b = values
     form = _MATMUL_FORMS.get((a.ndim, b.ndim))
     if form is None:
-        raise ShapeError("matmul", "rank-2 or rank-3 operands, or rank-2 with rank-1 "
-                         "(use dot for two vectors)", f"{a.shape} @ {b.shape}")
+        raise ShapeError("matmul", "rank-2 or rank-3 operands, or rank-2 with rank-1",
+                         f"{a.shape} @ {b.shape}")
     inner = b.shape[0] if b.ndim == 1 else b.shape[-2]
     same_batch = a.ndim < 3 or b.ndim < 3 or a.shape[0] == b.shape[0]
     _check(a.shape[-1] == inner and same_batch, "matmul", form, f"{a.shape} @ {b.shape}")

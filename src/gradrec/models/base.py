@@ -18,6 +18,7 @@ if TYPE_CHECKING:
 Array = np.ndarray
 
 INIT_SCALE = 0.01  # embeddings and weights start at Normal(0, 0.01^2)
+PAIR_BLOCK = 4096  # rows per scoring graph of the models that score pairs on the tape
 
 
 def init_normal(rng: np.random.Generator, *shape: int) -> Array:
@@ -180,7 +181,6 @@ class Model:
       neg_samples`` is absent; None for models that read no such count,
       which then reject the key.
     * ``batched`` -- whether training reads ``[train] batch_size``.
-    * ``feature_rows`` -- trains on sparse feature rows rather than ids.
     """
 
     names: tuple[str, ...] = ()
@@ -189,7 +189,6 @@ class Model:
     defaults: dict[str, Any] = {}
     neg_samples: int | None = None
     batched = True
-    feature_rows = False
     params: dict[str, Array]
     _row: tuple[int, Array] | None = None  # (user, score_matrix row) behind score
 

@@ -14,8 +14,6 @@ from gradrec.models import base
 
 Array = np.ndarray
 
-PAIR_BLOCK = 4096  # (user, item) pairs per NeuMf scoring graph
-
 
 def _triplets(users: Array, pos: Array, neg: Array) -> tuple[Array, Array, Array]:
     """Flat (u, i, j) arrays, one per sampled negative, from a batch whose
@@ -231,9 +229,9 @@ class NeuMf(_SampledPairs):
         pair_users = np.repeat(np.asarray(users, dtype=np.int64), n_items)
         pair_items = np.tile(np.arange(n_items), len(users))
         leaves = self.const_leaves()
-        z = np.concatenate([self.logits(leaves, pair_users[lo:lo + PAIR_BLOCK],
-                                        pair_items[lo:lo + PAIR_BLOCK]).value
-                            for lo in range(0, pair_users.size, PAIR_BLOCK)])
+        z = np.concatenate([self.logits(leaves, pair_users[lo:lo + base.PAIR_BLOCK],
+                                        pair_items[lo:lo + base.PAIR_BLOCK]).value
+                            for lo in range(0, pair_users.size, base.PAIR_BLOCK)])
         return np.exp(-np.logaddexp(0.0, -z)).reshape(len(users), n_items)
 
 

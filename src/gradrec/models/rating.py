@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from gradrec import engine as E
-from gradrec.data import InteractionTable, SparseRow
+from gradrec.data import FeatureRows, InteractionTable
 from gradrec.errors import GradrecError
 from gradrec.models import base
 
@@ -87,23 +87,19 @@ class BiasedSvd(base.Model):
 
 
 class FactorizationMachine(base.Model):
-    """Degree-2 FM over libfm-style sparse rows, using the linear-time
-    pairwise identity: 0.5 * sum_f [(X v_f)^2 - X^2 v_f^2]."""
+    """Degree-2 FM over feature rows, using the linear-time pairwise
+    identity: 0.5 * sum_f [(sum_j x_j v_jf)^2 - sum_j x_j^2 v_jf^2]. On uirt
+    data the rows are one-hot: feature u for the user, n_users + i for the
+    item."""
 
     names = ("fm",)
     task = "rating"
-    feature_rows = True
     trainable = ("intercept", "linear", "factors")
+    n_users: int | None = None  # set by serve from uirt data; libfm rows have no users
 
-    def __init__(self, n_features: int, k: int, l2: tuple[float, float, float] | float = 0.0,
-                 task: str = "regression", label_range: tuple[float, float] = (0.0, 1.0),
-                 seed: int = 0):
-        if task not in ("regression", "binary"):
-            raise GradrecError(f"unknown FM task {task!r}")
-        if isinstance(l2, (int, float)):
-            l2 = (float(l2),) * 3
+    def __init__(self, n_features: int, k: int, l2: float = 0.0,
+                 label_range: tuple[float, float] = (0.0, 1.0), seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.task = task
         self.l2 = l2
         self.params: dict[str, Array] = {
             "label_min": np.asarray(float(label_range[0])),
@@ -113,88 +109,78 @@ class FactorizationMachine(base.Model):
             "factors": base.init_normal(rng, n_features, k),
         }
 
-    @classmethod
-    def for_rows(cls, rows: list[SparseRow], n_features: int, k: int, l2, task: str,
-                 seed: int) -> "FactorizationMachine":
-        labels = [r.label for r in rows]
-        return cls(n_features, k, l2=l2, task=task,
-                   label_range=(min(labels), max(labels)), seed=seed)
+    @staticmethod
+    def train_rows(data) -> FeatureRows:
+        """The bundle's libfm training rows, or its uirt table one-hot encoded."""
+        return data["train_rows"] if "train_rows" in data else FeatureRows.one_hot(data["train"])
 
     @classmethod
     def settings(cls, cfg) -> dict:
-        return {"task": "regression", "l2": (cfg.train.l2,) * 3}
+        return {"l2": cfg.train.l2}
 
     @classmethod
     def create(cls, cfg, data) -> "FactorizationMachine":
-        return cls.for_rows(data["train_rows"], data["n_features"], cfg.model.k,
-                            seed=cfg.train.seed, **cls.settings(cfg))
+        rows = cls.train_rows(data)
+        return cls(rows.n_features, cfg.model.k, seed=cfg.train.seed,
+                   label_range=(rows.labels.min(), rows.labels.max()), **cls.settings(cfg))
 
-    @property
-    def n_features(self) -> int:
-        return self.params["linear"].shape[0]
+    def raw(self, leaves: dict[str, E.Node], index: Array, value: Array) -> E.Node:
+        """The unclipped FM score of each row of (N, width) feature arrays."""
+        n, width = index.shape
+        k = self.params["factors"].shape[1]
+        flat = index.ravel()
+        lin = (E.embedding_lookup(leaves["linear"], flat).reshape((n, width))
+               * E.const(value)).sum(axis=1)
+        v = E.embedding_lookup(leaves["factors"], flat)  # (N * width, k)
+        # sum_f (sum_j x_j v_jf)^2 - sum_j x_j^2 |v_j|^2
+        sums = E.matmul(E.const(value.reshape((n, 1, width))), v.reshape((n, width, k)))
+        squares = (E.const(value * value) * base.row_sq_norm(v).reshape((n, width))).sum(axis=1)
+        pair = 0.5 * (base.row_sq_norm(sums.reshape((n, k))) - squares)
+        return leaves["intercept"] + lin + pair
 
-    def _dense(self, rows: list[SparseRow]) -> tuple[Array, Array]:
-        x = np.zeros((len(rows), self.n_features))
-        y = np.empty(len(rows))
-        for r, row in enumerate(rows):
-            y[r] = row.label
-            for idx, val in row.features:
-                if idx >= self.n_features:
-                    raise GradrecError(f"feature index {idx} out of range "
-                                       f"(n_features={self.n_features})")
-                x[r, idx] = val
-        return x, y
-
-    def build_loss(self, leaves: dict[str, E.Node], rows: list[SparseRow]) -> E.Node:
-        x, y = self._dense(rows)
-        xc, x2c = E.const(x), E.const(x * x)
+    def build_loss(self, leaves: dict[str, E.Node], rows: FeatureRows) -> E.Node:
+        err = E.const(rows.labels) - self.raw(leaves, rows.index, rows.value)
         w0, w, v = leaves["intercept"], leaves["linear"], leaves["factors"]
-        lin = E.matmul(xc, w)
-        xv = E.matmul(xc, v)
-        pair = 0.5 * ((xv * xv).sum(axis=1) - E.matmul(x2c, v * v).sum(axis=1))
-        pred = w0 + lin + pair
-        if self.task == "regression":
-            err = E.const(y) - pred
-            data = (err * err).mean()
-        else:
-            if not np.all(np.isin(y, (0.0, 1.0))):
-                raise GradrecError("binary FM requires labels in {0, 1}")
-            data = base.bce_from_logits(pred, y)
-        reg = (self.l2[0] * (w0 * w0) + self.l2[1] * (w * w).sum()
-               + self.l2[2] * (v * v).sum())
-        return data + reg
+        return (err * err).mean() + self.l2 * (w0 * w0 + (w * w).sum() + (v * v).sum())
+
+    def serve(self, data) -> None:
+        super().serve(data)
+        if "train" in data:
+            self.n_users = data["train"].n_users
 
     def bind(self, data, batch_size, neg_samples) -> None:
-        self._rows = data["train_rows"]
-        if not self._rows:
+        self._rows = self.train_rows(data)
+        if len(self._rows) == 0:
             raise GradrecError("empty training set")
         self._batch_size = batch_size
 
     def batches(self, epoch, rng):
         for idx in base.minibatches(len(self._rows), self._batch_size, rng):
-            batch = [self._rows[i] for i in idx]
-            yield len(batch), batch
+            yield idx.size, self._rows.take(idx)
 
-    def raw_score(self, row: SparseRow) -> float:
-        p = self.params
-        acc = float(p["intercept"])
-        sums = np.zeros(p["factors"].shape[1])
-        sq_sums = np.zeros(p["factors"].shape[1])
-        for idx, val in row.features:
-            if idx >= self.n_features:
-                raise GradrecError(f"feature index {idx} out of range")
-            acc += p["linear"][idx] * val
-            contrib = p["factors"][idx] * val
-            sums += contrib
-            sq_sums += contrib * contrib
-        return acc + 0.5 * float((sums * sums - sq_sums).sum())
+    def predict_rows(self, index: Array, value: Array) -> Array:
+        """``raw`` on constant leaves, clipped to the label range, for
+        (N, width) feature arrays, PAIR_BLOCK rows per graph."""
+        p, leaves = self.params, self.const_leaves()
+        out = np.empty(len(index))
+        for lo in range(0, len(index), base.PAIR_BLOCK):
+            block = slice(lo, lo + base.PAIR_BLOCK)
+            out[block] = self.raw(leaves, index[block], value[block]).value
+        return np.clip(out, float(p["label_min"]), float(p["label_max"]))
 
-    def predict(self, row: SparseRow) -> float:
-        raw = self.raw_score(row)
-        if self.task == "binary":
-            return float(np.exp(-np.logaddexp(0.0, -raw)))
-        lo, hi = float(self.params["label_min"]), float(self.params["label_max"])
-        return float(np.clip(raw, lo, hi))
+    def score_matrix(self, users):
+        """``predict_rows`` over the one-hot (user, item) grid; only a model
+        served uirt data has users."""
+        if self.n_users is None:
+            raise GradrecError("an fm trained on libfm rows has no users to score")
+        users = np.asarray(users, dtype=np.int64)
+        if users.size and users.max() >= self.n_users:
+            raise IndexError(f"user {users.max()} out of range")
+        n_items = self.params["linear"].size - self.n_users
+        index = np.stack([np.repeat(users, n_items),
+                          np.tile(np.arange(self.n_users, self.n_users + n_items), users.size)],
+                         axis=1)
+        return self.predict_rows(index, np.ones(index.shape)).reshape(users.size, n_items)
 
 
 class ItemAutoRec(base.Model):

@@ -13,33 +13,11 @@ from gradrec import config as cfgmod
 from gradrec import data as datamod
 from gradrec import metrics as metricsmod
 from gradrec.config import ExperimentConfig
-from gradrec.data import InteractionTable, SparseRow
 from gradrec.engine import make_optimizer
 from gradrec.errors import ConfigError, GradrecError
 from gradrec.models import MODELS, base
 
 log = logging.getLogger(__name__)
-
-
-def interactions_to_fm_rows(table: InteractionTable) -> tuple[list[SparseRow], int]:
-    """One-hot user+item encoding: feature u for the user, n_users + i for
-    the item; rating as the label."""
-    rows = [SparseRow(label=rating, features=((user, 1.0), (item, 1.0)))
-            for user, item, rating in zip(table.users.tolist(),
-                                          (table.items + table.n_users).tolist(),
-                                          table.ratings.tolist())]
-    return rows, table.n_users + table.n_items
-
-
-def split_libfm_rows(rows: list[SparseRow], ratio: float,
-                     seed: int) -> tuple[list[SparseRow], list[SparseRow]]:
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(rows))
-    n_test = int(round(ratio * len(rows)))
-    test_idx = set(order[:n_test].tolist())
-    train = [rows[k] for k in range(len(rows)) if k not in test_idx]
-    test = [rows[k] for k in range(len(rows)) if k in test_idx]
-    return train, test
 
 
 def build_model(cfg: ExperimentConfig, **data):
@@ -59,9 +37,8 @@ def prepare_data(cfg: ExperimentConfig):
     task = cfg.model.task
     if cfg.data.format == "libfm":
         rows = datamod.parse_libfm(cfg.data.path)
-        train_rows, test_rows = split_libfm_rows(rows, cfg.data.split.ratio, cfg.data.seed)
-        return {"task": "rating", "rows": rows, "train_rows": train_rows,
-                "test_rows": test_rows, "n_features": datamod.n_features(rows)}
+        held = datamod.held_out(len(rows), cfg.data.split)
+        return {"task": "rating", "train_rows": rows.take(~held), "test_rows": rows.take(held)}
     table = datamod.load_interactions(cfg.data.path)
     if task in ("ranking", "sequential"):
         table = datamod.binarize(table, cfgmod.binarize_threshold_for(cfg))
@@ -70,9 +47,6 @@ def prepare_data(cfg: ExperimentConfig):
                                "lower data.binarize_threshold")
     train, test = datamod.split(table, cfg.data.split)
     bundle = {"task": task, "table": table, "train": train, "test": test}
-    if MODELS[cfg.model.name].feature_rows:
-        bundle["train_rows"], bundle["n_features"] = interactions_to_fm_rows(train)
-        bundle["test_rows"], _ = interactions_to_fm_rows(test)
     if task == "sequential":
         bundle["sequences"] = datamod.build_sequences(train, cfg.model.L, cfg.model.T)
     return bundle
@@ -87,20 +61,18 @@ def fit_model(cfg: ExperimentConfig, model, bundle) -> list[float]:
 def evaluate_model(cfg: ExperimentConfig, model, bundle) -> metricsmod.MetricReport:
     task = bundle["task"]
     if task == "rating":
-        if MODELS[cfg.model.name].feature_rows:
-            test_rows = bundle["test_rows"]
-            if not test_rows:
-                raise GradrecError("empty test split")
-            pairs = [(model.predict(row), row.label) for row in test_rows]
-            users = len(test_rows)
+        libfm = cfg.data.format == "libfm"
+        test = bundle["test_rows" if libfm else "test"]
+        if len(test) == 0:
+            raise GradrecError("empty test split")
+        if libfm:  # the rows carry no user ids, so the report counts rows
+            predicted, actual = model.predict_rows(test.index, test.value), test.labels
+            users = len(test)
         else:
-            test = bundle["test"]
-            if len(test) == 0:
-                raise GradrecError("empty test split")
             predicted = metricsmod.pair_scores(model.score_matrix, test.users, test.items)
-            pairs = zip(predicted.tolist(), test.ratings.tolist())
-            users = np.unique(test.users).size
-        return metricsmod.rating_report(pairs, seed=cfg.data.seed, users=users)
+            actual, users = test.ratings, np.unique(test.users).size
+        return metricsmod.rating_report(zip(predicted.tolist(), actual.tolist()),
+                                        seed=cfg.data.seed, users=users)
     protocol = cfg.eval.protocol_obj(seed=cfg.data.seed)
     return metricsmod.evaluate_ranking(model.score_matrix, bundle["train"], bundle["test"],
                                        protocol, cfg.eval.cutoffs, seed_echo=cfg.data.seed)
@@ -155,9 +127,9 @@ def recommend(checkpoint_path: str | Path, raw_user: str, n: int) -> list[tuple[
     if n < 1:
         raise ConfigError([f"recommend needs n >= 1, got {n}"])
     cfg, model, bundle = load_model(checkpoint_path)
-    if MODELS[cfg.model.name].feature_rows:
-        raise ConfigError(["recommend does not serve fm checkpoints; "
-                           "use evaluate to score an fm model"])
+    if cfg.data.format == "libfm":
+        raise ConfigError(["recommend cannot serve a model trained on libfm data: "
+                           "its rows carry no user ids; use evaluate to score it"])
     table = bundle["table"]
     user = table.user_index.get(raw_user)
     if user is None:

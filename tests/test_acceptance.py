@@ -68,9 +68,10 @@ def gradient_cases():
     cases.append(("biasedsvd", lambda lv: svd.build_loss(lv, (users, items, ratings)),
                   {n: svd.params[n] for n in svd.trainable}))
 
-    rows = [datamod.SparseRow(float(k % 3), ((k % 5, 1.0), (5 + k % 3, 0.5)))
-            for k in range(10)]
-    fm = FactorizationMachine(8, 4, l2=0.01, task="regression", seed=3)
+    ks = np.arange(10)
+    rows = datamod.FeatureRows((ks % 3).astype(float), np.stack([ks % 5, 5 + ks % 3], axis=1),
+                               np.tile([1.0, 0.5], (10, 1)), 8)
+    fm = FactorizationMachine(8, 4, l2=0.01, seed=3)
     cases.append(("fm", lambda lv: fm.build_loss(lv, rows),
                   {n: fm.params[n] for n in fm.trainable}))
 
@@ -177,8 +178,7 @@ def test_criterion_2_fm_identity():
         model.params["intercept"] = np.asarray(w0)
         model.params["linear"] = w
         model.params["factors"] = v
-        fast = model.raw_score(datamod.SparseRow(0.0, tuple((i, float(x[i]))
-                                                            for i in range(n))))
+        fast = float(model.raw(model.const_leaves(), np.arange(n)[None], x[None]).value[0])
         worst = max(worst, abs(fast - brute))
     elapsed = time.monotonic() - start
     announce("2 (FM identity)", worst < 1e-9 and elapsed < 5,
@@ -337,10 +337,9 @@ def overfit_runs():
     svd = BiasedSvd.for_table(ratings, k=4, l2=0.0, seed=1)
     out.append(("biasedsvd", train(svd, {"train": ratings}, E.Adam(lr=0.05), 300, 64, seed=2)))
 
-    rows, _ = runner.interactions_to_fm_rows(ratings)
-    fm = FactorizationMachine.for_rows(rows, ratings.n_users + ratings.n_items,
-                                       k=4, l2=0.0, task="regression", seed=3)
-    out.append(("fm", train(fm, {"train_rows": rows}, E.Adam(lr=0.05), 400, 64, seed=4)))
+    fm = FactorizationMachine(ratings.n_users + ratings.n_items, k=4, l2=0.0,
+                              label_range=ratings.rating_range, seed=3)
+    out.append(("fm", train(fm, {"train": ratings}, E.Adam(lr=0.05), 400, 64, seed=4)))
 
     autorec = ItemAutoRec.for_table(ratings, hidden=8, l2=0.0, seed=5)
     out.append(("autorec", train(autorec, {"train": ratings}, E.Adam(lr=0.05), 500, seed=6)))
@@ -562,20 +561,15 @@ def test_criterion_7_reproducibility_and_persistence(small_files):
         _, model, _ = runner.run(cfg, checkpoint_path=out)
         _, restored, bundle = runner.load_model(out)
 
-        table = bundle.get("table")
+        table = bundle["table"]
         rng = np.random.default_rng(3)
-        if name == "fm":
-            rows = bundle["test_rows"] or bundle["train_rows"]
-            for row in rows[:50]:
-                assert restored.predict(row) == model.predict(row), name
-        else:
-            score_a = model.predict if cfg.model.task == "rating" else model.score
-            score_b = restored.predict if cfg.model.task == "rating" else restored.score
-            users = np.unique(bundle["train"].users).tolist()
-            for _ in range(100):
-                u = int(rng.choice(users))
-                i = int(rng.integers(0, table.n_items))
-                assert score_b(u, i) == score_a(u, i), name  # 0 ulps
+        score_a = model.predict if cfg.model.task == "rating" else model.score
+        score_b = restored.predict if cfg.model.task == "rating" else restored.score
+        users = np.unique(bundle["train"].users).tolist()
+        for _ in range(100):
+            u = int(rng.choice(users))
+            i = int(rng.integers(0, table.n_items))
+            assert score_b(u, i) == score_a(u, i), name  # 0 ulps
         checked.append(name)
     elapsed = time.monotonic() - start
     announce("7 (reproducibility & persistence)", len(checked) == 12,

@@ -111,12 +111,20 @@ class TestLoadInteractions:
 class TestParseLibfm:
     def test_basic_row(self, tmp_path):
         rows = data.parse_libfm(write(tmp_path, "5 0:1 3:2.5\n"))
-        assert rows[0].label == 5.0
-        assert rows[0].features == ((0, 1.0), (3, 2.5))
+        assert rows.labels.tolist() == [5.0]
+        assert rows.index.tolist() == [[0, 3]] and rows.value.tolist() == [[1.0, 2.5]]
+        assert rows.n_features == 4
 
     def test_label_only_row(self, tmp_path):
         rows = data.parse_libfm(write(tmp_path, "0\n"))
-        assert rows[0].features == ()
+        assert rows.index.shape == rows.value.shape == (1, 0)
+
+    def test_rows_pad_to_the_widest_and_drop_zero_values(self, tmp_path):
+        rows = data.parse_libfm(write(tmp_path, "1 4:2 0:1 7:0\n\n2 5:3\n3\n"))
+        assert rows.labels.tolist() == [1.0, 2.0, 3.0]
+        assert rows.index.tolist() == [[0, 4], [5, 0], [0, 0]]
+        assert rows.value.tolist() == [[1.0, 2.0], [3.0, 0.0], [0.0, 0.0]]
+        assert rows.n_features == 8  # the dropped 7:0 still counts
 
     def test_duplicate_index_rejected(self, tmp_path):
         with pytest.raises(DataFormatError) as err:
@@ -131,9 +139,46 @@ class TestParseLibfm:
         with pytest.raises(DataFormatError):
             data.parse_libfm(write(tmp_path, "1 a:b\n"))
 
+    def test_index_beyond_int64_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError) as err:
+            data.parse_libfm(write(tmp_path, "2 0:1\n1 99999999999999999999:1\n"))
+        assert err.value.line_no == 2
+
     def test_indices_sorted(self, tmp_path):
         rows = data.parse_libfm(write(tmp_path, "1 5:1 2:3\n"))
-        assert rows[0].features == ((2, 3.0), (5, 1.0))
+        assert rows.index.tolist() == [[2, 5]] and rows.value.tolist() == [[3.0, 1.0]]
+
+
+@st.composite
+def padded_rows(draw):
+    """FeatureRows as the parser builds them: nonzero values at ascending
+    indices, padded to the widest row."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(finite, st.dictionaries(
+        st.integers(0, 40), finite.filter(lambda v: v != 0.0), max_size=5)),
+        min_size=1, max_size=12))
+    width = max(len(feats) for _, feats in rows)
+    index = np.zeros((len(rows), width), dtype=np.int64)
+    value = np.zeros((len(rows), width))
+    for r, (_, feats) in enumerate(rows):
+        index[r, :len(feats)] = sorted(feats)
+        value[r, :len(feats)] = [feats[i] for i in sorted(feats)]
+    n_features = 1 + max((i for _, feats in rows for i in feats), default=-1)
+    return data.FeatureRows(np.array([label for label, _ in rows]), index, value, n_features)
+
+
+@given(padded_rows())
+@settings(max_examples=100, deadline=None)
+def test_write_libfm_round_trips_bitwise(tmp_path_factory, rows):
+    # {:g} alone keeps 6 significant digits
+    path = tmp_path_factory.getbasetemp() / "rows.libfm"
+    data.write_libfm(path, rows)
+    again = data.parse_libfm(path)
+    for name in ("labels", "index", "value"):
+        want, got = getattr(rows, name), getattr(again, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert again.n_features == rows.n_features
 
 
 def make_table(entries):

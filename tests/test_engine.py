@@ -145,7 +145,6 @@ OP_CASES = [
     ("sub", lambda a, b: a - b, [(5,), (5,)]),
     ("mul", lambda a, b: a * b, [(2, 3), (2, 3)]),
     ("mul_scalar", lambda a, b: a * b, [(), (2, 3)]),
-    ("dot", lambda a, b: a.dot(b), [(6,), (6,)]),
     ("matmul22", E.matmul, [(3, 4), (4, 2)]),
     ("matmul21", E.matmul, [(3, 4), (4,)]),
     ("matmul12", E.matmul, [(3,), (3, 2)]),
@@ -424,7 +423,7 @@ class TestGradCheck:
 
     def test_non_finite_loss_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(GradCheckError):
-            E.grad_check(lambda p: p["w"].log().sum(), {"w": np.array([-1.0])})
+            E.grad_check(lambda p: (p["w"] * np.inf).sum(), {"w": np.array([-1.0])})
 
 
 def test_forward_contract_is_the_single_dispatch():

@@ -111,28 +111,33 @@ class TestBiasedSvdFit:
         assert f"epoch {err.value.epoch}, step {err.value.step}:" in str(err.value)
 
 
+def fm_raw(model, features):
+    """The unclipped score of one row of (index, value) pairs through ``raw``."""
+    index = np.array([[i for i, _ in features]], dtype=np.int64).reshape(1, -1)
+    value = np.array([[x for _, x in features]], dtype=np.float64).reshape(1, -1)
+    return float(model.raw(model.const_leaves(), index, value).value[0])
+
+
 class TestFmScore:
     def test_pairwise_term_matches_bruteforce_example(self):
         model = FactorizationMachine(n_features=3, k=2, seed=0)
         model.params["factors"][:] = [[1, 1], [2, 0], [0, 3]]
         model.params["linear"][:] = 0.0
         model.params["intercept"] = np.asarray(0.0)
-        row = data.SparseRow(0.0, ((0, 1.0), (1, 1.0), (2, 1.0)))
         # <v1,v2> + <v1,v3> + <v2,v3> = 2 + 3 + 0
-        assert model.raw_score(row) == pytest.approx(5.0)
+        assert fm_raw(model, ((0, 1.0), (1, 1.0), (2, 1.0))) == pytest.approx(5.0)
 
     def test_orthogonal_factors_cancel(self):
         model = FactorizationMachine(n_features=2, k=2, seed=0)
         model.params["factors"][:] = [[1, 0], [0, 1]]
         model.params["linear"][:] = [0.1, -0.1]
         model.params["intercept"] = np.asarray(0.5)
-        row = data.SparseRow(0.0, ((0, 1.0), (1, 1.0)))
-        assert model.raw_score(row) == pytest.approx(0.5)
+        assert fm_raw(model, ((0, 1.0), (1, 1.0))) == pytest.approx(0.5)
 
     def test_empty_row_gives_intercept(self):
         model = FactorizationMachine(n_features=4, k=3, seed=1)
         model.params["intercept"] = np.asarray(0.75)
-        assert model.raw_score(data.SparseRow(0.0, ())) == pytest.approx(0.75)
+        assert fm_raw(model, ()) == pytest.approx(0.75)
 
     def test_identity_against_bruteforce_random(self):
         rng = np.random.default_rng(8)
@@ -144,78 +149,85 @@ class TestFmScore:
             model.params["linear"] = rng.normal(size=n)
             model.params["intercept"] = np.asarray(rng.normal())
             x = rng.normal(size=n)
-            row = data.SparseRow(0.0, tuple((i, float(x[i])) for i in range(n)))
             want = fm_bruteforce(float(model.params["intercept"]), model.params["linear"],
                                  model.params["factors"], x)
-            assert abs(model.raw_score(row) - want) < 1e-9
+            assert abs(fm_raw(model, tuple(enumerate(x.tolist()))) - want) < 1e-9
 
     def test_index_out_of_range(self):
         model = FactorizationMachine(n_features=2, k=2)
         with pytest.raises(GradrecError):
-            model.raw_score(data.SparseRow(0.0, ((5, 1.0),)))
+            fm_raw(model, ((5, 1.0),))
+
+    def test_score_matrix_is_the_one_hot_forward(self):
+        rng = np.random.default_rng(5)
+        n_users, n_items = 4, 6
+        model = FactorizationMachine(n_users + n_items, k=3, label_range=(-50.0, 50.0))
+        with pytest.raises(GradrecError):  # served no uirt data: no users
+            model.score_matrix(np.array([0]))
+        model.params["factors"] = rng.normal(size=(n_users + n_items, 3))
+        model.params["linear"] = rng.normal(size=n_users + n_items)
+        model.params["intercept"] = np.asarray(rng.normal())
+        model.n_users = n_users
+        users = np.array([2, 0, 3])
+        rows = model.score_matrix(users)
+        assert rows.shape == (users.size, n_items)
+        for r, user in enumerate(users.tolist()):
+            for item in range(n_items):
+                x = np.zeros(n_users + n_items)
+                x[user] = x[n_users + item] = 1.0
+                want = fm_bruteforce(float(model.params["intercept"]), model.params["linear"],
+                                     model.params["factors"], x)
+                assert abs(rows[r, item] - want) < 1e-12
+        with pytest.raises(GradrecError):  # a user id must not reach the item features
+            model.score(n_users, 0)
 
 
 def planted_fm_rows(n_rows, n_features, k, seed):
+    """Rows of a planted FM, every feature listed (absent ones at value 0)."""
     rng = np.random.default_rng(seed)
     w0 = rng.normal()
     w = rng.normal(size=n_features)
     v = rng.normal(size=(n_features, k))
-    rows = []
+    xs = []
     for _ in range(n_rows):
-        x = np.where(rng.random(n_features) < 0.5, rng.normal(size=n_features), 0.0)
-        y = fm_bruteforce(w0, w, v, x)
-        rows.append(data.SparseRow(float(y), tuple((i, float(val))
-                                                   for i, val in enumerate(x) if val != 0.0)))
-    return rows
+        xs.append(np.where(rng.random(n_features) < 0.5, rng.normal(size=n_features), 0.0))
+    labels = np.array([fm_bruteforce(w0, w, v, x) for x in xs])
+    return data.FeatureRows(labels, np.tile(np.arange(n_features), (n_rows, 1)), np.array(xs),
+                            n_features)
+
+
+def fm_for(rows, k, l2, seed):
+    return FactorizationMachine(rows.n_features, k, l2=l2, seed=seed,
+                                label_range=(rows.labels.min(), rows.labels.max()))
 
 
 class TestFmFit:
     def test_recovers_planted_fm(self):
         rows = planted_fm_rows(80, n_features=6, k=2, seed=3)
-        model = FactorizationMachine.for_rows(rows, n_features=6, k=2, l2=0.0,
-                                              task="regression", seed=1)
+        model = fm_for(rows, k=2, l2=0.0, seed=1)
         train(model, {"train_rows": rows}, E.Adam(lr=0.05), epochs=400, batch_size=80, seed=2)
-        preds = [model.raw_score(r) for r in rows]
-        rmse = float(np.sqrt(np.mean([(p - r.label) ** 2 for p, r in zip(preds, rows)])))
+        preds = model.raw(model.const_leaves(), rows.index, rows.value).value
+        rmse = float(np.sqrt(np.mean((preds - rows.labels) ** 2)))
         assert rmse < 0.05
 
     def test_gradient_check_regression(self):
         rows = planted_fm_rows(6, n_features=5, k=3, seed=9)
-        model = FactorizationMachine.for_rows(rows, 5, 3, l2=0.02, task="regression", seed=4)
+        model = fm_for(rows, k=3, l2=0.02, seed=4)
         result = E.grad_check(lambda lv: model.build_loss(lv, rows),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
-
-    def test_gradient_check_binary(self):
-        rng = np.random.default_rng(0)
-        rows = [data.SparseRow(float(rng.integers(0, 2)),
-                               tuple((int(i), 1.0) for i in sorted(
-                                   rng.choice(5, size=2, replace=False))))
-                for _ in range(8)]
-        model = FactorizationMachine(5, 2, l2=0.01, task="binary", seed=2)
-        result = E.grad_check(lambda lv: model.build_loss(lv, rows),
-                              {n: model.params[n] for n in model.trainable})
-        assert result.max_rel_err < 1e-4
-
-    def test_binary_labels_validated(self):
-        rows = [data.SparseRow(2.0, ((0, 1.0),))]
-        model = FactorizationMachine(2, 2, task="binary")
-        with pytest.raises(GradrecError):
-            train(model, {"train_rows": rows}, E.Sgd(lr=0.1), epochs=1, batch_size=1, seed=0)
 
     def test_overfits_single_row(self):
-        row = data.SparseRow(2.5, ((0, 1.0), (2, 1.5)))
-        model = FactorizationMachine(3, 2, l2=0.0, task="regression",
-                                     label_range=(0, 5), seed=3)
-        train(model, {"train_rows": [row]}, E.Adam(lr=0.05), epochs=400, batch_size=1, seed=1)
-        assert abs(model.raw_score(row) - 2.5) < 1e-2
+        row = data.FeatureRows(np.array([2.5]), np.array([[0, 2]]), np.array([[1.0, 1.5]]), 3)
+        model = FactorizationMachine(3, 2, l2=0.0, label_range=(0, 5), seed=3)
+        train(model, {"train_rows": row}, E.Adam(lr=0.05), epochs=400, batch_size=1, seed=1)
+        assert abs(fm_raw(model, ((0, 1.0), (2, 1.5))) - 2.5) < 1e-2
 
     def test_fixed_seed_reproduces_loss_trace(self):
         rows = planted_fm_rows(20, n_features=5, k=2, seed=6)
 
         def run():
-            model = FactorizationMachine.for_rows(rows, 5, 2, l2=0.01,
-                                                  task="regression", seed=7)
+            model = fm_for(rows, k=2, l2=0.01, seed=7)
             return train(model, {"train_rows": rows}, E.Adam(lr=0.02), epochs=6, batch_size=8,
                          seed=8)
 

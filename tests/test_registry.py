@@ -97,9 +97,6 @@ def test_training_equals_reference_scatter_and_adam_bitwise(name, ratings_file, 
         assert_bitwise(tensors[key], value)
 
 
-SCORED = [name for name in MODELS if not MODELS[name].feature_rows]
-
-
 def trained(name, ratings_file, implicit_file):
     data_file = ratings_file if ALL_MODEL_CONFIGS[name][0] == "ratings" else implicit_file
     cfg = cfgmod.parse_config(model_config_text(name, data_file))
@@ -160,6 +157,12 @@ def training_forward(name, model, bundle, users, items):
             zu = model.user_vectors(leaves, users, windows)
             return model.pair_logits(leaves, zu, np.arange(users.size), items).value
         return -model.distances(leaves, users, model.intents(leaves, windows), items).value
+    if name == "fm":
+        n_users = model.n_users
+        raw = [float(p["intercept"] + p["linear"][u] + p["linear"][n_users + i]
+                     + p["factors"][u] @ p["factors"][n_users + i])
+               for u, i in zip(users.tolist(), items.tolist())]
+        return np.clip(raw, float(p["label_min"]), float(p["label_max"]))
     lo, hi = float(p["rating_min"]), float(p["rating_max"])
     if name == "biasedsvd":
         raw = [float(p["global_mean"] + p["user_bias"][u] + p["item_bias"][i]
@@ -174,12 +177,7 @@ def training_forward(name, model, bundle, users, items):
     return np.array(out)
 
 
-def test_every_unscored_model_reads_feature_rows():
-    # fm predicts from sparse rows; every other model scores through score_matrix
-    assert [name for name in MODELS if name not in SCORED] == ["fm"]
-
-
-@pytest.mark.parametrize("name", SCORED)
+@pytest.mark.parametrize("name", list(MODELS))
 def test_score_matrix_equals_training_forward(name, ratings_file, implicit_file):
     _, model, bundle = trained(name, ratings_file, implicit_file)
     users = served_users(model, bundle)
@@ -191,7 +189,7 @@ def test_score_matrix_equals_training_forward(name, ratings_file, implicit_file)
     np.testing.assert_allclose(rows.ravel(), want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", SCORED)
+@pytest.mark.parametrize("name", list(MODELS))
 def test_per_pair_score_and_recommend_read_the_row(name, ratings_file, implicit_file,
                                                    tmp_path):
     cfg, model, bundle = trained(name, ratings_file, implicit_file)
@@ -208,7 +206,7 @@ def test_per_pair_score_and_recommend_read_the_row(name, ratings_file, implicit_
         assert got == [(raw, -neg) for neg, raw in want]
 
 
-@pytest.mark.parametrize("name", SCORED)
+@pytest.mark.parametrize("name", list(MODELS))
 def test_evaluation_scores_rows_not_pairs(name, ratings_file, implicit_file, monkeypatch):
     # per-pair scoring must not creep back into evaluation
     cfg, model, bundle = trained(name, ratings_file, implicit_file)
@@ -235,7 +233,7 @@ def test_evaluation_scores_rows_not_pairs(name, ratings_file, implicit_file, mon
     assert report.to_text() == want  # the block size does not change the report
 
 
-@pytest.mark.parametrize("name", SCORED)
+@pytest.mark.parametrize("name", list(MODELS))
 def test_score_cache_follows_every_optimizer_step(name, ratings_file, implicit_file):
     cfg, model, bundle = trained(name, ratings_file, implicit_file)
     user = int(served_users(model, bundle)[0])

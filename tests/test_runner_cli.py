@@ -57,7 +57,7 @@ def libfm_config(path):
 
 def planted_libfm_file(path, n_rows=300, n_features=10, seed=3):
     """libfm rows of 2-4 features (values 1 or 0.5) labelled by a planted
-    rank-2 FM, every number short enough to print exactly with {:g}."""
+    rank-2 FM."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=n_features)
     v = rng.normal(scale=0.7, size=(n_features, 2))
@@ -74,8 +74,11 @@ def planted_libfm_file(path, n_rows=300, n_features=10, seed=3):
 
 
 def libfm_rows(path):
-    """The rows of a libfm file as sortable (label, features) tuples."""
-    return sorted((row.label, row.features) for row in datamod.parse_libfm(path))
+    """The rows of a libfm file as sortable (label, features) tuples, padding left out."""
+    rows = datamod.parse_libfm(path)
+    return sorted((label, tuple((i, v) for i, v in zip(index, value) if v != 0.0))
+                  for label, index, value in zip(rows.labels.tolist(), rows.index.tolist(),
+                                                 rows.value.tolist()))
 
 
 class TestRun:
@@ -120,6 +123,11 @@ class TestRun:
                                                    "name = fm\nk = 4")
         report, _, _ = runner.run(cfgmod.parse_config(text))
         assert list(report.values) == ["rmse", "mae"]
+        svd, _, _ = runner.run(cfgmod.parse_config(rating_config(ratings_file)))
+        # both count distinct test users
+        users = [line for line in report.to_text().splitlines() if line.startswith("users")]
+        assert users == [line for line in svd.to_text().splitlines()
+                         if line.startswith("users")]
 
 
 class TestCliWorkflows:
@@ -212,6 +220,10 @@ class TestCliWorkflows:
         assert len(parts[1]) == 60
         assert sorted(parts[0] + parts[1]) == libfm_rows(source)
 
+        capsys.readouterr()
+        assert cli.main(["recommend", "--ckpt", str(out), "--user", "u0", "--n", "3"]) == 1
+        assert "trained on libfm data" in capsys.readouterr().err
+
     def test_recommend_ties_break_by_ascending_raw_id(self, ratings_file, tmp_path, capsys):
         # hand-build a checkpoint whose scores are all identical
         cfg_text = rating_config(ratings_file)
@@ -279,16 +291,22 @@ class TestCliWorkflows:
         assert code == 1
         assert "must be >= 1" in capsys.readouterr().err
 
-    def test_recommend_refuses_fm_exits_1(self, ratings_file, tmp_path, capsys):
-        # even an fm trained on uirt data: recommend serves no fm checkpoint
+    def test_recommend_serves_uirt_fm(self, ratings_file, tmp_path, capsys):
         text = rating_config(ratings_file).replace("name = biasedsvd\nk = 4", "name = fm\nk = 4")
+        # trained far enough that scores sit inside the rating range, not at its clip
+        text = text.replace("lr = 0.02", "lr = 0.2").replace("epochs = 8", "epochs = 20")
         cfg_path = self.write(tmp_path, "c.ini", text)
         out = tmp_path / "fm.drec"
         assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
-        code = cli.main(["recommend", "--ckpt", str(out), "--user", "u0", "--n", "3"])
-        assert code == 1
-        assert "recommend does not serve fm checkpoints" in capsys.readouterr().err
+        code = cli.main(["recommend", "--ckpt", str(out), "--user", "u0", "--n", "5"])
+        assert code == 0
+        _, model, bundle = runner.load_model(out)
+        table = bundle["table"]
+        row = model.score_matrix(np.array([table.user_index["u0"]]))[0]
+        assert np.unique(row).size > 5  # the order is not settled by raw ids alone
+        want = sorted((-row[item], table.item_ids[item]) for item in range(table.n_items))[:5]
+        assert capsys.readouterr().out == "".join(f"{raw}\t{-neg:.6f}\n" for neg, raw in want)
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_recommend_n_below_one_exits_1(self, ratings_file, tmp_path, capsys, n):
