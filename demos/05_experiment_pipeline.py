@@ -55,7 +55,9 @@ print(f"loss trace: {trace[0]:.4f} -> {trace[-1]:.4f} over {len(trace)} epochs")
 # ---- checkpoint round-trip ---------------------------------------------------
 
 name, echo, tensors = checkpoint.load_checkpoint(ckpt_path)
-print(f"checkpoint holds model {name!r} with tensors: {sorted(tensors)}")
+print(f"checkpoint holds model {name!r} with tensors: {sorted(model.params)}")
+print("and, for serving without the data file, the train table's columns and the data's "
+      f"SHA-256: {sorted(set(tensors) - set(model.params))}")
 _, restored, bundle = runner.load_model(ckpt_path)
 probe = [(u, i) for u in (0, 3, 5) for i in (0, 4, 9)]
 identical = all(restored.score(u, i) == model.score(u, i) for u, i in probe)

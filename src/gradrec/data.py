@@ -30,6 +30,7 @@ orders are fixed here:
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from collections.abc import Sequence
@@ -130,6 +131,16 @@ class InteractionTable:
     def chronological(self) -> Array:
         """Row indices by ascending user, then (timestamp, row)."""
         return np.lexsort((self.timestamps, self.users))
+
+
+# what a table is without its raw -> dense maps, which the id lists give
+TABLE_COLUMNS = ("users", "items", "ratings", "timestamps", "user_ids", "item_ids")
+
+
+def file_sha256(path: str | Path) -> str:
+    """The hex SHA-256 of a file's bytes."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,6 +486,8 @@ class SequenceInstance:
 
 @dataclass
 class SequenceDataset:
+    """Training instances; serving reads :func:`latest_windows` instead."""
+
     instances: list[SequenceInstance]
     histories: dict[int, list[int]]  # user -> chronological item ids
     window: int
@@ -482,13 +495,6 @@ class SequenceDataset:
     padding_id: int
     n_items: int
     n_users: int
-
-    def latest_window(self, user: int) -> tuple[int, ...]:
-        """The last L consumed items of a user, left-padded; serving input."""
-        hist = self.histories.get(user, [])
-        tail = hist[-self.window:]
-        pad = [self.padding_id] * (self.window - len(tail))
-        return tuple(pad + tail)
 
 
 def build_sequences(table: InteractionTable, window: int, horizon: int) -> SequenceDataset:
@@ -514,3 +520,17 @@ def build_sequences(table: InteractionTable, window: int, horizon: int) -> Seque
             instances.append(SequenceInstance(user, tuple(pad + past), targets))
     return SequenceDataset(instances, histories, window, horizon, padding_id,
                            table.n_items, table.n_users)
+
+
+def latest_windows(table: InteractionTable, window: int) -> dict[int, tuple[int, ...]]:
+    """Each user's last ``window`` items in (timestamp, row) order, left-padded
+    with ``table.n_items``, for every user with a row: the sequence models'
+    serving input, the window :func:`build_sequences` would slide past the
+    end of the history."""
+    chrono = table.chronological()
+    users, items = table.users[chrono], table.items[chrono]
+    owners, starts = np.unique(users, return_index=True)
+    ends = np.append(starts[1:], users.size)[:owners.size]
+    rows = ends[:, None] + np.arange(-window, 0)  # the window's rows, some before the user's
+    windows = np.where(rows >= starts[:, None], items[np.maximum(rows, 0)], table.n_items)
+    return dict(zip(owners.tolist(), map(tuple, windows.tolist())))

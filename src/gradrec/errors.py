@@ -78,3 +78,7 @@ class CheckpointTruncatedError(CheckpointError):
 
 class CheckpointTrailingBytesError(CheckpointError):
     code = "trailing_bytes"
+
+
+class CheckpointChecksumError(CheckpointError):
+    code = "checksum"

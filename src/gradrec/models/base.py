@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 import numpy as np
 
 from gradrec import engine as E
-from gradrec.data import InteractionTable
+from gradrec.data import TABLE_COLUMNS, InteractionTable
 from gradrec.errors import GradrecError, TrainingDivergedError
 
 if TYPE_CHECKING:
@@ -19,6 +19,7 @@ Array = np.ndarray
 
 INIT_SCALE = 0.01  # embeddings and weights start at Normal(0, 0.01^2)
 PAIR_BLOCK = 4096  # rows per scoring graph of the models that score pairs on the tape
+TRAIN_PREFIX = "train."  # checkpoint tensors holding the served train table's columns
 
 
 def init_normal(rng: np.random.Generator, *shape: int) -> Array:
@@ -159,6 +160,17 @@ def served(state: dict[int, Any], users: Array) -> list[Any]:
     return [state[user] for user in users]
 
 
+def pop_train_table(tensors: dict) -> InteractionTable | None:
+    """Remove the train table's columns that :meth:`Model.checkpoint_tensors`
+    adds from checkpoint ``tensors`` and rebuild the table from them; None
+    when the checkpoint holds none."""
+    columns = [tensors.pop(TRAIN_PREFIX + column, None) for column in TABLE_COLUMNS]
+    if columns[0] is None:
+        return None
+    maps = [dict(zip(ids, range(len(ids)))) for ids in columns[4:]]
+    return InteractionTable(*columns, *maps)
+
+
 def clip_rows_to_ball(arr: Array, radius: float = 1.0) -> Array:
     """Rescale rows with norm > radius back onto the sphere."""
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
@@ -190,6 +202,7 @@ class Model:
     neg_samples: int | None = None
     batched = True
     params: dict[str, Array]
+    train_table: InteractionTable | None = None  # set by serve; libfm rows have none
     _row: tuple[int, Array] | None = None  # (user, score_matrix row) behind score
 
     @property
@@ -226,12 +239,22 @@ class Model:
         model.params = params
         return model
 
-    def checkpoint_tensors(self) -> dict[str, Array]:
-        return dict(self.params)
+    def checkpoint_tensors(self) -> dict[str, Array | list[str]]:
+        """The parameters, then the served train table's
+        :data:`~gradrec.data.TABLE_COLUMNS` as ``train.<column>``: all that
+        :meth:`serve` needs to be called again without the data file."""
+        tensors: dict[str, Array | list[str]] = dict(self.params)
+        if self.train_table is not None:
+            tensors.update({TRAIN_PREFIX + column: getattr(self.train_table, column)
+                            for column in TABLE_COLUMNS})
+        return tensors
 
     def serve(self, data: dict) -> None:
-        """Attach the data-derived state that scoring (and for some models
-        training) reads. Overrides call this to drop the score cache."""
+        """Attach the state that scoring (and for some models training)
+        reads, derived from ``data["train"]`` alone, and keep that table for
+        :meth:`checkpoint_tensors`. Overrides call this to drop the score
+        cache."""
+        self.train_table = data.get("train")
         self._row = None
 
     def bind(self, data: dict, batch_size: int | None, neg_samples: int | None) -> None:

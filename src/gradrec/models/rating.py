@@ -220,24 +220,15 @@ class ItemAutoRec(base.Model):
     def create(cls, cfg, data) -> "ItemAutoRec":
         return cls.for_table(data["train"], cfg.model.k, seed=cfg.train.seed, **cls.settings(cfg))
 
-    @classmethod
-    def restore(cls, params, cfg) -> "ItemAutoRec":
-        # no weight is sized by the item count, so checkpoints carry it
-        n_items = int(params.pop("n_items")[()])
-        model = super().restore(params, cfg)
-        model.n_items = n_items
-        return model
-
-    def checkpoint_tensors(self) -> dict[str, Array]:
-        return {**self.params, "n_items": np.asarray(float(self.n_items))}
-
     @property
     def n_users(self) -> int:
         return self.params["decoder_b"].shape[0]
 
     def load_columns(self, table: InteractionTable) -> None:
         """The train-time rating matrix: training reconstructs its columns,
-        and serving feeds an item's column in to predict."""
+        and serving feeds an item's column in to predict. No weight is sized
+        by the item count, so it comes from the table too."""
+        self.n_items = table.n_items
         self.columns = np.zeros((self.n_items, self.n_users))
         self.mask = np.zeros((self.n_items, self.n_users))
         self.columns[table.items, table.users] = table.ratings

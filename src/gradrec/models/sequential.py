@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from gradrec import engine as E
-from gradrec.data import SequenceInstance
+from gradrec.data import SequenceInstance, latest_windows
 from gradrec.errors import GradrecError
 from gradrec.models import base
 
@@ -33,8 +33,7 @@ class _Windows(base.Model):
 
     def serve(self, data) -> None:
         super().serve(data)
-        sequences = data["sequences"]
-        self.serve_windows = {u: sequences.latest_window(u) for u in sequences.histories}
+        self.serve_windows = latest_windows(data["train"], self.window)
 
     def bind(self, data, batch_size, neg_samples) -> None:
         sequences = data["sequences"]
@@ -119,7 +118,7 @@ class Prme(base.Model):
 
     def serve(self, data) -> None:
         super().serve(data)
-        self.last_item = {u: h[-1] for u, h in data["sequences"].histories.items() if h}
+        self.last_item = {u: w[0] for u, w in latest_windows(data["train"], 1).items()}
 
     def bind(self, data, batch_size, neg_samples) -> None:
         sequences = data["sequences"]

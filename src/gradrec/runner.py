@@ -14,7 +14,7 @@ from gradrec import data as datamod
 from gradrec import metrics as metricsmod
 from gradrec.config import ExperimentConfig
 from gradrec.engine import make_optimizer
-from gradrec.errors import ConfigError, GradrecError
+from gradrec.errors import CheckpointError, ConfigError, GradrecError
 from gradrec.models import MODELS, base
 
 log = logging.getLogger(__name__)
@@ -26,10 +26,13 @@ def build_model(cfg: ExperimentConfig, **data):
     return MODELS[cfg.model.name].create(cfg, data)
 
 
-def checkpoint_tensors(cfg: ExperimentConfig, model) -> dict[str, np.ndarray]:
-    """What ``save_checkpoint`` stores for ``model``; the tensors alone
-    define it, so ``cfg`` is not read."""
-    return model.checkpoint_tensors()
+DATA_DIGEST = "data.sha256"  # checkpoint tensor: the training data file's SHA-256, hex
+
+
+def checkpoint_tensors(cfg: ExperimentConfig, model) -> dict[str, np.ndarray | list[str]]:
+    """What ``save_checkpoint`` stores for ``model``: its tensors and served
+    train table, then the SHA-256 of ``cfg``'s data file."""
+    return {**model.checkpoint_tensors(), DATA_DIGEST: [datamod.file_sha256(cfg.data.path)]}
 
 
 def prepare_data(cfg: ExperimentConfig):
@@ -103,17 +106,34 @@ def write_report(path: str | Path, report: metricsmod.MetricReport) -> None:
 def load_model(checkpoint_path: str | Path, override_cfg: ExperimentConfig | None = None):
     """Restore (config, model, bundle) from a checkpoint.
 
-    The data pipeline is rebuilt from the echoed config (or the override),
-    which is deterministic, so id maps and serving state match training.
+    Without an override, the bundle is ``{"task", "train", "table"}`` rebuilt
+    from the checkpoint alone: ``train`` is the stored train table and
+    ``table`` is the same table, whose id maps are those of the full data.
+    With an override config the data pipeline is rebuilt from it, as in
+    training, after its data file's SHA-256 has matched the stored one.
+    Either way ``model.serve`` then derives the serving state.
     """
     name, echo, tensors = ckpt.load_checkpoint(checkpoint_path)
-    echo_cfg = cfgmod.parse_config(echo)
-    cfg = override_cfg if override_cfg is not None else echo_cfg
+    stored = tensors.pop(DATA_DIGEST, [None])[0]
+    train = base.pop_train_table(tensors)
+    cfg = override_cfg if override_cfg is not None else cfgmod.parse_config(echo)
     if cfg.model.name != name:
         raise ConfigError([f"checkpoint holds model {name!r} but config names "
                            f"{cfg.model.name!r}"])
     model = MODELS[name].restore(tensors, cfg)
-    bundle = prepare_data(cfg)
+    if override_cfg is not None:
+        digest = datamod.file_sha256(cfg.data.path)
+        if digest != stored:
+            raise GradrecError(f"{cfg.data.path} has SHA-256 {digest}, but {checkpoint_path} "
+                               f"was trained on data with SHA-256 {stored}")
+        bundle = prepare_data(cfg)
+    elif train is not None:
+        bundle = {"task": cfg.model.task, "train": train, "table": train}
+    elif cfg.data.format == "libfm":  # fm on libfm rows serves no users
+        bundle = {"task": cfg.model.task}
+    else:
+        raise CheckpointError(f"{checkpoint_path}: holds no train table to serve from; "
+                              "retrain the model")
     model.serve(bundle)
     return cfg, model, bundle
 

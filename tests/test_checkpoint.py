@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gradrec import checkpoint as ckpt
-from gradrec.errors import (CheckpointMagicError, CheckpointTrailingBytesError,
-                            CheckpointTruncatedError, CheckpointVersionError)
+from gradrec.errors import (CheckpointChecksumError, CheckpointError, CheckpointMagicError,
+                            CheckpointTrailingBytesError, CheckpointTruncatedError,
+                            CheckpointVersionError)
 
 
 def sample_tensors():
@@ -91,8 +92,63 @@ class TestCorruption:
 
     def test_error_codes_are_distinct(self):
         codes = [cls.code for cls in (CheckpointMagicError, CheckpointVersionError,
-                                      CheckpointTruncatedError, CheckpointTrailingBytesError)]
+                                      CheckpointTruncatedError, CheckpointTrailingBytesError,
+                                      CheckpointChecksumError)]
         assert len(set(codes)) == len(codes)
+
+
+def mixed_checkpoint(path):
+    """A small checkpoint holding f64, i64 and string tensors; its bytes."""
+    ckpt.save_checkpoint(path, "bprmf", "[data]\npath = d.txt\n", {
+        "w": np.arange(6.0).reshape(2, 3),
+        "train.users": np.array([0, 1, 1], dtype=np.int64),
+        "train.user_ids": ["u0", "ü1", ""],
+    })
+    return path.read_bytes()
+
+
+class TestIntegrity:
+    def test_dtypes_round_trip(self, tmp_path):
+        mixed_checkpoint(tmp_path / "m.drec")
+        _, _, tensors = ckpt.load_checkpoint(tmp_path / "m.drec")
+        assert tensors["w"].dtype == np.float64 and tensors["w"].shape == (2, 3)
+        assert tensors["train.users"].dtype == np.int64
+        assert tensors["train.users"].tolist() == [0, 1, 1]
+        assert tensors["train.user_ids"] == ["u0", "ü1", ""]
+
+    def test_every_bit_flip_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.drec"
+        blob = mixed_checkpoint(path)
+        header = 4 + 2 + 8  # magic, version, payload length
+        for pos in range(len(blob)):
+            for bit in range(8):
+                corrupt = bytearray(blob)
+                corrupt[pos] ^= 1 << bit
+                path.write_bytes(bytes(corrupt))
+                with pytest.raises(CheckpointError) as caught:
+                    ckpt.load_checkpoint(path)
+                if pos >= header:  # the payload and the checksum itself
+                    assert type(caught.value) is CheckpointChecksumError, (pos, bit)
+
+    def test_every_truncation_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.drec"
+        blob = mixed_checkpoint(path)
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                ckpt.load_checkpoint(path)
+
+    def test_version_1_file_asks_for_retraining(self, tmp_path):
+        # v1: magic, u16 version, then the payload with f64 tensors and no checksum
+        def text(s):
+            return len(s).to_bytes(4, "little") + s
+        v1 = (b"DREC" + (1).to_bytes(2, "little") + text(b"bprmf") + text(b"[data]\n")
+              + (1).to_bytes(4, "little") + text(b"w") + bytes([1]) + (2).to_bytes(8, "little")
+              + np.ones(2).tobytes())
+        path = tmp_path / "v1.drec"
+        path.write_bytes(v1)
+        with pytest.raises(CheckpointVersionError, match="retrain"):
+            ckpt.load_checkpoint(path)
 
 
 class TestAtomicSave:
@@ -100,13 +156,31 @@ class TestAtomicSave:
         path = tmp_path / "model.drec"
         ckpt.save_checkpoint(path, "fm", "old", sample_tensors())
         old = path.read_bytes()
+        real_open = type(path).open
 
-        def write_half_then_fail(self, data):
-            with open(self, "wb") as f:
-                f.write(data[:len(data) // 2])
-            raise OSError("no space left on device")
+        class FullDisk:
+            """A file that takes the first 10,000 bytes written, then fails."""
 
-        monkeypatch.setattr(type(path), "write_bytes", write_half_then_fail)
+            def __init__(self, fh):
+                self.fh, self.room = fh, 10_000
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.fh.write(data[:self.room])
+                if len(data) > self.room:
+                    raise OSError("no space left on device")
+                self.room -= len(data)
+
+        def open_full_disk(self, *args, **kwargs):
+            return FullDisk(real_open(self, *args, **kwargs))
+
+        monkeypatch.setattr(type(path), "open", open_full_disk)
         with pytest.raises(OSError, match="no space"):
             ckpt.save_checkpoint(path, "fm", "new", {"w": np.ones((50, 50))})
         monkeypatch.undo()

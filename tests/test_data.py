@@ -372,12 +372,13 @@ class TestBuildSequences:
         with pytest.raises(GradrecError):
             data.build_sequences(table, window=1, horizon=0)
 
-    def test_latest_window_left_pads(self):
+    def test_latest_windows_left_pad(self):
         table = make_table([("u", "a", 1, 1), ("u", "b", 1, 2)])
-        ds = data.build_sequences(table, window=4, horizon=1)
         u = table.user_index["u"]
         a, b = table.item_index["a"], table.item_index["b"]
-        assert ds.latest_window(u) == (ds.padding_id, ds.padding_id, a, b)
+        pad = data.build_sequences(table, window=4, horizon=1).padding_id
+        assert data.latest_windows(table, 4) == {u: (pad, pad, a, b)}
+        assert data.latest_windows(table.take(np.arange(0)), 4) == {}
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), min_size=2, max_size=60),
@@ -513,6 +514,12 @@ def reference_histories(rows):
             for user, hist in reference_by_user(rows)}
 
 
+def reference_latest_windows(histories, window, padding_id):
+    """Each history's last ``window`` items, left-padded."""
+    return {user: tuple([padding_id] * (window - len(hist[-window:])) + hist[-window:])
+            for user, hist in histories.items()}
+
+
 def reference_uirt(rows, user_ids, item_ids) -> bytes:
     return "".join(f"{user_ids[u]}\t{item_ids[i]}\t{r:g}\t{t}\n"
                    for u, i, r, t in rows).encode("utf-8")
@@ -607,7 +614,11 @@ def test_columnar_table_splits_and_histories_match_reference(tmp_path_factory, c
             assert_rows(train, ref_train)
             assert_rows(test, ref_test)
             assert train.user_ids is got.user_ids and test.item_index is got.item_index
-        assert data.build_sequences(table, 2, 1).histories == reference_histories(ref)
+        histories = reference_histories(ref)
+        assert data.build_sequences(table, 2, 1).histories == histories
+        for window in (1, 3):
+            assert data.latest_windows(table, window) == \
+                reference_latest_windows(histories, window, table.n_items)
 
 
 @given(uirt_files(bad_lines=2))

@@ -248,6 +248,32 @@ class TestAutoRec:
         out = model.score_matrix(np.arange(4))
         np.testing.assert_allclose(out, 3.0)
 
+    def test_score_matrix_reconstructs_the_served_columns(self):
+        # every entry from the train rows and weights by hand, so a column
+        # served for the wrong item or user shows
+        table = self.toy_table()
+        model = ItemAutoRec.for_table(table, hidden=3, l2=0.0, seed=6)
+        rng = np.random.default_rng(7)
+        for name in model.trainable:
+            model.params[name] = rng.normal(size=model.params[name].shape)
+        model.params["rating_min"], model.params["rating_max"] = np.asarray(-50.0), np.asarray(50.0)
+        model.serve({"train": table})
+        p = model.params
+        users = np.array([3, 0, 4])
+        rows = model.score_matrix(users)
+        assert rows.shape == (users.size, table.n_items)
+        for item in range(table.n_items):
+            column = np.zeros(table.n_users)  # the item's train ratings over users
+            for user, rated, rating in zip(table.users.tolist(), table.items.tolist(),
+                                           table.ratings.tolist()):
+                if rated == item:
+                    column[user] = rating
+            hidden = 1.0 / (1.0 + np.exp(-(p["encoder_w"] @ column + p["encoder_b"])))
+            for r, user in enumerate(users.tolist()):
+                want = p["decoder_w"][user] @ hidden + p["decoder_b"][user]
+                assert abs(rows[r, item] - want) < 1e-12
+        assert np.unique(rows).size == rows.size
+
     def test_hidden_is_half_at_zero_preactivation(self):
         model = ItemAutoRec(n_users=4, n_items=3, hidden=5)
         model.params["encoder_w"][:] = 0.0

@@ -3,7 +3,8 @@ validation, the on_step hook, seeded reproducibility, bitwise parity with
 the reference embedding gradient and Adam, and the checkpoint round-trip,
 from nothing but the registry entry. Then the one scoring path:
 ``score_matrix`` against the training forward, and the per-pair API,
-``recommend`` and evaluation reading nothing but its rows."""
+``recommend`` and evaluation reading nothing but its rows, and a
+checkpoint serving on its own exactly as the data it was trained on."""
 
 import math
 
@@ -247,3 +248,41 @@ def test_score_cache_follows_every_optimizer_step(name, ratings_file, implicit_f
     base.train(model, bundle, make_optimizer(t.optimizer, t.lr), t.epochs, t.batch_size,
                seed=t.seed, neg_samples=t.neg_samples, on_step=check)
     assert fresh and all(fresh)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_checkpoint_alone_serves_as_the_data_does(name, ratings_file, implicit_file, tmp_path):
+    data_file = ratings_file if ALL_MODEL_CONFIGS[name][0] == "ratings" else implicit_file
+    text = model_config_text(name, data_file)
+    # the shared configs leave three models serving one constant score: fm
+    # and autorec at the rating clip, mlp with every unit of its last relu
+    # layer dead
+    if name in ("fm", "autorec"):
+        text = text.replace("lr = 0.03", "lr = 0.2").replace("epochs = 2", "epochs = 20")
+    if name == "mlp":
+        text = text.replace("k = 4", "k = 8")
+    cfg = cfgmod.parse_config(text)
+    bundle = runner.prepare_data(cfg)
+    model = runner.build_model(cfg, **bundle)
+    runner.fit_model(cfg, model, bundle)
+    path = tmp_path / f"{name}.drec"
+    ckpt.save_checkpoint(path, name, cfg.text, runner.checkpoint_tensors(cfg, model))
+
+    _, served, stored = runner.load_model(path)
+    reference = MODELS[name].restore(dict(model.params), cfg)
+    reference.serve(runner.prepare_data(cfg))
+
+    train, want = stored["train"], bundle["train"]
+    for column in ("users", "items", "ratings", "timestamps"):
+        assert_bitwise(getattr(train, column), getattr(want, column))
+    assert (train.user_ids, train.item_ids) == (want.user_ids, want.item_ids)
+    assert (train.user_index, train.item_index) == (want.user_index, want.item_index)
+    table = stored["table"]
+    assert (table.user_index, table.item_ids) == (bundle["table"].user_index,
+                                                  bundle["table"].item_ids)
+
+    users = served_users(reference, bundle)
+    assert np.array_equal(served_users(served, stored), users)
+    rows = served.score_matrix(users)
+    assert_bitwise(rows, reference.score_matrix(users))
+    assert np.unique(rows).size > 5

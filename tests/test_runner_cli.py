@@ -9,8 +9,10 @@ from gradrec import cli
 from gradrec import config as cfgmod
 from gradrec import data as datamod
 from gradrec import runner
+from gradrec.models import base
 
 from conftest import config_text
+from test_acceptance import ALL_MODEL_CONFIGS, model_config_text
 
 
 def rating_config(path, **over):
@@ -236,6 +238,10 @@ class TestCliWorkflows:
             "user_factors": np.zeros((10, 4)),
             "item_factors": np.zeros((10, 4)),
         }
+        # ... over the train table it serves from
+        train = runner.prepare_data(cfgmod.parse_config(cfg_text))["train"]
+        tensors.update({base.TRAIN_PREFIX + column: getattr(train, column)
+                        for column in datamod.TABLE_COLUMNS})
         out = tmp_path / "flat.drec"
         ckpt.save_checkpoint(out, "biasedsvd", cfg_text, tensors)
         code = cli.main(["recommend", "--ckpt", str(out), "--user", "u0", "--n", "3"])
@@ -336,6 +342,90 @@ class TestCliWorkflows:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "rmse\t" in proc.stdout
+
+
+def top_lines(model, table, raw_user, n):
+    """recommend's output from a Python sort of the model's row."""
+    row = model.score_matrix(np.array([table.user_index[raw_user]]))[0]
+    want = sorted((-row[item], table.item_ids[item]) for item in range(table.n_items))[:n]
+    return "".join(f"{raw}\t{-neg:.6f}\n" for neg, raw in want)
+
+
+class TestServingReadsOnlyTheCheckpoint:
+    def test_recommend_never_reads_the_data(self, ratings_file, implicit_file, tmp_path,
+                                            capsys, monkeypatch):
+        expected = {}
+        for name in ALL_MODEL_CONFIGS:
+            data_file = ratings_file if ALL_MODEL_CONFIGS[name][0] == "ratings" else implicit_file
+            cfg = cfgmod.parse_config(model_config_text(name, data_file))
+            _, model, _ = runner.run(cfg, checkpoint_path=tmp_path / f"{name}.drec")
+            train = runner.prepare_data(cfg)["train"]
+            user = train.user_ids[int(train.users[0])]  # sequence models need a history
+            expected[name] = (user, top_lines(model, train, user, 5))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("recommend read the data")
+
+        monkeypatch.setattr(runner, "prepare_data", forbidden)
+        for fn in ("load_interactions", "parse_libfm", "split", "binarize", "build_sequences"):
+            monkeypatch.setattr(datamod, fn, forbidden)
+        capsys.readouterr()
+        for name, (user, lines) in expected.items():
+            code = cli.main(["recommend", "--ckpt", str(tmp_path / f"{name}.drec"),
+                             "--user", user, "--n", "5"])
+            assert code == 0, name
+            assert capsys.readouterr().out == lines, name
+
+    @pytest.mark.parametrize("maker", [rating_config, ranking_config, sequential_config])
+    def test_recommend_works_with_the_data_deleted(self, maker, ratings_file, implicit_file,
+                                                   tmp_path, capsys):
+        data_file = ratings_file if maker is rating_config else implicit_file
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(maker(data_file), encoding="utf-8")
+        out = tmp_path / "m.drec"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        recommend = ["recommend", "--ckpt", str(out), "--user", "u3", "--n", "4"]
+        capsys.readouterr()
+        assert cli.main(recommend) == 0
+        answer = capsys.readouterr().out
+        data_file.unlink()
+        assert cli.main(recommend) == 0
+        assert capsys.readouterr().out == answer
+        assert len(answer.splitlines()) == 4
+
+    def test_checkpoint_without_a_train_table_exits_2(self, ratings_file, tmp_path, capsys):
+        cfg = cfgmod.parse_config(rating_config(ratings_file))
+        out = tmp_path / "m.drec"
+        _, model, _ = runner.run(cfg)
+        ckpt.save_checkpoint(out, "biasedsvd", cfg.text, dict(model.params))
+        capsys.readouterr()
+        assert cli.main(["recommend", "--ckpt", str(out), "--user", "u0", "--n", "1"]) == 2
+        assert "no train table" in capsys.readouterr().err
+
+    def test_evaluate_refuses_edited_data(self, implicit_file, tmp_path, capsys):
+        trained_on = tmp_path / "trained_on.txt"
+        trained_on.write_bytes(implicit_file.read_bytes())
+        same_bytes = tmp_path / "elsewhere" / "copy.txt"
+        same_bytes.parent.mkdir()
+        same_bytes.write_bytes(implicit_file.read_bytes())
+        cfg_path, copy_cfg = tmp_path / "c.ini", tmp_path / "copy.ini"
+        cfg_path.write_text(ranking_config(trained_on), encoding="utf-8")
+        copy_cfg.write_text(ranking_config(same_bytes), encoding="utf-8")
+        out, trained, evaluated = tmp_path / "m.drec", tmp_path / "t.report", tmp_path / "e.report"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out),
+                         "--report", str(trained)]) == 0
+
+        stored = datamod.file_sha256(trained_on)
+        with open(trained_on, "a", encoding="utf-8") as fh:
+            fh.write("u0\ti1\t5\t999\n")
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--ckpt", str(out), "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert stored in err and datamod.file_sha256(trained_on) in err
+
+        assert cli.main(["evaluate", "--ckpt", str(out), "--config", str(copy_cfg),
+                         "--report", str(evaluated)]) == 0
+        assert evaluated.read_bytes() == trained.read_bytes()
 
 
 class TestEndToEndDeterminism:
