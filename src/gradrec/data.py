@@ -138,9 +138,12 @@ TABLE_COLUMNS = ("users", "items", "ratings", "timestamps", "user_ids", "item_id
 
 
 def file_sha256(path: str | Path) -> str:
-    """The hex SHA-256 of a file's bytes."""
+    """The hex SHA-256 of a file's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True, eq=False)
