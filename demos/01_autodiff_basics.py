@@ -38,7 +38,7 @@ print(", ".join(E.OP_KINDS))
 
 print("\n== grad_check on a two-parameter loss ==")
 result = E.grad_check(
-    lambda p: (p["a"] * p["b"].tanh()).sum() + (p["a"] * p["a"]).mean(),
+    lambda p: (p["a"] * p["b"].sigmoid()).sum() + (p["a"] * p["a"]).mean(),
     {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=(2, 2))},
 )
 print("per-parameter max relative error:", result.per_param)

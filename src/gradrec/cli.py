@@ -52,17 +52,13 @@ def build_parser() -> _Parser:
 
 def cmd_split(args) -> int:
     cfg = cfgmod.load_config(args.config)
+    bundle = runner.prepare_data(cfg)
     if cfg.data.format == "libfm":
-        bundle = runner.prepare_data(cfg)
         datamod.write_libfm(args.train_out, bundle["train_rows"])
         datamod.write_libfm(args.test_out, bundle["test_rows"])
     else:
-        table = datamod.load_interactions(cfg.data.path)
-        if cfg.model.task in ("ranking", "sequential"):
-            table = datamod.binarize(table, cfgmod.binarize_threshold_for(cfg))
-        train, test = datamod.split(table, cfg.data.split)
-        datamod.write_uirt(args.train_out, train)
-        datamod.write_uirt(args.test_out, test)
+        datamod.write_uirt(args.train_out, bundle["train"])
+        datamod.write_uirt(args.test_out, bundle["test"])
     print(f"wrote {args.train_out} and {args.test_out}")
     return 0
 

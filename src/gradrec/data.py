@@ -480,24 +480,53 @@ def binarize(table: InteractionTable, threshold: float) -> InteractionTable:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SequenceInstance:
-    user: int
-    window: tuple[int, ...]  # length L, left-padded with padding_id
-    targets: tuple[int, ...]  # 1..T next items
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SequenceDataset:
-    """Training instances; serving reads :func:`latest_windows` instead."""
+    """Training instances as arrays: instance n is user ``users[n]``, the
+    ``window`` items before a target position, left-padded with
+    ``padding_id``, and the ``horizon`` items from it on, right-padded with
+    ``padding_id`` where the history ends. Serving reads
+    :func:`latest_windows` instead."""
 
-    instances: list[SequenceInstance]
-    histories: dict[int, list[int]]  # user -> chronological item ids
-    window: int
-    horizon: int
+    users: Array  # int64 (N,)
+    windows: Array  # int64 (N, window)
+    targets: Array  # int64 (N, horizon)
     padding_id: int
-    n_items: int
-    n_users: int
+
+    instances = property(lambda self: self.users)  # bench/workloads.py counts these
+
+    @property
+    def window(self) -> int:
+        return self.windows.shape[1]
+
+    @property
+    def horizon(self) -> int:
+        return self.targets.shape[1]
+
+
+def _frames(table: InteractionTable, window: int, horizon: int,
+            last: bool) -> tuple[Array, Array, Array]:
+    """(users, windows, targets) of frames over each user's items in
+    (timestamp, row) order: the ``window`` items before a position,
+    left-padded with ``table.n_items``, and the ``horizon`` items from it
+    on, right-padded. With ``last``, one frame per user with a row, one past
+    its last item; otherwise one at each position after a user's first."""
+    chrono = table.chronological()
+    users, items = table.users[chrono], table.items[chrono]
+    owners, starts, counts = np.unique(users, return_index=True, return_counts=True)
+    if last:
+        at, first, end = starts + counts, starts, starts + counts
+    else:
+        first = np.repeat(starts, counts)
+        end = first + np.repeat(counts, counts)
+        at = np.flatnonzero(np.arange(users.size) > first)
+        owners, first, end = users[at], first[at], end[at]
+    rows = at[:, None] + np.arange(-window, 0)
+    windows = np.where(rows >= first[:, None], items[np.maximum(rows, 0)], table.n_items)
+    rows = at[:, None] + np.arange(horizon)
+    targets = np.where(rows < end[:, None], items[np.minimum(rows, users.size - 1)],
+                       table.n_items)
+    return owners, windows, targets
 
 
 def build_sequences(table: InteractionTable, window: int, horizon: int) -> SequenceDataset:
@@ -505,35 +534,16 @@ def build_sequences(table: InteractionTable, window: int, horizon: int) -> Seque
 
     An instance exists for every target position with at least one
     preceding item, so single-interaction histories produce nothing.
+    Instances list users ascending, then target positions in order.
     """
     if window < 1 or horizon < 1:
         raise GradrecError(f"window and horizon must be >= 1, got L={window}, T={horizon}")
-    padding_id = table.n_items
-    chrono = table.chronological()
-    users, firsts = np.unique(table.users[chrono], return_index=True)
-    histories = {user: hist.tolist() for user, hist in
-                 zip(users.tolist(), np.split(table.items[chrono], firsts[1:]))}
-
-    instances: list[SequenceInstance] = []
-    for user, items in histories.items():
-        for pos in range(1, len(items)):
-            past = items[max(0, pos - window):pos]
-            pad = [padding_id] * (window - len(past))
-            targets = tuple(items[pos:pos + horizon])
-            instances.append(SequenceInstance(user, tuple(pad + past), targets))
-    return SequenceDataset(instances, histories, window, horizon, padding_id,
-                           table.n_items, table.n_users)
+    return SequenceDataset(*_frames(table, window, horizon, last=False), table.n_items)
 
 
-def latest_windows(table: InteractionTable, window: int) -> dict[int, tuple[int, ...]]:
-    """Each user's last ``window`` items in (timestamp, row) order, left-padded
-    with ``table.n_items``, for every user with a row: the sequence models'
-    serving input, the window :func:`build_sequences` would slide past the
-    end of the history."""
-    chrono = table.chronological()
-    users, items = table.users[chrono], table.items[chrono]
-    owners, starts = np.unique(users, return_index=True)
-    ends = np.append(starts[1:], users.size)[:owners.size]
-    rows = ends[:, None] + np.arange(-window, 0)  # the window's rows, some before the user's
-    windows = np.where(rows >= starts[:, None], items[np.maximum(rows, 0)], table.n_items)
-    return dict(zip(owners.tolist(), map(tuple, windows.tolist())))
+def latest_windows(table: InteractionTable, window: int) -> tuple[Array, Array]:
+    """The users with a row, ascending, and each one's last ``window`` items
+    in (timestamp, row) order, left-padded with ``table.n_items``, shape
+    (users, window): the sequence models' serving input, the window
+    :func:`build_sequences` would slide one past the end of the history."""
+    return _frames(table, window, 0, last=True)[:2]

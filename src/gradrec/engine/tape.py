@@ -113,9 +113,6 @@ class Node:
     def sigmoid(self):
         return forward("sigmoid", [self])
 
-    def tanh(self):
-        return forward("tanh", [self])
-
     def relu(self):
         return forward("relu", [self])
 
@@ -356,16 +353,6 @@ def _sigmoid(values, attrs, cache):
 def _sigmoid_vjp(node, g):
     s = node.value
     return [g * s * (1.0 - s)]
-
-
-@_op("tanh")
-def _tanh(values, attrs, cache):
-    return np.tanh(values[0])
-
-
-@_vjp("tanh")
-def _tanh_vjp(node, g):
-    return [g * (1.0 - node.value * node.value)]
 
 
 @_op("relu")

@@ -109,13 +109,10 @@ class NegativeSampler:
         pairs = np.unique(table.users * n_items + table.items)
         users, items = np.divmod(pairs, n_items)
         counts = np.bincount(users, minlength=table.n_users)
-        self._sizes = n_items - counts
+        self.free = n_items - counts  # unconsumed items per user
         self._starts = np.cumsum(counts) - counts
         ranks = np.arange(pairs.size) - self._starts[users]
         self._keys = users * (n_items + 1) + items - ranks
-
-    def has_candidates(self, user: int) -> bool:
-        return bool(self._sizes[user] > 0)
 
     def _exhausted(self, user) -> GradrecError:
         return GradrecError(f"user {user} has consumed every item; nothing to sample")
@@ -126,7 +123,7 @@ class NegativeSampler:
         return ranks + np.searchsorted(self._keys, keys, side="right") - self._starts[users]
 
     def draw(self, user: int, k: int, rng: np.random.Generator) -> Array:
-        size = self._sizes[user]
+        size = self.free[user]
         if size == 0:
             raise self._exhausted(user)
         return self._free_items(np.int64(user), rng.integers(0, size, size=k))
@@ -134,7 +131,7 @@ class NegativeSampler:
     def draw_many(self, users: Array, k: int, rng: np.random.Generator) -> Array:
         """One row of k negatives per user; shape (len(users), k)."""
         users = np.asarray(users, dtype=np.int64)
-        sizes = self._sizes[users]
+        sizes = self.free[users]
         if not sizes.all():
             raise self._exhausted(int(users[np.argmin(sizes)]))
         picks = rng.integers(0, sizes[:, None], size=(users.size, k))
@@ -149,15 +146,6 @@ def sq_dists(a: Array, b: Array) -> Array:
     out += (a * a).sum(axis=1)[:, None]
     out += (b * b).sum(axis=1)
     return np.maximum(out, 0.0, out=out)
-
-
-def served(state: dict[int, Any], users: Array) -> list[Any]:
-    """``state[user]`` for each of ``users``; a user without one has no history."""
-    users = np.asarray(users).tolist()
-    missing = [user for user in users if user not in state]
-    if missing:
-        raise GradrecError(f"no history recorded for user {missing[0]}")
-    return [state[user] for user in users]
 
 
 def pop_train_table(tensors: dict) -> InteractionTable | None:

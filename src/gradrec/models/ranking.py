@@ -78,7 +78,7 @@ class BprMf(_SampledPairs):
     def bind(self, data, batch_size, neg_samples) -> None:
         super().bind(data, batch_size, neg_samples)
         users, items = self._examples
-        keep = np.array([self._sampler.has_candidates(int(u)) for u in users])
+        keep = self._sampler.free[users] > 0
         if not np.all(keep):
             logging.getLogger(__name__).info(
                 "skipping %d positives of fully-saturated users", int((~keep).sum()))

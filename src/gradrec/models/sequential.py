@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from gradrec import engine as E
-from gradrec.data import SequenceInstance, latest_windows
+from gradrec.data import latest_windows
 from gradrec.errors import GradrecError
 from gradrec.models import base
 
@@ -20,12 +20,16 @@ Array = np.ndarray
 
 
 class _Windows(base.Model):
-    """Training feed shared by Caser and AttRec: the sequence instances and
-    a negative sampler; served from each user's latest window."""
+    """Training feed and serving state shared by the sequence models: the
+    sequence instances and a negative sampler, and each user's latest
+    window. A batch is (users (B,), windows (B, L), targets (B, T),
+    negatives (B, neg * T)), the last two right-padded with the padding id:
+    each instance carries ``neg`` negatives per target."""
 
     task = "sequential"
     required = ("k", "L")
-    serve_windows: dict[int, tuple[int, ...]]  # user -> latest window; set by serve
+    horizon: int | None = 1  # the T a model trains on; None: any
+    windows: Array  # (n_users, L) latest windows, all padding without a history; set by serve
 
     @property
     def padding_id(self) -> int:
@@ -33,24 +37,46 @@ class _Windows(base.Model):
 
     def serve(self, data) -> None:
         super().serve(data)
-        self.serve_windows = latest_windows(data["train"], self.window)
+        table = data["train"]
+        users, windows = latest_windows(table, self.window)
+        self.windows = np.full((table.n_users, self.window), self.padding_id)
+        self.windows[users] = windows
+
+    def _served(self, users) -> tuple[Array, Array]:
+        """``users`` as int64 and their latest windows (B, L); a window
+        whose last item is padding has no history behind it."""
+        users = np.asarray(users, dtype=np.int64)
+        windows = self.windows[users]
+        empty = windows[:, -1] == self.padding_id
+        if empty.any():
+            raise GradrecError(f"no history recorded for user {users[np.argmax(empty)]}")
+        return users, windows
 
     def bind(self, data, batch_size, neg_samples) -> None:
         sequences = data["sequences"]
         if sequences.window != self.window:
             raise GradrecError(f"sequence window {sequences.window} != model window {self.window}")
-        self._instances = sequences.instances
-        if not self._instances:
+        if self.horizon not in (None, sequences.horizon):
+            raise GradrecError(f"sequence horizon {sequences.horizon} != model horizon "
+                               f"{self.horizon}")
+        if not sequences.users.size:
             raise GradrecError("no training instances")
+        self._sequences = sequences
         self._sampler = base.NegativeSampler(data["train"])
-        self._batch_size, self._neg = batch_size, neg_samples
+        self._batch_size = batch_size
+        self._neg = 1 if self.neg_samples is None else neg_samples
 
-    def _pack(self, users, windows) -> tuple[Array, Array]:
-        """``users`` (B,) and their ``windows`` (B, L) as int64 arrays."""
-        bad = [len(w) for w in windows if len(w) != self.window]
-        if bad:
-            raise GradrecError(f"window must have length {self.window}, got {bad[0]}")
-        return np.asarray(users, dtype=np.int64), np.array(windows, dtype=np.int64)
+    def batches(self, epoch, rng):
+        seq = self._sequences
+        for idx in base.minibatches(seq.users.size, self._batch_size, rng):
+            users, targets = seq.users[idx], seq.targets[idx]
+            counts = self._neg * np.count_nonzero(targets != self.padding_id, axis=1)
+            # one draw per negative, in instance order: the same stream as one
+            # draw(user, count) call per instance
+            drawn = self._sampler.draw_many(np.repeat(users, counts), 1, rng).ravel()
+            negatives = np.full((idx.size, self._neg * seq.horizon), self.padding_id)
+            negatives[np.arange(negatives.shape[1]) < counts[:, None]] = drawn
+            yield idx.size, (users, seq.windows[idx], targets, negatives)
 
     def _embed_windows(self, table: E.Node, windows: Array) -> E.Node:
         """One lookup of every window id, shape (B, L, d)."""
@@ -58,14 +84,15 @@ class _Windows(base.Model):
         return rows.reshape(windows.shape + (rows.value.shape[1],))
 
 
-class Prme(base.Model):
+class Prme(_Windows):
     """Blend of a user-preference distance and a first-order sequential
-    distance; trained with a BPR-style pairwise loss on next items."""
+    distance; trained with a BPR-style pairwise loss on next items. The
+    window model of width 1: the window is the previous item."""
 
     names = ("prme",)
-    task = "sequential"
     required = ("k", "alpha")
     defaults = {"L": 1}
+    window = 1
 
     def __init__(self, n_users: int, n_items: int, k: int, alpha: float = 0.5,
                  l2: float = 0.0, seed: int = 0):
@@ -79,7 +106,6 @@ class Prme(base.Model):
             "pref_item": base.init_normal(rng, n_items, k),
             "seq_item": base.init_normal(rng, n_items, k),
         }
-        self.last_item: dict[int, int] = {}
 
     @classmethod
     def settings(cls, cfg) -> dict:
@@ -91,9 +117,14 @@ class Prme(base.Model):
             return ["[model] prme is first-order: L must be 1 when given"]
         return []
 
+    @property
+    def n_items(self) -> int:
+        return self.params["pref_item"].shape[0]
+
     def build_loss(self, leaves, batch) -> E.Node:
-        """``batch`` is (users, previous items, next items, negatives)."""
-        users, prevs, pos, neg = batch
+        """``batch`` is (users, windows, targets, negatives), the last three
+        one column each: the previous item, the next and a sampled one."""
+        users, prevs, pos, neg = (x.reshape(-1) for x in batch)
         a = self.alpha
         uu = E.embedding_lookup(leaves["user_embed"], users)
         sp = E.embedding_lookup(leaves["seq_item"], prevs)
@@ -116,34 +147,13 @@ class Prme(base.Model):
             data = data + self.l2 * (a * pref_rows + (1.0 - a) * seq_rows)
         return data.mean()
 
-    def serve(self, data) -> None:
-        super().serve(data)
-        self.last_item = {u: w[0] for u, w in latest_windows(data["train"], 1).items()}
-
-    def bind(self, data, batch_size, neg_samples) -> None:
-        sequences = data["sequences"]
-        if sequences.window != 1 or sequences.horizon != 1:
-            raise GradrecError("PRME is first-order: build sequences with L=1, T=1")
-        inst = [x for x in sequences.instances if x.window[0] != sequences.padding_id]
-        if not inst:
-            raise GradrecError("no trainable transitions in the sequence data")
-        self._examples = (np.array([x.user for x in inst]), np.array([x.window[0] for x in inst]),
-                          np.array([x.targets[0] for x in inst]))
-        self._sampler = base.NegativeSampler(data["train"])
-        self._batch_size = batch_size
-
-    def batches(self, epoch, rng):
-        users, prevs, pos = self._examples
-        for idx in base.minibatches(users.size, self._batch_size, rng):
-            neg = self._sampler.draw_many(users[idx], 1, rng).ravel()
-            yield idx.size, (users[idx], prevs[idx], pos[idx], neg)
-
     def score_matrix(self, users):
         """Negated blend of the user's and its last item's distances to every item."""
+        users, windows = self._served(users)
         p = self.params
         scores = base.sq_dists(p["user_embed"][users], p["pref_item"])
         scores *= -self.alpha  # in place: no third (B, n_items) array at the peak
-        seq = base.sq_dists(p["seq_item"][base.served(self.last_item, users)], p["seq_item"])
+        seq = base.sq_dists(p["seq_item"][windows[:, 0]], p["seq_item"])
         seq *= 1.0 - self.alpha
         scores -= seq
         return scores
@@ -157,6 +167,7 @@ class Caser(_Windows):
     names = ("caser",)
     defaults = {"T": 1, "n_h": 4, "n_v": 2}
     neg_samples = 3
+    horizon = None
 
     def __init__(self, n_users: int, n_items: int, d: int, window: int,
                  n_h: int = 4, n_v: int = 2, seed: int = 0):
@@ -178,7 +189,6 @@ class Caser(_Windows):
         self.params["user_embed"] = base.init_normal(rng, n_users, d)
         self.params["out_w"] = base.init_normal(rng, n_items, 2 * d)
         self.params["out_b"] = np.zeros(n_items)
-        self.serve_windows = {}
 
     @classmethod
     def settings(cls, cfg) -> dict:
@@ -209,29 +219,16 @@ class Caser(_Windows):
         return ((E.embedding_lookup(zu, rows) * w).sum(axis=1)
                 + E.embedding_lookup(leaves["out_b"], items))
 
-    def build_loss(self, leaves, batch: list[tuple[SequenceInstance, Array]]) -> E.Node:
-        """batch pairs each instance with its sampled negatives; BCE is
-        averaged over all (positive + negative) examples in the batch."""
-        users, windows = self._pack([x.user for x, _ in batch], [x.window for x, _ in batch])
-        counts = np.array([(len(x.targets), neg.size) for x, neg in batch])  # (pos, neg)
-        items = np.concatenate([part for x, neg in batch for part in (x.targets, neg)])
-        labels = np.repeat(np.tile([1.0, 0.0], len(batch)), counts.ravel())
-        rows = np.repeat(np.arange(len(batch)), counts.sum(axis=1))
+    def build_loss(self, leaves, batch) -> E.Node:
+        """BCE averaged over the batch's (positive + negative) pairs, each
+        instance's targets, then its negatives."""
+        users, windows, targets, negatives = batch
+        items = np.concatenate([targets, negatives], axis=1)
+        real = items != self.padding_id
+        labels = np.concatenate([np.ones(targets.shape), np.zeros(negatives.shape)], axis=1)[real]
         zu = self.user_vectors(leaves, users, windows)
-        logits = self.pair_logits(leaves, zu, rows, items)
+        logits = self.pair_logits(leaves, zu, np.nonzero(real)[0], items[real])
         return (logits.softplus() - E.const(labels) * logits).sum() * (1.0 / labels.size)
-
-    def batches(self, epoch, rng):
-        inst = self._instances
-        for idx in base.minibatches(len(inst), self._batch_size, rng):
-            chosen = [inst[i] for i in idx]
-            counts = [self._neg * len(x.targets) for x in chosen]
-            # one draw per negative, in instance order: the same stream as one
-            # draw(user, count) call per instance
-            users = np.repeat([x.user for x in chosen], counts)
-            negatives = np.split(self._sampler.draw_many(users, 1, rng).ravel(),
-                                 np.cumsum(counts)[:-1])
-            yield idx.size, list(zip(chosen, negatives))
 
     def after_step(self) -> None:
         self.params["item_embed"][self.padding_id] = 0.0
@@ -239,7 +236,7 @@ class Caser(_Windows):
 
     def score_matrix(self, users):
         """The output layer over ``user_vectors`` of the users' latest windows."""
-        users, windows = self._pack(users, base.served(self.serve_windows, users))
+        users, windows = self._served(users)
         zu = self.user_vectors(self.const_leaves(), users, windows).value
         return zu @ self.params["out_w"].T + self.params["out_b"]
 
@@ -271,7 +268,6 @@ class AttRec(_Windows):
             "lt_item": base.init_normal(rng, n_items, k_lt),
         }
         self.params["att_item"][n_items] = 0.0
-        self.serve_windows = {}
 
     @classmethod
     def settings(cls, cfg) -> dict:
@@ -305,31 +301,17 @@ class AttRec(_Windows):
         return (self.omega * E.sq_l2_dist(uu, vi)
                 + (1.0 - self.omega) * E.sq_l2_dist(intents, xi))
 
-    def build_loss(self, leaves, batch: list[tuple[SequenceInstance, int]]) -> E.Node:
-        users, windows = self._pack([x.user for x, _ in batch], [x.window for x, _ in batch])
-        pos = np.array([x.targets[0] for x, _ in batch], dtype=np.int64)
-        neg = np.array([n for _, n in batch], dtype=np.int64)
+    def build_loss(self, leaves, batch) -> E.Node:
+        users, windows, targets, negatives = batch
         intents = self.intents(leaves, windows)
-        s_pos = self.distances(leaves, users, intents, pos)
-        s_neg = self.distances(leaves, users, intents, neg)
-        return (self.margin + s_pos - s_neg).relu().sum() * (1.0 / len(batch))
+        s_pos = self.distances(leaves, users, intents, targets[:, 0])
+        s_neg = self.distances(leaves, users, intents, negatives[:, 0])
+        return (self.margin + s_pos - s_neg).relu().sum() * (1.0 / users.size)
 
     def project(self) -> None:
         for name in ("att_item", "lt_user", "lt_item"):
             self.params[name] = base.clip_rows_to_ball(self.params[name], self.clip_rho)
         self.params["att_item"][self.padding_id] = 0.0
-
-    def bind(self, data, batch_size, neg_samples) -> None:
-        if data["sequences"].horizon != 1:
-            raise GradrecError("AttRec trains on single next items: build sequences with T=1")
-        super().bind(data, batch_size, neg_samples)
-
-    def batches(self, epoch, rng):
-        inst = self._instances
-        for idx in base.minibatches(len(inst), self._batch_size, rng):
-            chosen = [inst[i] for i in idx]
-            negatives = self._sampler.draw_many([x.user for x in chosen], 1, rng).ravel()
-            yield idx.size, list(zip(chosen, negatives.tolist()))
 
     def after_step(self) -> None:
         self.project()
@@ -337,8 +319,8 @@ class AttRec(_Windows):
 
     def score_matrix(self, users):
         """Negated blend of the user's and its latest intent's distances to every item."""
+        users, windows = self._served(users)
         p = self.params
-        users, windows = self._pack(users, base.served(self.serve_windows, users))
         intents = self.intents(self.const_leaves(), windows).value
         scores = base.sq_dists(p["lt_user"][users], p["lt_item"])
         scores *= -self.omega

@@ -120,22 +120,25 @@ def gradient_cases():
     pp = np.array([0, 1, 2])
     pi = np.array([1, 2, 3])
     pj = np.array([4, 0, 4])
-    cases.append(("prme", lambda lv: prme.build_loss(lv, (pu, pp, pi, pj)),
+    prme_batch = (pu, pp[:, None], pi[:, None], pj[:, None])
+    cases.append(("prme", lambda lv: prme.build_loss(lv, prme_batch),
                   {n: prme.params[n] for n in prme.trainable}))
 
     seq_table = synthetic.markov_chains(n_users=3, n_items=6, history=5, seed=14)
     ds3 = datamod.build_sequences(seq_table, 3, 1)
     caser = scaled_params(Caser(3, 6, d=4, window=3, n_h=1, n_v=1, seed=15), seed=16,
                           scale=0.4, zero_pad="item_embed")
-    caser_batch = [(ds3.instances[0], np.array([4, 5])), (ds3.instances[2], np.array([0, 1]))]
+    picked = np.array([0, 2])
+    caser_batch = (ds3.users[picked], ds3.windows[picked], ds3.targets[picked],
+                   np.array([[4, 5], [0, 1]]))
     cases.append(("caser", lambda lv: caser.build_loss(lv, caser_batch),
                   {n: caser.params[n] for n in caser.trainable}))
 
     ds2 = datamod.build_sequences(seq_table, 2, 1)
-    clean = [x for x in ds2.instances if 6 not in x.window]
+    clean = np.flatnonzero((ds2.windows != 6).all(axis=1))[[0, 2]]
     attrec = scaled_params(AttRec(3, 6, d=4, window=2, omega=0.4, margin=2.0, seed=17),
                            seed=18, scale=0.6, zero_pad="att_item")
-    att_batch = [(clean[0], 4), (clean[2], 5)]
+    att_batch = (ds2.users[clean], ds2.windows[clean], ds2.targets[clean], np.array([[4], [5]]))
     cases.append(("attrec", lambda lv: attrec.build_loss(lv, att_batch),
                   {n: attrec.params[n] for n in attrec.trainable}))
     return cases
@@ -611,7 +614,7 @@ def test_criterion_8_structural_invariants():
             assert np.linalg.norm(params[name], axis=1).max() <= rho + 1e-12
         assert np.array_equal(params["att_item"][attrec.padding_id], np.zeros(4))
         # softmax row normalization on a live attention matrix
-        ew = params["att_item"][np.asarray(seqs.instances[0].window)]
+        ew = params["att_item"][seqs.windows[0]]
         q = np.maximum(ew @ params["w_query"], 0.0)
         k = np.maximum(ew @ params["w_key"], 0.0)
         attn = E.softmax_rows(E.const(q @ k.T / 2.0)).value

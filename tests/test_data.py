@@ -343,27 +343,38 @@ class TestSampleNegatives:
         assert rng.random() == np.random.default_rng(4).random()
 
 
+def instance_tuples(ds):
+    """A sequence dataset's instances as (user, window, targets) tuples."""
+    return list(zip(ds.users.tolist(), map(tuple, ds.windows.tolist()),
+                    map(tuple, ds.targets.tolist())))
+
+
+def window_dict(users, windows):
+    """:func:`data.latest_windows` arrays as user -> window tuple."""
+    return dict(zip(users.tolist(), map(tuple, windows.tolist())))
+
+
 class TestBuildSequences:
     def test_window_definition(self):
         table = make_table([("u", "a", 1, 1), ("u", "b", 1, 2), ("u", "c", 1, 3)])
         ds = data.build_sequences(table, window=2, horizon=1)
         a, b, c = (table.item_index[x] for x in "abc")
         pad = ds.padding_id
-        got = [(x.window, x.targets) for x in ds.instances]
+        got = [(w, t) for _, w, t in instance_tuples(ds)]
         assert got == [((pad, a), (b,)), ((a, b), (c,))]
 
     def test_single_item_history_yields_nothing(self):
         table = make_table([("u", "a", 1, 1), ("v", "a", 1, 1), ("v", "b", 1, 2)])
         ds = data.build_sequences(table, window=3, horizon=1)
-        assert all(x.user != table.user_index["u"] for x in ds.instances)
+        assert all(user != table.user_index["u"] for user in ds.users.tolist())
 
     def test_truncated_horizon(self):
         table = make_table([("u", x, 1, t) for t, x in enumerate("abcd", 1)])
         ds = data.build_sequences(table, window=3, horizon=2)
         ids = [table.item_index[x] for x in "abcd"]
-        last = ds.instances[-1]
-        assert last.window == (ids[0], ids[1], ids[2])
-        assert last.targets == (ids[3],)
+        _, window, targets = instance_tuples(ds)[-1]
+        assert window == (ids[0], ids[1], ids[2])
+        assert targets == (ids[3], ds.padding_id)  # right-padded where the history ends
 
     def test_bad_params_rejected(self):
         table = make_table([("u", "a", 1, 1), ("u", "b", 1, 2)])
@@ -377,8 +388,9 @@ class TestBuildSequences:
         u = table.user_index["u"]
         a, b = table.item_index["a"], table.item_index["b"]
         pad = data.build_sequences(table, window=4, horizon=1).padding_id
-        assert data.latest_windows(table, 4) == {u: (pad, pad, a, b)}
-        assert data.latest_windows(table.take(np.arange(0)), 4) == {}
+        assert window_dict(*data.latest_windows(table, 4)) == {u: (pad, pad, a, b)}
+        users, windows = data.latest_windows(table.take(np.arange(0)), 4)
+        assert windows.shape == (0, 4) and window_dict(users, windows) == {}
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), min_size=2, max_size=60),
@@ -520,6 +532,20 @@ def reference_latest_windows(histories, window, padding_id):
             for user, hist in histories.items()}
 
 
+def reference_sequences(histories, window, horizon, padding_id):
+    """The per-instance loop sequences were built with before they became
+    arrays: (user, window, targets) for every target position after a
+    history's first, windows left-padded, targets right-padded."""
+    instances = []
+    for user, items in histories.items():
+        for pos in range(1, len(items)):
+            past = items[max(0, pos - window):pos]
+            targets = items[pos:pos + horizon]
+            instances.append((user, tuple([padding_id] * (window - len(past)) + past),
+                              tuple(targets + [padding_id] * (horizon - len(targets)))))
+    return instances
+
+
 def reference_uirt(rows, user_ids, item_ids) -> bytes:
     return "".join(f"{user_ids[u]}\t{item_ids[i]}\t{r:g}\t{t}\n"
                    for u, i, r, t in rows).encode("utf-8")
@@ -615,10 +641,35 @@ def test_columnar_table_splits_and_histories_match_reference(tmp_path_factory, c
             assert_rows(test, ref_test)
             assert train.user_ids is got.user_ids and test.item_index is got.item_index
         histories = reference_histories(ref)
-        assert data.build_sequences(table, 2, 1).histories == histories
+        assert instance_tuples(data.build_sequences(table, 2, 1)) == \
+            reference_sequences(histories, 2, 1, table.n_items)
         for window in (1, 3):
-            assert data.latest_windows(table, window) == \
+            assert window_dict(*data.latest_windows(table, window)) == \
                 reference_latest_windows(histories, window, table.n_items)
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(0, 3)),
+                max_size=40),
+       st.integers(0, 7), st.integers(1, 5), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_sequence_arrays_match_reference_loop(records, solo_item, window, horizon):
+    # four timestamps, so rows of a user tie often; user "solo" has one row
+    table = data.table_from_records([(f"u{u}", f"i{i}", 1.0, t) for u, i, t in records]
+                                    + [("solo", f"i{solo_item}", 1.0, 0)])
+    rows = list(zip(table.users.tolist(), table.items.tolist(), table.ratings.tolist(),
+                    table.timestamps.tolist()))
+    histories = reference_histories(rows)
+    pad = table.n_items
+    ds = data.build_sequences(table, window, horizon)
+    want = reference_sequences(histories, window, horizon, pad)
+    assert ds.padding_id == pad and (ds.window, ds.horizon) == (window, horizon)
+    assert [x.dtype for x in (ds.users, ds.windows, ds.targets)] == [np.int64] * 3
+    assert ds.windows.shape == (len(want), window) and ds.targets.shape == (len(want), horizon)
+    assert instance_tuples(ds) == want
+    assert len(ds.instances) == len(want)
+    users, windows = data.latest_windows(table, window)
+    assert users.tolist() == list(histories)  # ascending, every user with a row
+    assert window_dict(users, windows) == reference_latest_windows(histories, window, pad)
 
 
 @given(uirt_files(bad_lines=2))

@@ -104,6 +104,18 @@ class TestBprFit:
 
         assert run() == run()
 
+    def test_positives_of_saturated_users_are_skipped(self, caplog):
+        # "full" has consumed every item, so none of its rows has a negative
+        records = [("full", f"i{i}", 1.0, i) for i in range(3)]
+        records += [("u0", "i0", 1.0, 0), ("u1", "i2", 1.0, 0), ("u1", "i1", 1.0, 1)]
+        table = data.table_from_records(records)
+        model = BprMf(table.n_users, table.n_items, k=2, seed=0)
+        with caplog.at_level("INFO", logger="gradrec.models.ranking"):
+            train(model, {"train": table}, E.Sgd(lr=0.1), epochs=2, batch_size=2, seed=1)
+        assert "skipping 3 positives of fully-saturated users" in caplog.text
+        users, items = model._examples
+        assert list(zip(users.tolist(), items.tolist())) == [(1, 0), (2, 2), (2, 1)]
+
     def test_scores_stay_finite_every_epoch(self):
         train_table, _ = synthetic.block_preferences(seed=1)
         model = BprMf(train_table.n_users, train_table.n_items, k=4, l2=0.0, seed=2)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gradrec import data, engine as E, metrics, synthetic
-from gradrec.data import SequenceInstance
 from gradrec.errors import GradrecError
 from gradrec.models import train
 from gradrec.models.baselines import PopularityRanker
@@ -18,15 +17,22 @@ def markov_split(window, horizon=1, **gen_kw):
     return table, train_table, test, bundle
 
 
+def serve_window(model, user, window):
+    """Serve ``window`` as the latest window of ``user``; users below it
+    have none."""
+    model.windows = np.full((user + 1, len(window)), model.padding_id)
+    model.windows[user] = window
+
+
 def prme_distance(model, user, prev_item, item):
     """The blended distance PRME ranks by, served from ``prev_item``."""
-    model.last_item = {user: prev_item}
+    serve_window(model, user, (prev_item,))
     return -model.score_matrix(np.array([user]))[0, item]
 
 
 def window_scores(model, user, window):
     """The score_matrix row of ``user`` served from ``window``."""
-    model.serve_windows = {user: tuple(window)}
+    serve_window(model, user, window)
     return model.score_matrix(np.array([user]))[0]
 
 
@@ -106,7 +112,8 @@ class TestPrmeFit:
         prevs = np.array([0, 1, 2])
         pos = np.array([1, 2, 3])
         neg = np.array([4, 0, 4])
-        result = E.grad_check(lambda lv: model.build_loss(lv, (users, prevs, pos, neg)),
+        batch = (users, prevs[:, None], pos[:, None], neg[:, None])
+        result = E.grad_check(lambda lv: model.build_loss(lv, batch),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
 
@@ -166,19 +173,18 @@ class TestCaserForward:
         model.params["out_b"][:] = 0.0
         for h in range(1, 4):
             model.params[f"h_bias_{h}"][:] = 0.0
-        window = (model.padding_id,) * 3
-        scores = window_scores(model, 0, window)
+        # serving refuses such a window as no history, so score it through
+        # the forward pieces that score_matrix uses
+        leaves = model.const_leaves()
+        zu = model.user_vectors(leaves, np.array([0]), np.full((1, 3), model.padding_id))
+        scores = model.pair_logits(leaves, zu, np.zeros(5, dtype=np.int64), np.arange(5)).value
         assert np.allclose(scores, scores[0])
 
     def test_wrong_window_length_rejected(self):
         model = Caser(2, 5, d=4, window=3, seed=3)
+        _, _, _, bundle = markov_split(window=2, n_users=2, n_items=5, history=6, seed=3)
         with pytest.raises(GradrecError):
-            window_scores(model, 0, (0, 1))
-        leaves = {n: E.const(v) for n, v in model.params.items()}
-        good = SequenceInstance(0, (0, 1, 2), (3,))
-        short = SequenceInstance(1, (0, 1), (2,))
-        with pytest.raises(GradrecError):
-            model.build_loss(leaves, [(good, np.array([4])), (short, np.array([4]))])
+            train(model, bundle, E.Sgd(lr=0.1), epochs=1, batch_size=8, seed=0)
 
 
 class TestCaserFit:
@@ -190,7 +196,8 @@ class TestCaserFit:
         model.params["item_embed"][model.padding_id] = 0.0
         ds = data.build_sequences(
             synthetic.markov_chains(n_users=2, n_items=6, history=5, seed=3), 3, 1)
-        batch = [(ds.instances[0], np.array([4, 5])), (ds.instances[3], np.array([0, 2]))]
+        rows = np.array([0, 3])
+        batch = (ds.users[rows], ds.windows[rows], ds.targets[rows], np.array([[4, 5], [0, 2]]))
         result = E.grad_check(lambda lv: model.build_loss(lv, batch),
                               {n: model.params[n] for n in model.trainable})
         assert result.max_rel_err < 1e-4
@@ -246,7 +253,7 @@ class TestAttRecScore:
 
     def test_scores_are_negated_distances(self):
         model = AttRec(2, 6, d=4, window=2, seed=5)
-        model.serve_windows = {0: (1, 2)}
+        serve_window(model, 0, (1, 2))
         leaves = {n: E.const(v) for n, v in model.params.items()}
         intents = model.intents(leaves, np.array([(1, 2)] * 6))
         dists = model.distances(leaves, np.zeros(6, dtype=np.int64), intents, np.arange(6)).value
@@ -271,20 +278,20 @@ class TestAttRecFit:
             synthetic.markov_chains(n_users=3, n_items=6, history=5, seed=5), 2, 1)
         # windows without the padding id: its all-zero row would pin the
         # relu projections exactly onto their kink
-        clean = [x for x in ds.instances if model.padding_id not in x.window]
-        batch = [(clean[0], 4), (clean[3], 5)]
+        clean = np.flatnonzero((ds.windows != model.padding_id).all(axis=1))[[0, 3]]
+        batch = (ds.users[clean], ds.windows[clean], ds.targets[clean], np.array([[4], [5]]))
         # confirm hinges and relu pre-activations sit away from the kinks
         leaves = {n: E.const(v) for n, v in model.params.items()}
-        for inst, neg in batch:
-            ew = model.params["att_item"][np.asarray(inst.window)]
+        for user, window, target, neg in zip(*batch):
+            ew = model.params["att_item"][window]
             pre = np.concatenate([(ew @ model.params["w_query"]).ravel(),
                                   (ew @ model.params["w_key"]).ravel()])
             assert np.abs(pre).min() > 1e-3
-            users, windows = np.array([inst.user]), np.array([inst.window])
+            users, windows = np.array([user]), np.array([window])
             intents = model.intents(leaves, windows)
             arg = (model.margin
-                   + model.distances(leaves, users, intents, np.array([inst.targets[0]])).value
-                   - model.distances(leaves, users, intents, np.array([neg])).value)
+                   + model.distances(leaves, users, intents, target[:1]).value
+                   - model.distances(leaves, users, intents, neg).value)
             assert abs(float(arg[0])) > 1e-3
         result = E.grad_check(lambda lv: model.build_loss(lv, batch),
                               {n: model.params[n] for n in model.trainable})
@@ -345,67 +352,72 @@ class TestBatchedParity:
     """The batched tape graph of a minibatch and the served ``score_matrix``
     rows compute what the plain-numpy per-window references do."""
 
+    TABLE = dict(n_users=6, n_items=9, history=5, seed=21)
+
     def instances(self, window, horizon):
-        ds = data.build_sequences(
-            synthetic.markov_chains(n_users=6, n_items=9, history=5, seed=21), window, horizon)
-        # every user's first instances are left-padded, their last have
-        # shortened tail targets when horizon > 1
-        assert any(ds.padding_id in x.window for x in ds.instances[:12])
-        return ds.instances[:12]
+        """(users, windows, targets) of the first 12 instances."""
+        ds = data.build_sequences(synthetic.markov_chains(**self.TABLE), window, horizon)
+        # every user's first instances are left-padded
+        assert (ds.windows[:12] == ds.padding_id).any()
+        return ds.users[:12], ds.windows[:12], ds.targets[:12]
 
     def test_caser_loss_and_logits_match_per_instance(self):
         model = randomized(Caser(6, 9, d=4, window=3, n_h=2, n_v=2, seed=22),
                            "item_embed", seed=23, scale=0.5)
-        insts = self.instances(window=3, horizon=2)
-        assert {len(x.targets) for x in insts} == {1, 2}
-        rng = np.random.default_rng(24)
-        batch = [(x, rng.integers(0, 9, size=3 * len(x.targets))) for x in insts]
+        table = synthetic.markov_chains(**self.TABLE)
+        sequences = data.build_sequences(table, 3, 2)
+        model.bind({"train": table, "sequences": sequences}, batch_size=64, neg_samples=3)
+        _, batch = next(model.batches(0, np.random.default_rng(24)))
+        users, windows, targets, negatives = batch
+        pad = model.padding_id
+        # the whole epoch in one batch: left-padded windows, and the last
+        # instance of each user has a shortened tail target
+        assert (windows == pad).any()
+        assert set(np.count_nonzero(targets != pad, axis=1).tolist()) == {1, 2}
         leaves = {n: E.const(v) for n, v in model.params.items()}
 
         total, count = 0.0, 0
-        for inst, neg in batch:
-            items = np.concatenate([np.asarray(inst.targets), neg])
-            labels = np.concatenate([np.ones(len(inst.targets)), np.zeros(neg.size)])
-            logits = reference_caser_scores(model, inst.user, inst.window)[items]
+        for user, window, target, neg in zip(*batch):
+            target, neg = target[target != pad], neg[neg != pad]
+            assert neg.size == 3 * target.size
+            items = np.concatenate([target, neg])
+            labels = np.concatenate([np.ones(target.size), np.zeros(neg.size)])
+            logits = reference_caser_scores(model, user, window)[items]
             total += float((softplus(logits) - labels * logits).sum())
             count += items.size
         loss = model.build_loss(leaves, batch)
         assert abs(float(loss.value) - total / count) < 1e-12
 
-        users = np.array([x.user for x in insts])
-        windows = np.array([x.window for x in insts])
-        rows = np.repeat(np.arange(len(insts)), 9)
-        items = np.tile(np.arange(9), len(insts))
+        rows = np.repeat(np.arange(users.size), 9)
+        items = np.tile(np.arange(9), users.size)
         zu = model.user_vectors(leaves, users, windows)
-        got = model.pair_logits(leaves, zu, rows, items).value.reshape(len(insts), 9)
-        want = np.stack([reference_caser_scores(model, x.user, x.window) for x in insts])
+        got = model.pair_logits(leaves, zu, rows, items).value.reshape(users.size, 9)
+        want = np.stack([reference_caser_scores(model, u, w) for u, w in zip(users, windows)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_attrec_loss_and_distances_match_per_instance(self):
         model = randomized(AttRec(6, 9, d=4, window=3, omega=0.4, margin=1.0, seed=25),
                            "att_item", seed=26, scale=0.6)
-        insts = self.instances(window=3, horizon=1)
-        rng = np.random.default_rng(27)
-        batch = [(x, int(rng.integers(0, 9))) for x in insts]
+        users, windows, targets = self.instances(window=3, horizon=1)
+        negatives = np.random.default_rng(27).integers(0, 9, size=(users.size, 1))
         leaves = {n: E.const(v) for n, v in model.params.items()}
 
         total = 0.0
-        for inst, neg in batch:
-            dists = reference_attrec_distances(model, inst.user, inst.window)
-            total += max(0.0, model.margin + dists[inst.targets[0]] - dists[neg])
-        loss = model.build_loss(leaves, batch)
-        assert abs(float(loss.value) - total / len(batch)) < 1e-12
+        for user, window, target, neg in zip(users, windows, targets, negatives):
+            dists = reference_attrec_distances(model, user, window)
+            total += max(0.0, model.margin + dists[target[0]] - dists[neg[0]])
+        loss = model.build_loss(leaves, (users, windows, targets, negatives))
+        assert abs(float(loss.value) - total / users.size) < 1e-12
 
-        users = np.array([x.user for x in insts])
-        intents = model.intents(leaves, np.array([x.window for x in insts]))
+        intents = model.intents(leaves, windows)
         for item in range(9):
-            got = model.distances(leaves, users, intents, np.full(len(insts), item)).value
-            want = [reference_attrec_distances(model, x.user, x.window)[item] for x in insts]
+            got = model.distances(leaves, users, intents, np.full(users.size, item)).value
+            want = [reference_attrec_distances(model, u, w)[item] for u, w in zip(users, windows)]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_served_rows_match_reference(self):
-        insts = self.instances(window=3, horizon=1)
-        latest = {x.user: x for x in insts}  # one window per user
+        insts_users, insts_windows, _ = self.instances(window=3, horizon=1)
+        latest = dict(zip(insts_users.tolist(), insts_windows))  # one window per user
         users = np.array(sorted(latest))
         caser = randomized(Caser(6, 9, d=4, window=3, n_h=2, n_v=2, seed=29),
                            "item_embed", seed=30, scale=0.5)
@@ -413,12 +425,13 @@ class TestBatchedParity:
                             "att_item", seed=32, scale=0.6)
         for model, reference, sign in ((caser, reference_caser_scores, 1.0),
                                        (attrec, reference_attrec_distances, -1.0)):
-            model.serve_windows = {u: latest[u].window for u in latest}
-            want = np.stack([sign * reference(model, u, latest[u].window) for u in users.tolist()])
+            model.windows = np.full((6, 3), model.padding_id)
+            model.windows[users] = [latest[u] for u in users.tolist()]
+            want = np.stack([sign * reference(model, u, latest[u]) for u in users.tolist()])
             np.testing.assert_allclose(model.score_matrix(users), want, rtol=0, atol=1e-12)
 
     def test_attrec_wrong_window_length_rejected(self):
         model = AttRec(2, 5, d=4, window=3, seed=28)
-        leaves = {n: E.const(v) for n, v in model.params.items()}
+        _, _, _, bundle = markov_split(window=4, n_users=2, n_items=5, history=6, seed=28)
         with pytest.raises(GradrecError):
-            model.build_loss(leaves, [(SequenceInstance(0, (0, 1, 2, 3), (4,)), 2)])
+            train(model, bundle, E.Sgd(lr=0.1), epochs=1, batch_size=8, seed=0)

@@ -111,8 +111,7 @@ def served_users(model, bundle) -> np.ndarray:
     """Every user the model can score: sequence models need a history."""
     if bundle["task"] != "sequential":
         return np.arange(bundle["train"].n_users)
-    history = getattr(model, "last_item", None) or model.serve_windows
-    return np.array(sorted(history))
+    return np.flatnonzero(model.windows[:, -1] != model.padding_id)
 
 
 def sigmoid(node):
@@ -146,14 +145,14 @@ def training_forward(name, model, bundle, users, items):
             out.append(sigmoid(logit)[0])
         return np.array(out)
     if name == "prme":
-        prevs = np.array([model.last_item[u] for u in users.tolist()])
+        prevs = model.windows[users, 0]
         d_pref = E.sq_l2_dist(lookup(leaves["user_embed"], users),
                               lookup(leaves["pref_item"], items))
         d_seq = E.sq_l2_dist(lookup(leaves["seq_item"], prevs),
                              lookup(leaves["seq_item"], items))
         return -(model.alpha * d_pref + (1.0 - model.alpha) * d_seq).value
     if name in ("caser", "attrec"):
-        windows = np.array([model.serve_windows[u] for u in users.tolist()])
+        windows = model.windows[users]
         if name == "caser":
             zu = model.user_vectors(leaves, users, windows)
             return model.pair_logits(leaves, zu, np.arange(users.size), items).value

@@ -251,6 +251,37 @@ class TestCliWorkflows:
         table = datamod.load_interactions(ratings_file)
         assert raw_ids == sorted(table.item_ids)[:3]
 
+    @pytest.mark.parametrize("name", ["prme", "caser", "attrec", "bprmf"])
+    def test_recommend_to_a_user_without_train_rows(self, name, implicit_file, tmp_path,
+                                                    capsys):
+        # every rating of "ghost" is below the binarize threshold of 1.0: the
+        # id maps know the user, the train split has no row of it
+        source = tmp_path / "ghost.txt"
+        source.write_text(implicit_file.read_text() + "ghost\ti1\t0.5\t1\nghost\ti2\t0.25\t2\n")
+        cfg_path = self.write(tmp_path, "c.ini", model_config_text(name, source))
+        out = tmp_path / "m.drec"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = cli.main(["recommend", "--ckpt", str(out), "--user", "ghost", "--n", "3"])
+        captured = capsys.readouterr()
+        if name == "bprmf":  # scores from the user's own factors
+            assert code == 0 and len(captured.out.splitlines()) == 3
+        else:  # a sequence model has no window to score from
+            assert code == 2 and captured.out == ""
+            assert "no history recorded" in captured.err
+
+    @pytest.mark.parametrize("command", ["split", "train"])
+    def test_nothing_left_after_binarization_exits_2(self, command, tmp_path, capsys):
+        source = tmp_path / "low.txt"
+        source.write_text("u1\ti1\t0.5\t1\nu2\ti2\t0.5\t2\nu2\ti1\t0.25\t3\n")
+        cfg_path = self.write(tmp_path, "c.ini", ranking_config(source))
+        outputs = {"split": ["--train-out", str(tmp_path / "train.txt"),
+                             "--test-out", str(tmp_path / "test.txt")],
+                   "train": ["--out", str(tmp_path / "x.drec")]}
+        assert cli.main([command, "--config", str(cfg_path), *outputs[command]]) == 2
+        assert "no interactions left after binarization" in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in ("train.txt", "test.txt"))
+
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         cfg_path = self.write(tmp_path, "c.ini", rating_config(tmp_path / "nope.txt"))
         code = cli.main(["train", "--config", str(cfg_path),
