@@ -21,16 +21,13 @@ print(f"training loss: {trace[0]:.4f} -> {trace[-1]:.6f}")
 
 
 
-def test_pairs(scorer):
-    """(prediction, rating) per test row, read from the scorer's score_matrix rows."""
-    predicted = metrics.pair_scores(scorer.score_matrix, test.users, test.items)
-    return list(zip(predicted.tolist(), test.ratings.tolist()))
+def test_predictions(scorer):
+    """The scorer's prediction per test row, read from its score_matrix rows."""
+    return metrics.pair_scores(scorer.score_matrix, test.users, test.items)
 
 
-pairs = test_pairs(model)
-base_pairs = test_pairs(GlobalMeanRating(train_set))
-rmse, mae = metrics.rmse_mae(pairs)
-base_rmse, _ = metrics.rmse_mae(base_pairs)
+rmse, mae = metrics.rmse_mae(test_predictions(model), test.ratings)
+base_rmse, _ = metrics.rmse_mae(test_predictions(GlobalMeanRating(train_set)), test.ratings)
 print(f"test RMSE {rmse:.4f} vs global-mean baseline {base_rmse:.4f}")
 
 # ---- factorization machine ------------------------------------------------
@@ -65,8 +62,9 @@ print(f"train RMSE on the planted degree-2 function: {rmse:.4f}")
 print("\n== item-based autoencoder ==")
 ar = ItemAutoRec.for_table(train_set, hidden=8, l2=0.01, seed=7)
 trace = train(ar, {"train": train_set}, E.Adam(lr=0.05), epochs=200, seed=8)
-pairs = test_pairs(ar)
-rmse, mae = metrics.rmse_mae(pairs)
+predicted = test_predictions(ar)
+rmse, mae = metrics.rmse_mae(predicted, test.ratings)
 print(f"reconstruction loss {trace[0]:.1f} -> {trace[-1]:.3f}; test RMSE {rmse:.4f}")
-report = metrics.rating_report(pairs, seed=7, users=len(set(test.users.tolist())))
+report = metrics.rating_report(predicted, test.ratings, seed=7,
+                               users=len(set(test.users.tolist())))
 print("\nreport block:\n" + report.to_text())

@@ -8,6 +8,7 @@ checkpoint, divergence).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from gradrec import config as cfgmod
@@ -23,6 +24,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # parse_args keeps no state in the parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="gradrec",
                      description="Config-driven recommender experiments")

@@ -2,17 +2,19 @@
 for ranking, and the protocol that ranks each relevant item among a user's
 candidates from ``score_matrix(users) -> (len(users), n_items)`` rows.
 
-Conventions fixed here: binary gains, 1-based ranks with 1/log2(rank+1)
-discount, macro (per-user) averaging over users with a non-empty relevant
-set, MRR over the full candidate ranking, and score ties broken by
-ascending item id so reports are reproducible bit for bit.
+Conventions fixed here, so reports are reproducible bit for bit: binary
+gains, 1-based ranks with 1/log2(rank+1) discount, macro (per-user)
+averaging over users with a non-empty relevant set, MRR over the full
+candidate ranking, score ties broken by ascending item id, and one array
+pass per ``BLOCK`` users that adds ``math.log2`` discounts in ascending
+rank order and averages users in ascending id, left to right from 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -47,13 +49,6 @@ Protocol = FullRanking | SampledRanking
 
 
 @dataclass
-class RankingResult:
-    user: int
-    ranks: list[int]  # ascending 1-based ranks of the relevant items among the candidates
-    n_relevant: int  # relevant items, ranked or not
-
-
-@dataclass
 class MetricReport:
     values: dict[str, float]
     protocol: str
@@ -68,35 +63,41 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def rmse_mae(pairs: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """Root mean squared error and mean absolute error over (predicted, actual)."""
-    pairs = list(pairs)
-    if not pairs:
+def rmse_mae(predicted: np.ndarray, actual: np.ndarray) -> tuple[float, float]:
+    """Root mean squared error and mean absolute error of ``predicted`` against ``actual``."""
+    errs = np.asarray(predicted, dtype=np.float64) - np.asarray(actual, dtype=np.float64)
+    if not errs.size:
         raise GradrecError("rmse_mae: empty prediction list")
-    errs = np.array([p - a for p, a in pairs], dtype=np.float64)
     if not np.all(np.isfinite(errs)):
         raise EvaluationError("rmse_mae: non-finite prediction or target")
     return float(np.sqrt(np.mean(errs * errs))), float(np.mean(np.abs(errs)))
 
 
-def _ideal_dcg(n_relevant: int, cutoff: int) -> float:
-    return sum(1.0 / math.log2(r + 1) for r in range(1, min(n_relevant, cutoff) + 1))
-
-
-def ranking_metrics(result: RankingResult, cutoffs: list[int]) -> dict[str, float]:
-    """Precision/Recall/NDCG at each cutoff plus MRR over the full ranking."""
-    if not result.n_relevant:
-        raise GradrecError(f"user {result.user} has an empty relevant set")
+def ranking_metrics(users: np.ndarray, rows: np.ndarray, ranks: np.ndarray,
+                    n_relevant: np.ndarray, cutoffs: list[int]) -> dict[str, np.ndarray]:
+    """Per-user Precision/Recall/NDCG@n and MRR: ``ranks[k]`` ranks a relevant item of
+    ``users[rows[k]]``; ``n_relevant`` counts each user's relevant items, ranked or not."""
+    if not n_relevant.all():
+        raise GradrecError(f"user {users[np.argmin(n_relevant)]} has an empty relevant set")
     if any(n < 1 for n in cutoffs):
         raise GradrecError(f"cutoffs must be >= 1, got {cutoffs}")
-    out: dict[str, float] = {}
+    # no rank or relevant count exceeds n_items, so neither does the width
+    width = min(max(cutoffs, default=1), max(int(n_relevant.max()), int(ranks.max(initial=0))))
+    hit = np.zeros((users.size, width), dtype=bool)
+    hit[rows[ranks <= width], ranks[ranks <= width] - 1] = True
+    discount = np.array([1.0 / math.log2(r + 1) for r in range(1, width + 1)])
+    # cumsum adds left to right, so every prefix is a sum in ascending rank order
+    hits, dcg = np.cumsum(hit, axis=1), np.cumsum(np.where(hit, discount, 0.0), axis=1)
+    ideal = np.cumsum([0.0, *discount])
+    out = {}
     for n in cutoffs:
-        top = [rank for rank in result.ranks if rank <= n]
-        out[f"precision@{n}"] = len(top) / n
-        out[f"recall@{n}"] = len(top) / result.n_relevant
-        dcg = sum(1.0 / math.log2(rank + 1) for rank in top)
-        out[f"ndcg@{n}"] = dcg / _ideal_dcg(result.n_relevant, n)
-    out["mrr"] = 1.0 / result.ranks[0] if result.ranks else 0.0
+        col = min(n, width) - 1
+        out[f"precision@{n}"] = hits[:, col] / n
+        out[f"recall@{n}"] = hits[:, col] / n_relevant
+        out[f"ndcg@{n}"] = dcg[:, col] / ideal[np.minimum(n_relevant, n)]
+    best = np.full(users.size, np.inf)  # 1 / inf is the 0.0 MRR of no ranked item
+    np.minimum.at(best, rows, ranks)
+    out["mrr"] = 1.0 / best
     return out
 
 
@@ -134,45 +135,43 @@ def rank_candidates(users: np.ndarray, scores: np.ndarray, candidates: np.ndarra
 def evaluate_ranking(score_rows: ScoreRows, train: InteractionTable, test: InteractionTable,
                      protocol: Protocol, cutoffs: list[int],
                      seed_echo: int | None = None) -> MetricReport:
-    """Macro-averaged ranking metrics under the full protocol (candidates:
-    the items not consumed in train) or the sampled one (the relevant items
-    plus m negatives from the rest, one RNG stream per user). Users with
-    test rows are scored ``BLOCK`` at a time in ascending id."""
+    """Macro-averaged metrics under the full protocol (candidates: the items not consumed
+    in train) or the sampled one (relevant items plus m negatives, one RNG stream per user)."""
     if any(n < 1 for n in cutoffs):
         raise GradrecError(f"cutoffs must be >= 1, got {cutoffs}")
     users = np.unique(test.users)
     if users.size == 0:
         raise GradrecError("no users could be evaluated")
-    order, bounds = train.user_rows()
-    train_items, train_bounds = train.items[order], bounds.tolist()  # grouped by user
-    order, bounds = test.user_rows()
-    test_items, test_bounds = test.items[order], bounds.tolist()
-    sums: dict[str, float] = {}
-    for lo in range(0, users.size, BLOCK):
+    position = np.full(train.n_users, users.size)  # users without test rows sort last
+    position[users] = np.arange(users.size)
+    los = list(range(0, users.size, BLOCK))
+    groups = []  # per table: row positions and items sorted by position, and block bounds
+    for table in (train, test):
+        order = np.argsort(position[table.users], kind="stable")
+        at = position[table.users[order]]
+        groups.append((at, table.items[order], np.searchsorted(at, los + [users.size]).tolist()))
+    per_user = []
+    for k, lo in enumerate(los):
         block = users[lo:lo + BLOCK]
-        consumed = np.zeros((block.size, train.n_items), dtype=bool)
-        relevant = np.zeros_like(consumed)
-        for row, user in enumerate(block.tolist()):
-            consumed[row, train_items[train_bounds[user]:train_bounds[user + 1]]] = True
-            relevant[row, test_items[test_bounds[user]:test_bounds[user + 1]]] = True
+        consumed, relevant = np.zeros((2, block.size, train.n_items), dtype=bool)
+        for mask, (at, items, bounds) in zip((consumed, relevant), groups):
+            mask[at[bounds[k]:bounds[k + 1]] - lo, items[bounds[k]:bounds[k + 1]]] = True
         if isinstance(protocol, FullRanking):
             candidates = ~consumed
         else:
             candidates = relevant.copy()
-            free = ~(consumed | relevant)
-            for row, user in enumerate(block.tolist()):
+            cells = np.flatnonzero(~(consumed | relevant))  # the free (row, item) cells, flat
+            bounds = np.searchsorted(cells, np.arange(block.size + 1) * train.n_items).tolist()
+            for user, start, stop in zip(block.tolist(), bounds, bounds[1:]):
                 rng = np.random.default_rng([protocol.seed, user])
-                pool = np.flatnonzero(free[row])
-                m = min(protocol.m, pool.size)
-                candidates[row, rng.choice(pool, size=m, replace=False)] = True
+                picked = rng.choice(cells[start:stop], min(protocol.m, stop - start), replace=False)
+                candidates.flat[picked] = True
         ranks = rank_candidates(block, score_rows(block), candidates, relevant)
-        rows = np.nonzero(relevant & candidates)[0]  # the row of each rank
-        for row, (user, n_relevant) in enumerate(zip(block.tolist(),
-                                                     relevant.sum(axis=1).tolist())):
-            result = RankingResult(user, sorted(ranks[rows == row].tolist()), n_relevant)
-            for name, value in ranking_metrics(result, cutoffs).items():
-                sums[name] = sums.get(name, 0.0) + value
-    values = {name: sums[name] / users.size for name in sums}
+        per_user.append(ranking_metrics(block, np.nonzero(relevant & candidates)[0], ranks,
+                                        np.count_nonzero(relevant, axis=1), cutoffs))
+    # cumsum adds the users' values left to right in ascending id
+    values = {name: np.cumsum(np.concatenate([part[name] for part in per_user]))[-1].item()
+              / users.size for name in per_user[0]}
     seed = seed_echo if seed_echo is not None else getattr(protocol, "seed", 0)
     return MetricReport(values=values, protocol=protocol.describe(), seed=seed,
                         users=users.size, order=metric_order(cutoffs))
@@ -189,7 +188,7 @@ def pair_scores(score_rows: ScoreRows, users: np.ndarray, items: np.ndarray) -> 
     return out
 
 
-def rating_report(pairs: Iterable[tuple[float, float]], seed: int, users: int) -> MetricReport:
-    rmse, mae = rmse_mae(pairs)
+def rating_report(predicted: np.ndarray, actual: np.ndarray, seed: int, users: int) -> MetricReport:
+    rmse, mae = rmse_mae(predicted, actual)
     return MetricReport(values={"rmse": rmse, "mae": mae}, protocol="rating",
                         seed=seed, users=users, order=["rmse", "mae"])

@@ -74,8 +74,7 @@ def evaluate_model(cfg: ExperimentConfig, model, bundle) -> metricsmod.MetricRep
         else:
             predicted = metricsmod.pair_scores(model.score_matrix, test.users, test.items)
             actual, users = test.ratings, np.unique(test.users).size
-        return metricsmod.rating_report(zip(predicted.tolist(), actual.tolist()),
-                                        seed=cfg.data.seed, users=users)
+        return metricsmod.rating_report(predicted, actual, seed=cfg.data.seed, users=users)
     protocol = cfg.eval.protocol_obj(seed=cfg.data.seed)
     return metricsmod.evaluate_ranking(model.score_matrix, bundle["train"], bundle["test"],
                                        protocol, cfg.eval.cutoffs, seed_echo=cfg.data.seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradrec import data as datamod
-from gradrec import metrics, synthetic
+from gradrec import synthetic
 
 
 @pytest.fixture
@@ -36,11 +36,12 @@ def consumed(table) -> dict[int, set[int]]:
     return out
 
 
-def ranking_result(ranked, relevant, user=0) -> metrics.RankingResult:
-    """The ranks ``ranking_metrics`` reads, from a best-first candidate list
-    and the relevant set."""
+def ranking_result(ranked, relevant, user=0):
+    """The (users, rows, ranks, n_relevant) arguments ``ranking_metrics``
+    reduces, for one user, from a best-first candidate list and the relevant set."""
     ranks = [rank for rank, item in enumerate(ranked, start=1) if item in relevant]
-    return metrics.RankingResult(user, ranks, len(relevant))
+    return (np.array([user]), np.zeros(len(ranks), dtype=np.int64),
+            np.array(ranks, dtype=np.int64), np.array([len(relevant)]))
 
 
 def score_rows(score_fn, n_items):

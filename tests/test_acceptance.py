@@ -218,7 +218,8 @@ def test_criterion_3_metric_oracle():
         n_rel = int(rng.integers(1, min(6, n_items) + 1))
         relevant = set(rng.choice(n_items, size=n_rel, replace=False).tolist())
         cutoffs = sorted(set(rng.integers(1, n_items + 1, size=3).tolist()))
-        got = metrics.ranking_metrics(ranking_result(ranked, relevant), cutoffs)
+        got = {name: value[0] for name, value in
+               metrics.ranking_metrics(*ranking_result(ranked, relevant), cutoffs).items()}
         want = oracle_metrics(ranked, relevant, cutoffs)
         for n in cutoffs:
             assert got[f"precision@{n}"] == want[f"precision@{n}"], trial  # bitwise
@@ -229,7 +230,7 @@ def test_criterion_3_metric_oracle():
 
         preds = rng.normal(3, 1, size=8)
         actual = rng.normal(3, 1, size=8)
-        rmse, mae = metrics.rmse_mae(list(zip(preds, actual)))
+        rmse, mae = metrics.rmse_mae(preds, actual)
         o_rmse = math.sqrt(sum((p - a) ** 2 for p, a in zip(preds, actual)) / 8)
         o_mae = sum(abs(p - a) for p, a in zip(preds, actual)) / 8
         assert abs(rmse - o_rmse) <= 1e-12 and abs(mae - o_mae) <= 1e-12

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ def oracle_user_metrics(ranked, relevant, cutoffs):
         for rank, item in enumerate(ranked[:n], 1):
             if item in relevant:
                 dcg += 1.0 / math.log2(rank + 1)
-        ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(relevant), n) + 1))
+        ideal = 0.0
+        for r in range(1, min(len(relevant), n) + 1):
+            ideal += 1.0 / math.log2(r + 1)
         out[f"ndcg@{n}"] = dcg / ideal
     out["mrr"] = 0.0
     for rank, item in enumerate(ranked, 1):
@@ -81,10 +84,15 @@ def reference_ranking_metrics(user, ranked, relevant, cutoffs):
         hits = sum(1 for item in top if item in relevant)
         out[f"precision@{n}"] = hits / n
         out[f"recall@{n}"] = hits / len(relevant)
-        dcg = sum(1.0 / math.log2(rank + 1)
-                  for rank, item in enumerate(top, start=1) if item in relevant)
-        out[f"ndcg@{n}"] = dcg / sum(1.0 / math.log2(r + 1)
-                                     for r in range(1, min(len(relevant), n) + 1))
+        # explicit left-to-right sums: built-in sum() compensates on Python >= 3.12
+        dcg = 0.0
+        for rank, item in enumerate(top, start=1):
+            if item in relevant:
+                dcg += 1.0 / math.log2(rank + 1)
+        ideal = 0.0
+        for r in range(1, min(len(relevant), n) + 1):
+            ideal += 1.0 / math.log2(r + 1)
+        out[f"ndcg@{n}"] = dcg / ideal
     mrr = 0.0
     for rank, item in enumerate(ranked, start=1):
         if item in relevant:
@@ -138,63 +146,63 @@ def table_from(entries):
 
 class TestRmseMae:
     def test_two_term_hand_computation(self):
-        rmse, mae = metrics.rmse_mae([(3, 3), (4, 2)])
+        rmse, mae = metrics.rmse_mae([3, 4], [3, 2])
         assert rmse == pytest.approx(math.sqrt(2), abs=1e-12)
         assert mae == 1.0
 
     def test_perfect_predictions(self):
-        assert metrics.rmse_mae([(1.5, 1.5), (4.0, 4.0)]) == (0.0, 0.0)
+        assert metrics.rmse_mae([1.5, 4.0], [1.5, 4.0]) == (0.0, 0.0)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(17)
         pairs = [(float(p), float(a)) for p, a in rng.normal(3, 1.2, size=(100, 2))]
-        got = metrics.rmse_mae(pairs)
+        got = metrics.rmse_mae(*zip(*pairs))
         want = oracle_rmse_mae(pairs)
         assert got[0] == pytest.approx(want[0], abs=1e-12)
         assert got[1] == pytest.approx(want[1], abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(GradrecError):
-            metrics.rmse_mae([])
+            metrics.rmse_mae([], [])
 
     def test_rmse_dominates_mae(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             pairs = [(float(p), float(a)) for p, a in rng.normal(0, 2, size=(30, 2))]
-            rmse, mae = metrics.rmse_mae(pairs)
+            rmse, mae = metrics.rmse_mae(*zip(*pairs))
             assert rmse >= mae >= 0.0
 
 
 class TestRankingMetrics:
     def test_single_relevant_at_rank_two(self):
         result = ranking_result([5, 9, 1, 2], {9})
-        out = metrics.ranking_metrics(result, [10])
+        out = metrics.ranking_metrics(*result, [10])
         assert out["ndcg@10"] == pytest.approx(1 / math.log2(3), abs=1e-12)
         assert out["mrr"] == 0.5
 
     def test_hit_ratios(self):
         result = ranking_result([1, 2, 3, 4, 5, 6], {2, 4, 7, 8})
-        out = metrics.ranking_metrics(result, [5])
+        out = metrics.ranking_metrics(*result, [5])
         assert out["precision@5"] == 0.4
         assert out["recall@5"] == 0.5
 
     def test_first_relevant_at_rank_four(self):
         result = ranking_result([1, 2, 3, 9], {9})
-        assert metrics.ranking_metrics(result, [2])["mrr"] == 0.25
+        assert metrics.ranking_metrics(*result, [2])["mrr"] == 0.25
 
     def test_absent_relevant_gives_zero_mrr(self):
         result = ranking_result([1, 2], {7})
-        assert metrics.ranking_metrics(result, [2])["mrr"] == 0.0
+        assert metrics.ranking_metrics(*result, [2])["mrr"] == 0.0
 
     def test_perfect_prefix_gives_unit_ndcg(self):
         result = ranking_result([7, 8, 1, 2], {7, 8})
-        out = metrics.ranking_metrics(result, [2, 4])
+        out = metrics.ranking_metrics(*result, [2, 4])
         assert out["ndcg@2"] == 1.0
         assert out["ndcg@4"] == 1.0
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(GradrecError):
-            metrics.ranking_metrics(ranking_result([1], set()), [1])
+            metrics.ranking_metrics(*ranking_result([1], set()), [1])
 
     @given(st.integers(2, 30), st.integers(1, 10), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -203,7 +211,7 @@ class TestRankingMetrics:
         ranked = rng.permutation(n_candidates).tolist()
         relevant = set(rng.choice(n_candidates, size=min(n_relevant, n_candidates),
                                   replace=False).tolist())
-        out = metrics.ranking_metrics(ranking_result(ranked, relevant), [1, 3, 5])
+        out = metrics.ranking_metrics(*ranking_result(ranked, relevant), [1, 3, 5])
         for name, value in out.items():
             assert 0.0 <= value <= 1.0, name
         for n in (1, 3, 5):
@@ -315,7 +323,9 @@ class TestEvaluateRanking:
             one = metrics.evaluate_ranking(rows, train, single_test, proto, [2])
             per_user[user] = one.values
         for name in report.values:
-            total = sum(per_user[u][name] for u in sorted(per_user))
+            total = 0.0
+            for u in sorted(per_user):
+                total += per_user[u][name]
             assert report.values[name] == total / len(per_user), name
 
     def test_ranked_lists_exclude_train_items(self, monkeypatch):
@@ -390,7 +400,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("protocol", [metrics.FullRanking(),
                                           metrics.SampledRanking(m=9, seed=3)])
-    def test_many_blocks_equal_reference(self, protocol):
+    def test_many_blocks_equal_reference(self, protocol, monkeypatch):
         # more users than one block and more relevant items than one compare
         rng = np.random.default_rng(41)
         n_users, n_items = 3 * metrics.BLOCK + 5, 23
@@ -400,17 +410,47 @@ class TestAgainstReference:
                                    [x for k, x in enumerate(pairs) if k % 8 < 5],
                                    [x for k, x in enumerate(pairs) if k % 8 >= 5])
         scores = rng.integers(0, 6, size=(n_users, n_items)).astype(np.float64)
-        calls = []
+        calls, reduced = [], []
+        real_reduce = metrics.ranking_metrics
 
         def rows(users):
             calls.append(len(users))
             return scores[users]
 
+        def reduce(users, *args):
+            reduced.append(len(users))
+            return real_reduce(users, *args)
+
+        monkeypatch.setattr(metrics, "ranking_metrics", reduce)
         want = reference_evaluate_ranking(lambda u, i: scores[u, i], train, test, protocol,
                                           [1, 5, 30])
         got = metrics.evaluate_ranking(rows, train, test, protocol, [1, 5, 30])
         assert got.values == want.values
         assert calls == [metrics.BLOCK] * 3 + [5]
+        assert reduced == [metrics.BLOCK] * 3 + [5]  # one reduction per block, not per user
+
+    @pytest.mark.parametrize("protocol", [metrics.FullRanking(),
+                                          metrics.SampledRanking(m=4, seed=8)])
+    def test_cutoff_beyond_n_items_equals_reference(self, protocol):
+        # the hit table is as wide as the item count, not the cutoff
+        rng = np.random.default_rng(5)
+        n_users, n_items = 9, 7
+        pairs = [(u, i) for u in range(n_users)
+                 for i in rng.choice(n_items, size=4, replace=False).tolist()]
+        train, test = dense_tables(n_users, n_items, pairs[0::2], pairs[1::2])
+        scores = rng.integers(0, 3, size=(n_users, n_items)).astype(np.float64)
+        want = reference_evaluate_ranking(lambda u, i: scores[u, i], train, test, protocol,
+                                          [1, 10**6])
+        tracemalloc.start()
+        try:
+            got = metrics.evaluate_ranking(lambda users: scores[users], train, test, protocol,
+                                           [1, 10**6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.to_text() == want.to_text()
+        assert got.values == want.values
+        assert peak < 2**20  # a (9, 10**6) bool table alone would take 9 MB
 
 
 class TestNonFiniteScores:
@@ -453,6 +493,6 @@ class TestReportFormat:
         ]
 
     def test_rating_report(self):
-        report = metrics.rating_report([(3, 3), (4, 2)], seed=1, users=2)
+        report = metrics.rating_report([3, 4], [3, 2], seed=1, users=2)
         assert report.order == ["rmse", "mae"]
         assert "rmse\t1.414214" in report.to_text()

@@ -364,6 +364,36 @@ class TestCliWorkflows:
         assert code == 2
         assert "magic" in capsys.readouterr().err
 
+    def test_repeated_main_calls_share_no_state(self, implicit_file, tmp_path, capsys):
+        # main reuses one parser per process, so no option may leak into the next call
+        cfg_path = self.write(tmp_path, "c.ini", ranking_config(implicit_file))
+        out, report_path = tmp_path / "bpr.drec", tmp_path / "eval.txt"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert cli.main(["evaluate", "--ckpt", str(out), "--config", str(cfg_path),
+                         "--report", str(report_path)]) == 0
+        report = report_path.read_text()
+        report_path.unlink()
+        capsys.readouterr()
+
+        assert cli.main([]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "required: command" in captured.err
+
+        assert cli.main(["recommend", "--ckpt", str(out), "--user", "u3", "--n", "four"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid int value: 'four'" in captured.err
+
+        assert cli.main(["recommend", "--ckpt", str(out), "--user", "u3", "--n", "4"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 4 and captured.err == ""
+
+        assert cli.main(["evaluate", "--ckpt", str(out), "--config", str(cfg_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == report and captured.err == ""
+        assert not report_path.exists()  # the earlier --report did not carry over
+
     def test_module_entrypoint_smoke(self, ratings_file, tmp_path):
         cfg_path = tmp_path / "c.ini"
         cfg_path.write_text(rating_config(ratings_file), encoding="utf-8")
