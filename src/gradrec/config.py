@@ -1,10 +1,14 @@
 """Experiment configuration: INI-style sections [data] [model] [train]
 [eval], strict key validation, and every issue reported in one pass.
 
-Numeric training hyperparameters must be explicit in the file; only
-structural defaults (layer shapes, filter counts, negative-sample counts)
-live in code, declared by each model class (see ``gradrec.models.MODELS``).
-All randomness is seeded from the config: nothing is drawn from the
+Every key of every section is declared once, in :data:`KEYS`, with its
+kind and its bound; one loop per section converts and checks the values
+against it. The rules that span sections (which ``[model]`` keys a model
+takes, task and format coupling) follow as explicit checks. Numeric
+training hyperparameters must be explicit in the file; only structural
+defaults (layer shapes, filter counts, negative-sample counts) live in
+code, declared by each model class (see ``gradrec.models.MODELS``). All
+randomness is seeded from the config: nothing is drawn from the
 environment.
 """
 
@@ -12,8 +16,11 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
+from collections.abc import Container
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from gradrec.data import LeaveOneOut, RandomHoldout, SplitSpec, Temporal
 from gradrec.errors import ConfigError
@@ -22,11 +29,78 @@ from gradrec.models import MODELS
 
 DEFAULT_BINARIZE_THRESHOLD = 4.0
 
-TRAIN_KEYS = {"optimizer", "lr", "l2", "epochs", "batch_size", "neg_samples", "seed"}
-DATA_KEYS = {"path", "format", "split", "seed", "binarize_threshold"}
-EVAL_KEYS = {"cutoffs", "protocol"}
-MODEL_KEYS = {"name", "k", "layers", "L", "T", "margin", "alpha", "omega",
-              "dropout_q", "n_h", "n_v", "clip_rho"}
+
+class Key(NamedTuple):
+    """One config key: the kind its text converts to (``str``, ``int``,
+    ``float`` or :func:`ints`), its bound as a test and the phrase that
+    completes "<key> must ...", and whether its section requires it."""
+
+    kind: Callable[[str], Any]
+    bound: tuple[Callable[[Any], Any], str] | None = None
+    required: bool = False
+
+
+def ints(text: str) -> list[int]:
+    """A comma list of ints; blanks and empty items are skipped."""
+    return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+
+
+def _sampled_m(protocol: str) -> int:
+    """The m of a ``sampled:<m>`` protocol; 0 for any other text."""
+    prefix, _, m = protocol.partition(":")
+    try:
+        return int(m) if prefix == "sampled" else 0
+    except ValueError:
+        return 0
+
+
+AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
+NON_NEGATIVE = (lambda v: v >= 0, "be >= 0")
+POSITIVE = (lambda v: v > 0, "be > 0")
+UNIT = (lambda v: 0.0 <= v <= 1.0, "be in [0.0, 1.0]")
+
+# Which [model] keys a model takes, and which of them it requires, is the
+# model class's declaration; the table gives every key its kind and bound.
+KEYS: dict[str, dict[str, Key]] = {
+    "data": {
+        "path": Key(str, required=True),
+        "format": Key(str, (("uirt", "libfm").__contains__, "be uirt or libfm"), required=True),
+        "split": Key(str, required=True),  # see parse_split
+        "seed": Key(int, NON_NEGATIVE, required=True),
+        "binarize_threshold": Key(float, (math.isfinite, "be finite")),
+    },
+    "model": {
+        "name": Key(str, required=True),
+        "k": Key(int, AT_LEAST_1),
+        "layers": Key(ints, (lambda v: v and min(v) >= 1, "list sizes >= 1")),
+        "L": Key(int, AT_LEAST_1),
+        "T": Key(int, AT_LEAST_1),
+        "margin": Key(float, POSITIVE),
+        "alpha": Key(float, UNIT),
+        "omega": Key(float, UNIT),
+        "dropout_q": Key(float, (lambda v: 0.0 <= v < 1.0, "be in [0, 1)")),
+        "n_h": Key(int, AT_LEAST_1),
+        "n_v": Key(int, AT_LEAST_1),
+        "clip_rho": Key(float, POSITIVE),
+    },
+    "train": {
+        "optimizer": Key(str, (("sgd", "adam").__contains__, "be sgd or adam"), required=True),
+        "lr": Key(float, POSITIVE, required=True),
+        "l2": Key(float, NON_NEGATIVE, required=True),
+        "epochs": Key(int, AT_LEAST_1, required=True),
+        "batch_size": Key(int, AT_LEAST_1, required=True),  # unless the model is unbatched
+        "neg_samples": Key(int, AT_LEAST_1),
+        "seed": Key(int, NON_NEGATIVE, required=True),
+    },
+    "eval": {
+        "cutoffs": Key(ints, (lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
+                              "list distinct values >= 1"), required=True),
+        "protocol": Key(str, (lambda v: v == "full" or _sampled_m(v) >= 1,
+                              "be full or sampled:<m> with m >= 1"), required=True),
+    },
+}
+REQUIRED = {section: [key for key, spec in keys.items() if spec.required]
+            for section, keys in KEYS.items()}
 
 
 @dataclass
@@ -77,8 +151,7 @@ class EvalConfig:
     def protocol_obj(self, seed: int) -> Protocol:
         if self.protocol == "full":
             return FullRanking()
-        m = int(self.protocol.split(":", 1)[1])
-        return SampledRanking(m=m, seed=seed)
+        return SampledRanking(m=_sampled_m(self.protocol), seed=seed)
 
 
 @dataclass
@@ -90,11 +163,12 @@ class ExperimentConfig:
     text: str = field(repr=False, default="")  # raw config file contents
 
 
-def parse_split(value: str) -> SplitSpec | str:
-    """Returns a SplitSpec or an error message string."""
+def parse_split(value: str, seed: int) -> SplitSpec | str:
+    """The split a ``[data] split`` value names, a random one drawn with
+    ``seed``; an error message string when it names none."""
     if value == "loo":
         return LeaveOneOut()
-    for prefix, cls in (("random:", RandomHoldout), ("temporal:", Temporal)):
+    for prefix in ("random:", "temporal:"):
         if value.startswith(prefix):
             try:
                 ratio = float(value[len(prefix):])
@@ -102,24 +176,35 @@ def parse_split(value: str) -> SplitSpec | str:
                 return f"bad split ratio in {value!r}"
             if not 0.0 < ratio < 1.0:
                 return f"split ratio must be in (0, 1), got {ratio}"
-            if cls is RandomHoldout:
-                return RandomHoldout(ratio, seed=0)  # seed filled from data.seed
-            return Temporal(ratio)
+            return RandomHoldout(ratio, seed) if prefix == "random:" else Temporal(ratio)
     return f"unknown split {value!r} (expected random:<ratio>, loo or temporal:<ratio>)"
 
 
-def _convert(raw: str, kind: str, key: str, issues: list[str]):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "ints":
-            return [int(tok) for tok in raw.replace(" ", "").split(",") if tok]
-    except ValueError:
-        issues.append(f"{key}: expected {kind}, got {raw!r}")
-        return None
-    return raw
+def _read(section: str, raw: dict[str, str], issues: list[str],
+          optional: Container[str] = ()) -> dict[str, Any]:
+    """The section's values by key, converted and checked against
+    :data:`KEYS`. Appends every unknown, malformed or out-of-bound key, and
+    every required key that is absent and not in ``optional``, to ``issues``."""
+    keys = KEYS[section]
+    values = {}
+    for key, text in raw.items():
+        spec = keys.get(key)
+        if spec is None:
+            issues.append(f"[{section}] unknown key {key!r}")
+            continue
+        kind, bound, _ = spec
+        try:
+            value = kind(text)
+        except ValueError:
+            issues.append(f"[{section}] {key}: expected {kind.__name__}, got {text!r}")
+            continue
+        if bound is not None and not bound[0](value):
+            issues.append(f"[{section}] {key} must {bound[1]}, got {value!r}")
+        values[key] = value
+    for key in REQUIRED[section]:
+        if key not in raw and key not in optional:
+            issues.append(f"[{section}] missing key {key!r}")
+    return values
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -136,8 +221,8 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as err:
         raise ConfigError([f"unparseable config: {err}"]) from None
 
-    sections = set(parser.sections())
-    for unknown in sorted(sections - {"data", "model", "train", "eval"}):
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    for unknown in sorted(sections.keys() - KEYS.keys()):
         issues.append(f"unknown section [{unknown}]")
     for required in ("data", "model", "train"):
         if required not in sections:
@@ -145,167 +230,65 @@ def parse_config(text: str) -> ExperimentConfig:
     if issues:
         raise ConfigError(issues)
 
-    def section_items(name: str) -> dict[str, str]:
-        return dict(parser.items(name)) if parser.has_section(name) else {}
+    data = _read("data", sections["data"], issues)
+    split = parse_split(data["split"], data.get("seed", 0)) if "split" in data else None
+    if isinstance(split, str):
+        issues.append(f"[data] {split}")
+        split = None
 
-    data_raw = section_items("data")
-    model_raw = section_items("model")
-    train_raw = section_items("train")
-    eval_raw = section_items("eval")
-
-    for key in sorted(set(data_raw) - DATA_KEYS):
-        issues.append(f"[data] unknown key {key!r}")
-    for key in sorted(set(model_raw) - MODEL_KEYS):
-        issues.append(f"[model] unknown key {key!r}")
-    for key in sorted(set(train_raw) - TRAIN_KEYS):
-        issues.append(f"[train] unknown key {key!r}")
-    for key in sorted(set(eval_raw) - EVAL_KEYS):
-        issues.append(f"[eval] unknown key {key!r}")
-
-    # ---- data ----
-    for key in ("path", "format", "split", "seed"):
-        if key not in data_raw:
-            issues.append(f"[data] missing key {key!r}")
-    fmt = data_raw.get("format", "uirt")
-    if fmt not in ("uirt", "libfm"):
-        issues.append(f"[data] format must be uirt or libfm, got {fmt!r}")
-    data_seed = _convert(data_raw.get("seed", "0"), "int", "[data] seed", issues)
-    split_spec: SplitSpec | None = None
-    if "split" in data_raw:
-        parsed = parse_split(data_raw["split"])
-        if isinstance(parsed, str):
-            issues.append(f"[data] {parsed}")
-        else:
-            split_spec = parsed
-    threshold = None
-    if "binarize_threshold" in data_raw:
-        threshold = _convert(data_raw["binarize_threshold"], "float",
-                             "[data] binarize_threshold", issues)
-
-    # ---- model ----
-    name = model_raw.get("name")
+    model = _read("model", sections["model"], issues)
+    name = model.get("name")
     cls = MODELS.get(name)
-    if name is None:
-        issues.append("[model] missing key 'name'")
-    elif cls is None:
+    if name is not None and cls is None:
         issues.append(f"[model] unknown model {name!r} (expected one of {', '.join(MODELS)})")
-    else:
-        allowed = set(cls.required) | set(cls.defaults) | {"name"}
-        for key in sorted((set(model_raw) & MODEL_KEYS) - allowed):
+    elif cls is not None:
+        allowed = {"name", *cls.required, *cls.defaults}
+        for key in sorted(set(sections["model"]).intersection(KEYS["model"]) - allowed):
             issues.append(f"[model] key {key!r} does not apply to model {name!r}")
-        for key in sorted(set(cls.required) - set(model_raw)):
+        for key in sorted(set(cls.required) - set(sections["model"])):
             issues.append(f"[model] model {name!r} requires key {key!r}")
-
-    # the model's defaults apply only to keys absent from the file
-    model_cfg = ModelConfig(name=name or "", **(cls.defaults if cls else {}))
-    int_keys = {"k", "L", "T", "n_h", "n_v"}
-    float_keys = {"margin", "alpha", "omega", "dropout_q", "clip_rho"}
-    for key, raw in model_raw.items():
-        if key == "name" or key not in MODEL_KEYS:
-            continue
-        if key == "layers":
-            model_cfg.layers = _convert(raw, "ints", "[model] layers", issues)
-        elif key in int_keys:
-            setattr(model_cfg, key, _convert(raw, "int", f"[model] {key}", issues))
-        elif key in float_keys:
-            setattr(model_cfg, key, _convert(raw, "float", f"[model] {key}", issues))
-
-    for key in sorted(int_keys):
-        value = getattr(model_cfg, key)
-        if value is not None and value < 1:
-            issues.append(f"[model] {key} must be >= 1, got {value}")
-    if model_cfg.layers is not None and (not model_cfg.layers or min(model_cfg.layers) < 1):
-        issues.append(f"[model] layers must list sizes >= 1, got {model_raw['layers']!r}")
-    for key, lo, hi in (("alpha", 0.0, 1.0), ("omega", 0.0, 1.0)):
-        value = getattr(model_cfg, key)
-        if value is not None and not lo <= value <= hi:
-            issues.append(f"[model] {key} must be in [{lo}, {hi}], got {value}")
-    if model_cfg.dropout_q is not None and not 0.0 <= model_cfg.dropout_q < 1.0:
-        issues.append(f"[model] dropout_q must be in [0, 1), got {model_cfg.dropout_q}")
-    if cls is not None:
+        # the model's defaults apply only to keys absent from the file
+        model_cfg = ModelConfig(**{**cls.defaults, **model})
         issues.extend(cls.config_issues(model_cfg))
 
-    # ---- train ----
-    for key in ("optimizer", "lr", "l2", "epochs", "seed"):
-        if key not in train_raw:
-            issues.append(f"[train] missing key {key!r}")
-    opt = train_raw.get("optimizer", "sgd")
-    if opt not in ("sgd", "adam"):
-        issues.append(f"[train] optimizer must be sgd or adam, got {opt!r}")
-    lr = _convert(train_raw.get("lr", "0"), "float", "[train] lr", issues)
-    l2 = _convert(train_raw.get("l2", "0"), "float", "[train] l2", issues)
-    epochs = _convert(train_raw.get("epochs", "0"), "int", "[train] epochs", issues)
-    train_seed = _convert(train_raw.get("seed", "0"), "int", "[train] seed", issues)
-    batch_size = None
-    if "batch_size" in train_raw:
-        batch_size = _convert(train_raw["batch_size"], "int", "[train] batch_size", issues)
-    neg_samples = None
-    if "neg_samples" in train_raw:
-        neg_samples = _convert(train_raw["neg_samples"], "int", "[train] neg_samples", issues)
-        if cls is not None and cls.neg_samples is None:
+    train = _read("train", sections["train"], issues,
+                  optional=() if cls is not None and cls.batched else ("batch_size",))
+    if cls is not None:
+        if "neg_samples" in train and cls.neg_samples is None:
             issues.append(f"[train] neg_samples does not apply to model {name!r}")
-    elif cls is not None:
-        neg_samples = cls.neg_samples
-    if cls is not None and cls.batched and batch_size is None:
-        issues.append("[train] missing key 'batch_size'")
-    if lr is not None and lr <= 0 and "lr" in train_raw:
-        issues.append(f"[train] lr must be > 0, got {lr}")
-    if epochs is not None and epochs < 1 and "epochs" in train_raw:
-        issues.append(f"[train] epochs must be >= 1, got {epochs}")
-    if batch_size is not None and batch_size < 1:
-        issues.append(f"[train] batch_size must be >= 1, got {batch_size}")
-    if neg_samples is not None and neg_samples < 1:
-        issues.append(f"[train] neg_samples must be >= 1, got {neg_samples}")
+        train.setdefault("neg_samples", cls.neg_samples)
 
-    # ---- eval / task coupling ----
-    eval_cfg: EvalConfig | None = None
     task = cls.task if cls else None
+    evaluation = None
     if task == "rating":
-        if eval_raw:
+        if sections.get("eval"):
             issues.append(f"[eval] rating model {name!r} reports rmse/mae only; "
                           "cutoffs/protocol do not apply")
-    elif task in ("ranking", "sequential"):
-        for key in ("cutoffs", "protocol"):
-            if key not in eval_raw:
-                issues.append(f"[eval] missing key {key!r}")
-        cutoffs = _convert(eval_raw.get("cutoffs", "10"), "ints", "[eval] cutoffs", issues)
-        protocol = eval_raw.get("protocol", "full")
-        if protocol != "full" and not protocol.startswith("sampled:"):
-            issues.append(f"[eval] protocol must be full or sampled:<m>, got {protocol!r}")
-        elif protocol.startswith("sampled:"):
-            _convert(protocol.split(":", 1)[1], "int", "[eval] protocol m", issues)
-        if cutoffs is not None:
-            if not cutoffs:
-                issues.append("[eval] cutoffs list is empty")
-            elif any(n < 1 for n in cutoffs):
-                issues.append(f"[eval] cutoffs must be >= 1, got {cutoffs}")
-        eval_cfg = EvalConfig(cutoffs=cutoffs or [10], protocol=protocol)
+    else:  # what an unknown model needs is unknown, so nothing is missing
+        evaluation = _read("eval", sections.get("eval", {}), issues,
+                           optional=KEYS["eval"] if cls is None else ())
 
     # format / task coupling
-    if fmt == "libfm":
+    threshold = data.get("binarize_threshold")
+    if data.get("format") == "libfm":
         if cls is not None and name != "fm":
             issues.append(f"[data] libfm format requires model fm, got {name!r}")
-        if split_spec is not None and not isinstance(split_spec, RandomHoldout):
+        if split is not None and not isinstance(split, RandomHoldout):
             issues.append("[data] libfm rows carry no user/timestamp; split must be random:<ratio>")
         if threshold is not None:
             issues.append("[data] binarize_threshold does not apply to libfm data")
     if task == "rating" and threshold is not None:
         issues.append("[data] binarize_threshold does not apply to rating models")
-    if task == "sequential" and isinstance(split_spec, RandomHoldout):
+    if task == "sequential" and isinstance(split, RandomHoldout):
         issues.append("[data] sequential models need a chronology-preserving split: loo "
                       "or temporal:<ratio>")
 
     if issues:
         raise ConfigError(issues)
-
-    if isinstance(split_spec, RandomHoldout):
-        split_spec = RandomHoldout(split_spec.ratio, seed=data_seed)
-    data_cfg = DataConfig(path=data_raw["path"], format=fmt, split=split_spec,
-                          seed=data_seed, binarize_threshold=threshold)
-    train_cfg = TrainConfig(optimizer=opt, lr=lr, l2=l2, epochs=epochs, seed=train_seed,
-                            batch_size=batch_size, neg_samples=neg_samples)
-    return ExperimentConfig(data=data_cfg, model=model_cfg, train=train_cfg,
-                            eval=eval_cfg, text=text)
+    return ExperimentConfig(data=DataConfig(**{**data, "split": split}),
+                            model=model_cfg, train=TrainConfig(**train),
+                            eval=None if evaluation is None else EvalConfig(**evaluation),
+                            text=text)
 
 
 def binarize_threshold_for(cfg: ExperimentConfig) -> float:

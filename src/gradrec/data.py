@@ -3,11 +3,11 @@
 File formats:
 
 * **uirt** — one interaction per line: ``user item rating [timestamp]``,
-  separated by tab, comma or space (auto-detected, overridable). Raw ids
-  are arbitrary tokens and get remapped to dense 0-based ids in order of
-  first appearance. A missing timestamp column falls back to the 0-based
-  data-line index so file order is chronological order. Ratings must be
-  finite and timestamps must fit in int64.
+  separated by tab, comma or space (auto-detected from the first data
+  line). Raw ids are arbitrary tokens and get remapped to dense 0-based
+  ids in order of first appearance. A missing timestamp column falls
+  back to the 0-based data-line index so file order is chronological
+  order. Ratings must be finite and timestamps must fit in int64.
 * **libfm** — ``<label> <index>:<value> ...`` with 0-based feature
   indices, as used for factorization machines. Parsed into
   :class:`FeatureRows`, padded arrays with one row per line.
@@ -267,14 +267,13 @@ def _fields(tokens: list[str], starts: Array, widths: Array, k: int) -> list[str
     return list(map(tokens.__getitem__, (starts[widths > k] + k).tolist()))
 
 
-def _line_no(lines: list[str], data_line: int, first_line: int) -> int:
+def _line_no(lines: list[str], data_line: int) -> int:
     """The file line number of the ``data_line``-th non-blank line."""
     nonblank = (offset for offset, raw in enumerate(lines) if raw.strip())
-    return next(islice(nonblank, data_line, None)) + first_line
+    return next(islice(nonblank, data_line, None)) + 1
 
 
-def load_interactions(path: str | Path, separator: str | None = None,
-                      has_header: bool = False) -> InteractionTable:
+def load_interactions(path: str | Path) -> InteractionTable:
     """Parse a uirt file into a dense-id interaction table.
 
     Duplicate (user, item) pairs collapse to the one with the latest
@@ -282,19 +281,13 @@ def load_interactions(path: str | Path, separator: str | None = None,
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    first_line = 1
-    if has_header:
-        lines, first_line = lines[1:], 2
     data = list(filter(None, map(str.strip, lines)))
     if not data:
         raise DataFormatError(str(path), None, "no interactions found")
-    sep = _detect_separator(data[0]) if separator is None else separator
+    sep = _detect_separator(data[0])
 
-    # every line's fields in one list, a "\r" token after each line. No
-    # line holds a line break, so neither does a separator that matches.
+    # every line's fields in one list, a "\r" token after each line
     n = len(data)
-    if "\n" in sep or "\r" in sep:
-        sep = "\x1e"
     text = "\n\r\n".join(data).replace(sep, "\n")
     del data
     tokens = text.split("\n")
@@ -316,7 +309,7 @@ def load_interactions(path: str | Path, separator: str | None = None,
                                  lambda v: _INT64.min <= v <= _INT64.max)
 
     def fail(data_line: int, message: str) -> DataFormatError:
-        return DataFormatError(str(path), _line_no(lines, data_line, first_line), message)
+        return DataFormatError(str(path), _line_no(lines, data_line), message)
 
     if bad_stamp < stamped.size:
         raise fail(int(stamped[bad_stamp]), f"bad timestamp {stamp_tokens[bad_stamp]!r}")

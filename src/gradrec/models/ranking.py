@@ -143,6 +143,10 @@ class NeuMf(_SampledPairs):
     VARIANTS = names = ("gmf", "mlp", "neumf")
     defaults = {"layers": None}  # derived from k: [k, k // 2]
     neg_samples = 4
+    # the parameter-name prefixes each variant's graph reaches
+    REACHES = {"gmf": ("gmf_",), "mlp": ("mlp_",),
+               "neumf": ("gmf_user", "gmf_item", "mlp_w", "mlp_b", "mlp_user", "mlp_item",
+                         "fusion_")}
 
     def __init__(self, n_users: int, n_items: int, k: int, variant: str = "neumf",
                  layers: list[int] | None = None, seed: int = 0):
@@ -171,6 +175,10 @@ class NeuMf(_SampledPairs):
         self.params["fusion_w"] = base.init_layer(rng, k + self.layers[-1],
                                                   k + self.layers[-1])
         self.params["fusion_b"] = np.asarray(0.0)
+
+    @property
+    def trainable(self) -> tuple[str, ...]:
+        return tuple(name for name in self.params if name.startswith(self.REACHES[self.variant]))
 
     @classmethod
     def settings(cls, cfg) -> dict:

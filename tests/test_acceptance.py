@@ -480,15 +480,23 @@ protocol = sampled:100
 # --------------------------------------------------------------------------
 
 
+TRAIN = {"optimizer": "adam", "lr": "0.03", "l2": "0.001", "epochs": "2", "batch_size": "32",
+         "seed": "5"}
+
+
+# name -> (data kind, [model] lines, [eval] lines[, [train] values that
+# replace TRAIN's]). Each entry trains until its scores differ between
+# pairs: at TRAIN's 2 epochs fm and autorec still serve the rating clip,
+# and at k = 4 every unit of mlp's last relu layer dies.
 ALL_MODEL_CONFIGS = {
     "biasedsvd": ("ratings", "name = biasedsvd\nk = 4", ""),
-    "fm": ("ratings", "name = fm\nk = 4", ""),
-    "autorec": ("ratings", "name = autorec\nk = 6", ""),
+    "fm": ("ratings", "name = fm\nk = 4", "", {"lr": "0.2", "epochs": "20"}),
+    "autorec": ("ratings", "name = autorec\nk = 6", "", {"lr": "0.2", "epochs": "20"}),
     "bprmf": ("implicit", "name = bprmf\nk = 4", "cutoffs = 5\nprotocol = full"),
     "cml": ("implicit", "name = cml\nk = 4\nmargin = 0.5",
             "cutoffs = 5\nprotocol = full"),
     "gmf": ("implicit", "name = gmf\nk = 4", "cutoffs = 5\nprotocol = full"),
-    "mlp": ("implicit", "name = mlp\nk = 4", "cutoffs = 5\nprotocol = full"),
+    "mlp": ("implicit", "name = mlp\nk = 8", "cutoffs = 5\nprotocol = full"),
     "neumf": ("implicit", "name = neumf\nk = 4", "cutoffs = 5\nprotocol = full"),
     "cdae": ("implicit", "name = cdae\nk = 6\ndropout_q = 0.2",
              "cutoffs = 5\nprotocol = full"),
@@ -503,7 +511,8 @@ ALL_MODEL_CONFIGS = {
 
 
 def model_config_text(name, data_path):
-    kind, model_lines, eval_lines = ALL_MODEL_CONFIGS[name]
+    kind, model_lines, eval_lines, *train = ALL_MODEL_CONFIGS[name]
+    train_lines = "".join(f"{key} = {value}\n" for key, value in {**TRAIN, **dict(*train)}.items())
     split = "random:0.2" if kind == "ratings" else "loo"
     binarize = "" if kind == "ratings" else "binarize_threshold = 1.0\n"
     text = f"""\
@@ -517,13 +526,7 @@ seed = 11
 {model_lines}
 
 [train]
-optimizer = adam
-lr = 0.03
-l2 = 0.001
-epochs = 2
-batch_size = 32
-seed = 5
-"""
+{train_lines}"""
     if eval_lines:
         text += f"\n[eval]\n{eval_lines}\n"
     return text

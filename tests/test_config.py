@@ -1,9 +1,13 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from gradrec import config as cfgmod
 from gradrec.data import LeaveOneOut, RandomHoldout, Temporal
 from gradrec.errors import ConfigError
 from gradrec.metrics import FullRanking, SampledRanking
+from gradrec.models import MODELS
 
 
 BASE = """\
@@ -85,6 +89,17 @@ class TestParseValid:
                                    .replace("name = bprmf", "name = caser"))
         assert (cfg3.model.T, cfg3.model.n_h, cfg3.model.n_v, cfg3.train.neg_samples) == \
             (1, 4, 2, 3)
+
+    @pytest.mark.parametrize("old, new, read", [
+        ("seed = 3", "seed = 0", lambda cfg: cfg.train.seed),
+        ("seed = 42", "seed = 0", lambda cfg: cfg.data.seed),
+        ("sampled:100", "sampled:1", lambda cfg: cfg.eval.protocol_obj(seed=0).m - 1),
+        ("l2 = 0.0", "l2 = 0", lambda cfg: cfg.train.l2),
+        ("name = bprmf", "name = cdae\ndropout_q = 0", lambda cfg: cfg.model.dropout_q),
+    ])
+    def test_edge_of_each_bound_accepted(self, old, new, read):
+        assert old in RANKING
+        assert read(cfgmod.parse_config(RANKING.replace(old, new, 1))) == 0
 
     def test_raw_text_is_echoed(self):
         cfg = cfgmod.parse_config(BASE)
@@ -196,3 +211,14 @@ class TestValidationErrors:
         with pytest.raises(ConfigError) as err:
             cfgmod.parse_config(bad)
         assert any(expected in issue for issue in err.value.issues), err.value.issues
+
+
+def test_key_table_matches_models_sections_and_docs():
+    declared = {key for cls in MODELS.values() for key in (*cls.required, *cls.defaults)}
+    assert declared == set(cfgmod.KEYS["model"]) - {"name"}
+    for section, cls in (("data", cfgmod.DataConfig), ("model", cfgmod.ModelConfig),
+                         ("train", cfgmod.TrainConfig), ("eval", cfgmod.EvalConfig)):
+        assert {f.name for f in dataclasses.fields(cls)} == set(cfgmod.KEYS[section]), section
+    docs = (Path(__file__).parents[1] / "docs" / "config.md").read_text(encoding="utf-8")
+    missing = [key for keys in cfgmod.KEYS.values() for key in keys if f"`{key}`" not in docs]
+    assert not missing

@@ -49,18 +49,6 @@ class TestLoadInteractions:
             table = data.load_interactions(write(tmp_path, text, f"f{ord(sep)}.txt"))
             assert table.interactions[0].rating == 4.0
 
-    def test_separator_override(self, tmp_path):
-        # raw ids containing spaces survive when the separator is forced
-        table = data.load_interactions(write(tmp_path, "a user,item x,3,1\n"),
-                                       separator=",")
-        assert table.user_ids == ["a user"]
-        assert table.item_ids == ["item x"]
-
-    def test_header_skipped(self, tmp_path):
-        table = data.load_interactions(
-            write(tmp_path, "user\titem\trating\nu\ti\t3\n"), has_header=True)
-        assert table.n_users == 1
-
     def test_malformed_line_reports_line_number(self, tmp_path):
         with pytest.raises(DataFormatError) as err:
             data.load_interactions(write(tmp_path, "u i 5 1\nu i\n"))
@@ -445,19 +433,16 @@ def reference_table(records):
     return rows, list(user_index), list(item_index)
 
 
-def reference_load(path, separator=None, has_header=False):
+def reference_load(path):
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    if has_header and lines:
-        lines = lines[1:]
     records = []
-    sep = separator
-    first_line = 2 if has_header else 1
+    sep = None
     for offset, raw in enumerate(lines):
         line = raw.strip()
         if not line:
             continue
-        line_no = offset + first_line
+        line_no = offset + 1
         if sep is None:
             sep = reference_separator(line)
         fields = [f for f in line.split(sep) if f != ""]
@@ -570,9 +555,9 @@ BAD_LINES = ("{u}{s}{i}", "{u}{s}{i}{s}4{s}1{s}9", "{u}{s}{i}{s}x{s}1", "{u}{s}{
 
 @st.composite
 def uirt_files(draw, bad_lines=0):
-    """(file text, load_interactions keywords): duplicate pairs at earlier,
-    equal and later timestamps, mixed 3/4 fields, blank lines, doubled and
-    leading or trailing separators, CRLF, a header, each separator."""
+    """uirt file text: duplicate pairs at earlier, equal and later
+    timestamps, mixed 3/4 fields, blank lines, doubled and leading or
+    trailing separators, CRLF, each separator."""
     sep = draw(st.sampled_from(["\t", ",", " "]))
     lines = []
     for _ in range(draw(st.integers(1, 30))):
@@ -589,22 +574,15 @@ def uirt_files(draw, bad_lines=0):
     for _ in range(bad_lines):
         bad = draw(st.sampled_from(BAD_LINES)).format(u="u9", i="i9", s=sep)
         lines.insert(draw(st.integers(0, len(lines))), bad)
-    has_header = draw(st.booleans())
-    if has_header:
-        lines.insert(0, sep.join(["user", "item", "rating"]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
-    kwargs = {"has_header": has_header}
-    if draw(st.booleans()):
-        kwargs["separator"] = sep
-    return text, kwargs
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-def load_both(path, kwargs):
+def load_both(path):
     results = []
     for load in (data.load_interactions, reference_load):
         try:
-            results.append(load(path, **kwargs))
+            results.append(load(path))
         except DataFormatError as err:
             results.append(err)
     return results
@@ -616,11 +594,10 @@ SPECS = (data.LeaveOneOut(), data.Temporal(0.3), data.Temporal(0.7),
 
 @given(uirt_files())
 @settings(max_examples=150, deadline=None)
-def test_columnar_table_splits_and_histories_match_reference(tmp_path_factory, case):
-    text, kwargs = case
+def test_columnar_table_splits_and_histories_match_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "parity.uirt"
     path.write_bytes(text.encode("utf-8"))
-    got, want = load_both(path, kwargs)
+    got, want = load_both(path)
     if isinstance(want, DataFormatError):  # a file of blank lines only
         assert isinstance(got, DataFormatError) and str(got) == str(want)
         return
@@ -673,13 +650,12 @@ def test_sequence_arrays_match_reference_loop(records, solo_item, window, horizo
 
 
 @given(uirt_files(bad_lines=2))
-@example(("u1 i1 5\nu1 i2 4 7\nu2 i1\n", {"has_header": False}))  # 3 lines, 9 fields
+@example("u1 i1 5\nu1 i2 4 7\nu2 i1\n")  # 3 lines, 9 fields
 @settings(max_examples=150, deadline=None)
-def test_malformed_files_fail_like_reference(tmp_path_factory, case):
-    text, kwargs = case
+def test_malformed_files_fail_like_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "malformed.uirt"
     path.write_bytes(text.encode("utf-8"))
-    got, want = load_both(path, kwargs)
+    got, want = load_both(path)
     assert isinstance(want, DataFormatError) and isinstance(got, DataFormatError)
     assert (str(got), got.line_no) == (str(want), want.line_no)
 

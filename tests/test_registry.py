@@ -74,6 +74,22 @@ def test_registered_model_trains_through_the_one_loop(name, ratings_file, implic
 
 
 @pytest.mark.parametrize("name", list(MODELS))
+def test_one_backward_reaches_every_trainable_tensor(name, ratings_file, implicit_file):
+    # the optimizer steps exactly the tensors the loss depends on (MODELS
+    # serves every NeuMf variant by name)
+    data_file = ratings_file if ALL_MODEL_CONFIGS[name][0] == "ratings" else implicit_file
+    cfg = cfgmod.parse_config(model_config_text(name, data_file))
+    bundle = runner.prepare_data(cfg)
+    model = runner.build_model(cfg, **bundle)
+    model.serve(bundle)
+    model.bind(bundle, cfg.train.batch_size, cfg.train.neg_samples)
+    _, batch = next(model.batches(0, np.random.default_rng(cfg.train.seed)))
+    leaves = {n: E.param(model.params[n], n) for n in model.trainable}
+    reached = E.backward(model.build_loss(leaves, batch))
+    assert sorted(leaf.name for leaf in reached) == sorted(model.trainable)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
 def test_training_equals_reference_scatter_and_adam_bitwise(name, ratings_file, implicit_file,
                                                             monkeypatch):
     data_file = ratings_file if ALL_MODEL_CONFIGS[name][0] == "ratings" else implicit_file
@@ -184,6 +200,7 @@ def test_score_matrix_equals_training_forward(name, ratings_file, implicit_file)
     rows = model.score_matrix(users)
     n_items = bundle["train"].n_items
     assert rows.shape == (users.size, n_items) and rows.dtype == np.float64
+    assert np.unique(rows).size > 1  # a constant score would make every parity check vacuous
     pair_users, pair_items = np.repeat(users, n_items), np.tile(np.arange(n_items), users.size)
     want = training_forward(name, model, bundle, pair_users, pair_items)
     np.testing.assert_allclose(rows.ravel(), want, rtol=1e-12, atol=1e-12)
@@ -252,15 +269,7 @@ def test_score_cache_follows_every_optimizer_step(name, ratings_file, implicit_f
 @pytest.mark.parametrize("name", list(MODELS))
 def test_checkpoint_alone_serves_as_the_data_does(name, ratings_file, implicit_file, tmp_path):
     data_file = ratings_file if ALL_MODEL_CONFIGS[name][0] == "ratings" else implicit_file
-    text = model_config_text(name, data_file)
-    # the shared configs leave three models serving one constant score: fm
-    # and autorec at the rating clip, mlp with every unit of its last relu
-    # layer dead
-    if name in ("fm", "autorec"):
-        text = text.replace("lr = 0.03", "lr = 0.2").replace("epochs = 2", "epochs = 20")
-    if name == "mlp":
-        text = text.replace("k = 4", "k = 8")
-    cfg = cfgmod.parse_config(text)
+    cfg = cfgmod.parse_config(model_config_text(name, data_file))
     bundle = runner.prepare_data(cfg)
     model = runner.build_model(cfg, **bundle)
     runner.fit_model(cfg, model, bundle)

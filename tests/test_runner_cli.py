@@ -328,6 +328,33 @@ class TestCliWorkflows:
         assert code == 1
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("seed = 5", "seed = -1", "[train] seed must be >= 0"),
+        ("seed = 11", "seed = -1", "[data] seed must be >= 0"),
+        ("protocol = full", "protocol = sampled:-5", "[eval] protocol must be"),
+        ("protocol = full", "protocol = sampled:0", "[eval] protocol must be"),
+        ("name = bprmf\nk = 8", "name = cml\nk = 8\nmargin = 0", "[model] margin must be > 0"),
+        ("name = bprmf\nk = 8",
+         "name = attrec\nk = 8\nL = 3\nomega = 0.3\nmargin = -0.5\nclip_rho = 1.0",
+         "[model] margin must be > 0"),
+        ("name = bprmf\nk = 8",
+         "name = attrec\nk = 8\nL = 3\nomega = 0.3\nmargin = 0.5\nclip_rho = 0",
+         "[model] clip_rho must be > 0"),
+        ("l2 = 0.0", "l2 = -0.1", "[train] l2 must be >= 0"),
+        ("cutoffs = 5,10", "cutoffs = 5,5", "[eval] cutoffs must list distinct values"),
+        ("binarize_threshold = 1.0", "binarize_threshold = nan",
+         "[data] binarize_threshold must be finite"),
+    ])
+    def test_out_of_bound_value_exits_1_before_the_data_is_read(self, tmp_path, capsys,
+                                                                 old, new, key):
+        text = ranking_config(tmp_path / "missing.txt")
+        assert old in text
+        cfg_path = self.write(tmp_path, "c.ini", text.replace(old, new, 1))
+        code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x.drec")])
+        err = capsys.readouterr().err
+        assert code == 1, err  # reading the missing data file would exit 2
+        assert key in err
+
     def test_recommend_serves_uirt_fm(self, ratings_file, tmp_path, capsys):
         text = rating_config(ratings_file).replace("name = biasedsvd\nk = 4", "name = fm\nk = 4")
         # trained far enough that scores sit inside the rating range, not at its clip
