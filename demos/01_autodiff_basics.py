@@ -29,6 +29,16 @@ for k in range(3):
 print("finite differences:", numeric)
 print("max abs diff:", np.abs(grads[w] - numeric).max())
 
+# ---- a bias row broadcast over a batch -------------------------------------
+
+print("\n== a bias row added to a batch: sum(X @ W + b) ==")
+W = E.param(rng.normal(size=(3, 2)), name="W")
+b = E.param(np.zeros(2), name="b")
+out = E.matmul(E.const(x_data), W) + b  # (5, 2) + (2,): b is a trailing suffix
+grads = E.backward(out.sum(), wrt=[b])
+print("output shape:", out.shape)
+print("dloss/db (each entry summed over the 5 rows):", grads[b])
+
 # ---- the op inventory -----------------------------------------------------
 
 print("\n== supported op kinds ==")

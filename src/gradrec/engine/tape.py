@@ -6,8 +6,10 @@ inputs; creation order is a topological order of the resulting DAG, so
 vector-Jacobian products. Graphs are cheap and meant to be rebuilt for
 every training step.
 
-Shape rules are strict: the only implicit broadcast is scalar-with-tensor
-for the elementwise ops. Everything else raises :class:`ShapeError`.
+Shape rules are strict. ``add``, ``sub`` and ``mul`` take equal shapes or
+one operand whose shape is a trailing suffix of the other's (a scalar,
+``(m,)`` with ``(B, m)``), whose gradient sums over the leading axes. Size-1
+axes are never stretched; any other mismatch raises :class:`ShapeError`.
 
 Gradients are dense arrays of their input's shape. ``embedding_lookup``
 scatters its gradient into the table with one ``np.bincount`` over flat
@@ -249,17 +251,18 @@ def _check(cond: bool, op: str, expected: str, actual):
 
 
 def _binary_shapes(op: str, a: Array, b: Array) -> None:
-    if a.shape == b.shape or a.shape == () or b.shape == ():
-        return
-    raise ShapeError(op, "equal shapes or a scalar operand", f"{a.shape} vs {b.shape}")
+    if a.shape != b.shape:
+        short, long = sorted((a.shape, b.shape), key=len)
+        if long[len(long) - len(short):] != short:
+            raise ShapeError(op, "equal shapes or one a trailing suffix of the other",
+                             f"{a.shape} vs {b.shape}")
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    # Only the scalar-with-tensor broadcast exists, so reducing to a
-    # scalar is the single case to undo.
-    if shape == () and g.shape != ():
-        return np.asarray(g.sum())
-    return g
+    # sum the leading axes an operand of a trailing-suffix shape was broadcast along
+    if g.shape == shape:
+        return g
+    return np.asarray(g.sum(axis=tuple(range(g.ndim - len(shape)))))
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +417,12 @@ def _matmul(values, attrs, cache):
     return a @ b
 
 
-def _sum_to_rank(g: Array, ndim: int) -> Array:
-    # a rank-2 operand shared across the batch collects every batch's share
-    return g.sum(axis=0) if g.ndim > ndim else g
-
-
 @_vjp("matmul")
 def _matmul_vjp(node, g):
     a, b = (i.value for i in node.inputs)
     if a.ndim == 3 or b.ndim == 3:
-        return [_sum_to_rank(g @ np.swapaxes(b, -1, -2), a.ndim),
-                _sum_to_rank(np.swapaxes(a, -1, -2) @ g, b.ndim)]
+        return [_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)]
     if a.ndim == 2 and b.ndim == 2:
         return [g @ b.T, a.T @ g]
     if a.ndim == 2 and b.ndim == 1:
@@ -527,10 +525,10 @@ def _conv_windows(x: Array, h: int) -> Array:
 
 @_op("conv_h")
 def _conv_h(values, attrs, cache):
-    # Full-width 1-D convolution: input (L, d) or a batch (B, L, d), filters
-    # (n_f, h, d) and an optional per-filter bias (n_f,). Valid positions
-    # only: output is (L - h + 1, n_f), or (B, L - h + 1, n_f).
-    x, f = values[0], values[1]
+    # Full-width 1-D convolution: input (L, d) or a batch (B, L, d) and
+    # filters (n_f, h, d). Valid positions only: output is (L - h + 1, n_f),
+    # or (B, L - h + 1, n_f). A per-filter bias (n_f,) adds to it directly.
+    x, f = values
     _check(x.ndim in (2, 3), "conv_h", "input of shape (L, d) or (B, L, d)", x.shape)
     _check(f.ndim == 3 and f.shape[2] == x.shape[-1], "conv_h",
            f"filters of shape (n_f, h, {x.shape[-1]})", f.shape)
@@ -538,16 +536,12 @@ def _conv_h(values, attrs, cache):
     _check(1 <= h <= x.shape[-2], "conv_h", f"filter height within 1..{x.shape[-2]}", h)
     xb = x if x.ndim == 3 else x[None]
     out = np.tensordot(_conv_windows(xb, h), f, axes=([2, 3], [2, 1]))
-    if len(values) == 3:
-        b = values[2]
-        _check(b.shape == (f.shape[0],), "conv_h", f"bias of shape ({f.shape[0]},)", b.shape)
-        out = out + b
     return out if x.ndim == 3 else out[0]
 
 
 @_vjp("conv_h")
 def _conv_h_vjp(node, g):
-    x, f = node.inputs[0].value, node.inputs[1].value
+    x, f = (i.value for i in node.inputs)
     h = f.shape[1]
     xb, gb = (x, g) if x.ndim == 3 else (x[None], g[None])
     df = np.tensordot(gb, _conv_windows(xb, h), axes=([0, 1], [0, 1])).transpose(0, 2, 1)
@@ -555,10 +549,7 @@ def _conv_h_vjp(node, g):
     steps = gb.shape[1]
     for a in range(h):
         dx[:, a:a + steps] += gb @ f[:, a, :]
-    grads = [dx if x.ndim == 3 else dx[0], df]
-    if len(node.inputs) == 3:
-        grads.append(gb.sum(axis=(0, 1)))
-    return grads
+    return [dx if x.ndim == 3 else dx[0], df]
 
 
 @_op("max_over_time")
@@ -616,9 +607,8 @@ def softmax_rows(x: Node) -> Node:
     return forward("softmax_rows", [x])
 
 
-def conv_h(x: Node, filters: Node, bias: Node | None = None) -> Node:
-    inputs = [x, filters] if bias is None else [x, filters, bias]
-    return forward("conv_h", inputs)
+def conv_h(x: Node, filters: Node) -> Node:
+    return forward("conv_h", [x, filters])
 
 
 def max_over_time(x: Node) -> Node:

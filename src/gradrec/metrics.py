@@ -55,9 +55,13 @@ class MetricReport:
     seed: int
     users: int
     order: list[str] = field(default_factory=list)
+    drawn: tuple[int, float] | None = None  # min and median negatives, when some user drew < m
 
     def to_text(self) -> str:
-        lines = [f"protocol\t{self.protocol}", f"seed\t{self.seed}", f"users\t{self.users}"]
+        lines = [f"protocol\t{self.protocol}"]
+        if self.drawn is not None:
+            lines.append(f"negatives\tmin {self.drawn[0]}, median {self.drawn[1]:.1f}")
+        lines += [f"seed\t{self.seed}", f"users\t{self.users}"]
         names = self.order if self.order else sorted(self.values)
         lines += [f"{name}\t{self.values[name]:.6f}" for name in names]
         return "\n".join(lines) + "\n"
@@ -150,7 +154,7 @@ def evaluate_ranking(score_rows: ScoreRows, train: InteractionTable, test: Inter
         order = np.argsort(position[table.users], kind="stable")
         at = position[table.users[order]]
         groups.append((at, table.items[order], np.searchsorted(at, los + [users.size]).tolist()))
-    per_user = []
+    per_user, drawn = [], []
     for k, lo in enumerate(los):
         block = users[lo:lo + BLOCK]
         consumed, relevant = np.zeros((2, block.size, train.n_items), dtype=bool)
@@ -164,8 +168,8 @@ def evaluate_ranking(score_rows: ScoreRows, train: InteractionTable, test: Inter
             bounds = np.searchsorted(cells, np.arange(block.size + 1) * train.n_items).tolist()
             for user, start, stop in zip(block.tolist(), bounds, bounds[1:]):
                 rng = np.random.default_rng([protocol.seed, user])
-                picked = rng.choice(cells[start:stop], min(protocol.m, stop - start), replace=False)
-                candidates.flat[picked] = True
+                drawn.append(min(protocol.m, stop - start))
+                candidates.flat[rng.choice(cells[start:stop], drawn[-1], replace=False)] = True
         ranks = rank_candidates(block, score_rows(block), candidates, relevant)
         per_user.append(ranking_metrics(block, np.nonzero(relevant & candidates)[0], ranks,
                                         np.count_nonzero(relevant, axis=1), cutoffs))
@@ -173,8 +177,10 @@ def evaluate_ranking(score_rows: ScoreRows, train: InteractionTable, test: Inter
     values = {name: np.cumsum(np.concatenate([part[name] for part in per_user]))[-1].item()
               / users.size for name in per_user[0]}
     seed = seed_echo if seed_echo is not None else getattr(protocol, "seed", 0)
+    short = drawn and min(drawn) < protocol.m  # a pool smaller than m was ranked whole
     return MetricReport(values=values, protocol=protocol.describe(), seed=seed,
-                        users=users.size, order=metric_order(cutoffs))
+                        users=users.size, order=metric_order(cutoffs),
+                        drawn=(min(drawn), float(np.median(drawn))) if short else None)
 
 
 def pair_scores(score_rows: ScoreRows, users: np.ndarray, items: np.ndarray) -> np.ndarray:

@@ -36,22 +36,6 @@ def init_layer(rng: np.random.Generator, fan_in: int, *shape: int) -> Array:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def add_rowvec(x: E.Node, b: E.Node) -> E.Node:
-    """x + b for a batched x of shape (B, m) and vector b of shape (m,).
-
-    The engine only broadcasts scalars, so the bias is lifted to (B, m)
-    through a ones-column matmul.
-    """
-    batch = x.value.shape[0]
-    ones = E.const(np.ones((batch, 1)))
-    return x + E.matmul(ones, b.reshape((1, b.value.shape[0])))
-
-
-def affine(x: E.Node, w: E.Node, b: E.Node) -> E.Node:
-    """x @ w + b with the same row-vector bias lift."""
-    return add_rowvec(E.matmul(x, w), b)
-
-
 def row_sq_norm(x: E.Node) -> E.Node:
     """Per-row squared L2 norm of a (B, k) node, shape (B,)."""
     return (x * x).sum(axis=1)

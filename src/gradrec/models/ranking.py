@@ -196,7 +196,7 @@ class NeuMf(_SampledPairs):
         x = E.concat([E.embedding_lookup(leaves["mlp_user"], users),
                       E.embedding_lookup(leaves["mlp_item"], items)], axis=1)
         for n in range(1, len(self.layers) + 1):
-            x = base.affine(x, leaves[f"mlp_w{n}"], leaves[f"mlp_b{n}"]).relu()
+            x = (E.matmul(x, leaves[f"mlp_w{n}"]) + leaves[f"mlp_b{n}"]).relu()
         return x
 
     def logits(self, leaves, users: Array, items: Array, variant: str | None = None) -> E.Node:

@@ -238,9 +238,8 @@ class ItemAutoRec(base.Model):
         # mask the input too: only observed ratings may enter the encoder
         r = E.const(self.columns[item_ids] * self.mask[item_ids])  # (B, n_users)
         m = E.const(self.mask[item_ids])
-        hidden = base.add_rowvec(E.matmul(r, leaves["encoder_w"].T),
-                                 leaves["encoder_b"]).sigmoid()
-        out = base.add_rowvec(E.matmul(hidden, leaves["decoder_w"].T), leaves["decoder_b"])
+        hidden = (E.matmul(r, leaves["encoder_w"].T) + leaves["encoder_b"]).sigmoid()
+        out = E.matmul(hidden, leaves["decoder_w"].T) + leaves["decoder_b"]
         diff = (r - out) * m
         data = (diff * diff).sum()
         reg = 0.5 * self.l2 * ((leaves["decoder_w"] * leaves["decoder_w"]).sum()

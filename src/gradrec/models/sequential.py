@@ -205,12 +205,12 @@ class Caser(_Windows):
         ew = self._embed_windows(leaves["item_embed"], windows)  # (B, L, d)
         pooled = []
         for h in range(1, self.window + 1):
-            conv = E.conv_h(ew, leaves[f"h_filters_{h}"], leaves[f"h_bias_{h}"])
+            conv = E.conv_h(ew, leaves[f"h_filters_{h}"]) + leaves[f"h_bias_{h}"]
             pooled.append(E.max_over_time(conv.relu()))  # (B, n_h)
         vert = E.matmul(leaves["v_filters"], ew)  # (B, n_v, d)
         flat = vert.reshape((len(users), self.n_v * ew.value.shape[2]))
         cat = E.concat(pooled + [flat], axis=1)
-        z = base.affine(cat, leaves["fc_w"].T, leaves["fc_b"]).relu()  # (B, d)
+        z = (E.matmul(cat, leaves["fc_w"].T) + leaves["fc_b"]).relu()  # (B, d)
         return E.concat([z, E.embedding_lookup(leaves["user_embed"], users)], axis=1)
 
     def pair_logits(self, leaves, zu: E.Node, rows: Array, items: Array) -> E.Node:

@@ -86,11 +86,19 @@ class TestForwardExamples:
         assert err.value.op == "add"
         assert "(2,)" in str(err.value) and "(3,)" in str(err.value)
 
-    def test_scalar_broadcast_only(self):
+    def test_suffix_broadcast_only(self):
         out = E.const([1.0, 2.0]) * 2.0
         np.testing.assert_array_equal(out.value, [2.0, 4.0])
-        with pytest.raises(ShapeError):
-            E.forward("mul", [E.const(np.ones((2, 2))), E.const(np.ones(2))])
+        out = E.forward("mul", [E.const([[1.0, 2.0], [3.0, 4.0]]), E.const([10.0, -1.0])])
+        np.testing.assert_array_equal(out.value, [[10.0, -2.0], [30.0, -4.0]])
+
+    @pytest.mark.parametrize("a,b", [((2, 3), (2,)), ((3, 1), (3,)), ((2, 2), (3,))])
+    def test_non_suffix_shapes_raise_naming_op_and_shapes(self, a, b):
+        # a leading match is no suffix, and a size-1 axis is never stretched
+        with pytest.raises(ShapeError) as err:
+            E.forward("mul", [E.const(np.ones(a)), E.const(np.ones(b))])
+        assert err.value.op == "mul"
+        assert str(a) in str(err.value) and str(b) in str(err.value)
 
 
 class TestBackwardExamples:
@@ -142,9 +150,12 @@ OP_CASES = [
     # (name, builder(nodes) -> node, input shapes, rng offset)
     ("add", lambda a, b: a + b, [(4, 3), (4, 3)]),
     ("add_scalar", lambda a, b: a + b, [(4, 3), ()]),
+    ("add_row", lambda a, b: a + b, [(3, 4), (4,)]),
     ("sub", lambda a, b: a - b, [(5,), (5,)]),
+    ("sub_row_left", lambda a, b: a - b, [(4,), (3, 4)]),
     ("mul", lambda a, b: a * b, [(2, 3), (2, 3)]),
     ("mul_scalar", lambda a, b: a * b, [(), (2, 3)]),
+    ("mul_suffix3", lambda a, b: a * b, [(2, 3, 4), (3, 4)]),
     ("matmul22", E.matmul, [(3, 4), (4, 2)]),
     ("matmul21", E.matmul, [(3, 4), (4,)]),
     ("matmul12", E.matmul, [(3,), (3, 2)]),
@@ -163,14 +174,16 @@ OP_CASES = [
     ("concat1", lambda a, b: E.concat([a, b], axis=1), [(2, 3), (2, 2)]),
     ("sq_l2_vec", E.sq_l2_dist, [(5,), (5,)]),
     ("sq_l2_rows", E.sq_l2_dist, [(4, 3), (4, 3)]),
-    ("conv_h", E.conv_h, [(6, 3), (2, 3, 3), (2,)]),
+    ("conv_h", lambda x, f, b: E.conv_h(x, f) + b, [(6, 3), (2, 3, 3), (2,)]),
     ("matmul33", E.matmul, [(3, 2, 4), (3, 4, 5)]),
     ("matmul32", E.matmul, [(3, 2, 4), (4, 5)]),
     ("matmul23", E.matmul, [(2, 4), (3, 4, 5)]),
     ("transpose3", lambda a: a.T, [(3, 2, 4)]),
     ("softmax_rows3", E.softmax_rows, [(2, 3, 4)]),
-    ("conv_h_batched", E.conv_h, [(3, 5, 2), (2, 3, 2), (2,)]),
+    ("conv_h_batched", lambda x, f, b: E.conv_h(x, f) + b, [(3, 5, 2), (2, 3, 2), (2,)]),
     ("conv_h_batched_nobias", E.conv_h, [(3, 5, 2), (4, 2, 2)]),
+    ("max_over_time", E.max_over_time, [(5, 3)]),
+    ("max_over_time3", E.max_over_time, [(2, 4, 3)]),
     ("embedding", lambda t: E.embedding_lookup(t, [2, 0, 2]), [(4, 3)]),
     ("embedding_1d", lambda t: E.embedding_lookup(t, [1, 1, 0]), [(4,)]),
 ]
@@ -198,6 +211,20 @@ def test_op_gradients_match_finite_differences(name, builder, shapes):
             return float(scalarize(builder(*[E.param(v) for v in vals])).value)
 
         assert max_rel_err(grads[leaf], numeric_grad(f, values[pos])) < 1e-4, name
+
+
+def test_every_op_kind_has_a_gradient_check():
+    # a new op cannot land without a VJP and an OP_CASES finite-difference entry
+    assert set(tape._VJP) == set(tape._FORWARD)
+    reached = set()
+    for _, builder, shapes in OP_CASES:
+        stack = [builder(*[E.param(v) for v in _random_inputs(np.random.default_rng(0), shapes)])]
+        while stack:
+            node = stack.pop()
+            if node.op is not None:
+                reached.add(node.op)
+                stack.extend(node.inputs)
+    assert set(E.OP_KINDS) - reached == set()
 
 
 def test_relu_gradient_away_from_kink():
@@ -235,7 +262,8 @@ BATCHED_CASES = [
     ("matmul23", E.matmul, [(2, 3), (4, 3, 5)], (False, True)),
     ("transpose3", lambda a: a.T, [(4, 2, 3)], (True,)),
     ("softmax_rows3", E.softmax_rows, [(4, 3, 5)], (True,)),
-    ("conv_h", E.conv_h, [(4, 5, 3), (2, 3, 3), (2,)], (True, False, False)),
+    ("conv_h", lambda x, f, b: E.conv_h(x, f) + b, [(4, 5, 3), (2, 3, 3), (2,)],
+     (True, False, False)),
     ("conv_h_nobias", E.conv_h, [(4, 5, 3), (2, 5, 3)], (True, False)),
     ("max_over_time", E.max_over_time, [(4, 5, 3)], (True,)),
 ]

@@ -107,7 +107,7 @@ def reference_evaluate_ranking(score_fn, train, test, protocol, cutoffs):
     list sort: the report every blocked evaluation must reproduce bit for bit."""
     train_items, test_items = consumed(train), consumed(test)
     n_items = train.n_items
-    sums, evaluated = {}, 0
+    sums, evaluated, drawn = {}, 0, []
     for user in sorted(test_items):
         relevant = test_items[user]
         seen = np.array(sorted(train_items.get(user, ())), dtype=np.int64)
@@ -123,13 +123,16 @@ def reference_evaluate_ranking(score_fn, train, test, protocol, cutoffs):
             pool = np.flatnonzero(~blocked)
             negatives = rng.choice(pool, size=min(protocol.m, pool.size), replace=False)
             candidates = sorted(relevant) + negatives.tolist()
+            drawn.append(negatives.size)
         ranked = reference_rank_candidates(score_fn, user, candidates)
         for name, value in reference_ranking_metrics(user, ranked, relevant, cutoffs).items():
             sums[name] = sums.get(name, 0.0) + value
         evaluated += 1
     return metrics.MetricReport(values={k: v / evaluated for k, v in sums.items()},
                                 protocol=protocol.describe(), seed=getattr(protocol, "seed", 0),
-                                users=evaluated, order=metrics.metric_order(cutoffs))
+                                users=evaluated, order=metrics.metric_order(cutoffs),
+                                drawn=((min(drawn), float(np.median(drawn)))
+                                       if drawn and min(drawn) < protocol.m else None))
 
 
 def table_from(entries):

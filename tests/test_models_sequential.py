@@ -158,7 +158,7 @@ class TestCaserForward:
         model = Caser(2, 6, d=3, window=5, n_h=2, n_v=1, seed=0)
         leaves = {n: E.const(v) for n, v in model.params.items()}
         ew = E.embedding_lookup(leaves["item_embed"], np.array([0, 1, 2, 3, 4]))
-        conv = E.conv_h(ew, leaves["h_filters_2"], leaves["h_bias_2"])
+        conv = E.conv_h(ew, leaves["h_filters_2"]) + leaves["h_bias_2"]
         assert conv.value.shape == (4, 2)  # L - h + 1 = 4 positions
 
     def test_vertical_branch_width(self):

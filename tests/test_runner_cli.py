@@ -11,7 +11,7 @@ from gradrec import data as datamod
 from gradrec import runner
 from gradrec.models import base
 
-from conftest import config_text
+from conftest import config_text, consumed
 from test_acceptance import ALL_MODEL_CONFIGS, model_config_text
 
 
@@ -96,6 +96,24 @@ class TestRun:
         report, _, _ = runner.run(cfg)
         assert list(report.values) == ["precision@5", "recall@5", "ndcg@5",
                                        "precision@10", "recall@10", "ndcg@10", "mrr"]
+
+    def test_sampled_m_above_a_pool_reports_the_negatives_drawn(self, implicit_file):
+        # 12 items: every user's pool is below 500, so each ranks its whole pool
+        text = ranking_config(implicit_file).replace("protocol = full", "protocol = sampled:500")
+        cfg = cfgmod.parse_config(text)
+        bundle = runner.prepare_data(cfg)
+        train, test = consumed(bundle["train"]), consumed(bundle["test"])
+        pools = [bundle["train"].n_items - len(train.get(user, set()) | items)
+                 for user, items in sorted(test.items())]
+        lines = runner.run(cfg)[0].to_text().splitlines()
+        assert lines[:3] == ["protocol\tsampled:500",
+                             f"negatives\tmin {min(pools)}, median {np.median(pools):.1f}",
+                             "seed\t11"]
+        # every user drew m: the header keeps its three lines
+        text = text.replace("sampled:500", f"sampled:{min(pools)}")
+        lines = runner.run(cfgmod.parse_config(text))[0].to_text().splitlines()
+        assert [line.split("\t")[0] for line in lines[:4]] == ["protocol", "seed", "users",
+                                                              "precision@5"]
 
     def test_sequential_pipeline_runs(self, implicit_file):
         cfg = cfgmod.parse_config(sequential_config(implicit_file))
