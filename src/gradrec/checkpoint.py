@@ -122,6 +122,9 @@ class _Reader:
         if code == STR and rank == 1:
             ends = np.cumsum(self.array(np.dtype("<u4"), dims[0]), dtype=np.int64).tolist()
             blob = bytes(self.take(ends[-1] if ends else 0))
+            text = blob.decode("utf-8")
+            if len(text) == len(blob):  # ASCII: byte offsets are character offsets
+                return [text[a:b] for a, b in zip([0] + ends[:-1], ends)]
             return [blob[a:b].decode("utf-8") for a, b in zip([0] + ends[:-1], ends)]
         if code not in DTYPES:
             raise CheckpointError(f"{self.path}: unknown tensor dtype {code} of rank {rank}")

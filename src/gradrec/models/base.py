@@ -20,6 +20,7 @@ Array = np.ndarray
 INIT_SCALE = 0.01  # embeddings and weights start at Normal(0, 0.01^2)
 PAIR_BLOCK = 4096  # rows per scoring graph of the models that score pairs on the tape
 TRAIN_PREFIX = "train."  # checkpoint tensors holding the served train table's columns
+TEST_PREFIX = "test."  # ... and the test table's rows, over the train table's id lists
 
 
 def init_normal(rng: np.random.Generator, *shape: int) -> Array:
@@ -132,15 +133,17 @@ def sq_dists(a: Array, b: Array) -> Array:
     return np.maximum(out, 0.0, out=out)
 
 
-def pop_train_table(tensors: dict) -> InteractionTable | None:
-    """Remove the train table's columns that :meth:`Model.checkpoint_tensors`
-    adds from checkpoint ``tensors`` and rebuild the table from them; None
-    when the checkpoint holds none."""
+def pop_tables(tensors: dict) -> tuple[InteractionTable | None, InteractionTable | None]:
+    """Remove the train and test tables that :meth:`Model.checkpoint_tensors`
+    adds from checkpoint ``tensors`` and rebuild them over one pair of id
+    maps, as ``data.split`` does; None for a table the checkpoint lacks."""
     columns = [tensors.pop(TRAIN_PREFIX + column, None) for column in TABLE_COLUMNS]
+    test = [tensors.pop(TEST_PREFIX + column, None) for column in TABLE_COLUMNS[:4]]
     if columns[0] is None:
-        return None
-    maps = [dict(zip(ids, range(len(ids)))) for ids in columns[4:]]
-    return InteractionTable(*columns, *maps)
+        return None, None
+    shared = [*columns[4:], *(dict(zip(ids, range(len(ids)))) for ids in columns[4:])]
+    return (InteractionTable(*columns[:4], *shared),
+            None if test[0] is None else InteractionTable(*test, *shared))
 
 
 def clip_rows_to_ball(arr: Array, radius: float = 1.0) -> Array:
@@ -175,6 +178,7 @@ class Model:
     batched = True
     params: dict[str, Array]
     train_table: InteractionTable | None = None  # set by serve; libfm rows have none
+    test_table: InteractionTable | None = None  # the same bundle's test split
     _row: tuple[int, Array] | None = None  # (user, score_matrix row) behind score
 
     @property
@@ -213,20 +217,22 @@ class Model:
 
     def checkpoint_tensors(self) -> dict[str, Array | list[str]]:
         """The parameters, then the served train table's
-        :data:`~gradrec.data.TABLE_COLUMNS` as ``train.<column>``: all that
-        :meth:`serve` needs to be called again without the data file."""
+        :data:`~gradrec.data.TABLE_COLUMNS` as ``train.<column>`` and the test
+        table's rows as ``test.<column>``: all that serving and evaluation read."""
         tensors: dict[str, Array | list[str]] = dict(self.params)
-        if self.train_table is not None:
-            tensors.update({TRAIN_PREFIX + column: getattr(self.train_table, column)
-                            for column in TABLE_COLUMNS})
+        for prefix, table, columns in ((TRAIN_PREFIX, self.train_table, TABLE_COLUMNS),
+                                       (TEST_PREFIX, self.test_table, TABLE_COLUMNS[:4])):
+            if table is not None:
+                tensors.update({prefix + column: getattr(table, column) for column in columns})
         return tensors
 
     def serve(self, data: dict) -> None:
         """Attach the state that scoring (and for some models training)
-        reads, derived from ``data["train"]`` alone, and keep that table for
-        :meth:`checkpoint_tensors`. Overrides call this to drop the score
-        cache."""
+        reads, derived from ``data["train"]`` alone, and keep that table and
+        ``data["test"]`` for :meth:`checkpoint_tensors`. Overrides call this
+        to drop the score cache."""
         self.train_table = data.get("train")
+        self.test_table = data.get("test")
         self._row = None
 
     def bind(self, data: dict, batch_size: int | None, neg_samples: int | None) -> None:

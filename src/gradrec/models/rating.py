@@ -145,7 +145,7 @@ class FactorizationMachine(base.Model):
 
     def serve(self, data) -> None:
         super().serve(data)
-        if "train" in data:
+        if data.get("train") is not None:
             self.n_users = data["train"].n_users
 
     def bind(self, data, batch_size, neg_samples) -> None:

@@ -102,19 +102,24 @@ def write_report(path: str | Path, report: metricsmod.MetricReport) -> None:
         fh.write(report.to_text())
 
 
+def _split_inputs(cfg: ExperimentConfig) -> tuple:
+    """What ``prepare_data`` reads of ``[data]`` besides the file's bytes."""
+    return cfg.data.format, cfg.data.split, cfgmod.binarize_threshold_for(cfg)
+
+
 def load_model(checkpoint_path: str | Path, override_cfg: ExperimentConfig | None = None):
     """Restore (config, model, bundle) from a checkpoint.
 
-    Without an override, the bundle is ``{"task", "train", "table"}`` rebuilt
-    from the checkpoint alone: ``train`` is the stored train table and
-    ``table`` is the same table, whose id maps are those of the full data.
-    With an override config the data pipeline is rebuilt from it, as in
-    training, after its data file's SHA-256 has matched the stored one.
+    The bundle is ``{"task", "train", "test", "table"}`` from the checkpoint
+    alone, ``table`` being the stored train table, whose id maps are those
+    of the full data. An override config's data file must match the stored
+    SHA-256; when its ``[data]`` would split the file otherwise, or the
+    checkpoint holds no test split, the bundle is ``prepare_data(override)``.
     Either way ``model.serve`` then derives the serving state.
     """
     name, echo, tensors = ckpt.load_checkpoint(checkpoint_path)
     stored = tensors.pop(DATA_DIGEST, [None])[0]
-    train = base.pop_train_table(tensors)
+    train, test = base.pop_tables(tensors)
     cfg = override_cfg if override_cfg is not None else cfgmod.parse_config(echo)
     if cfg.model.name != name:
         raise ConfigError([f"checkpoint holds model {name!r} but config names "
@@ -125,14 +130,14 @@ def load_model(checkpoint_path: str | Path, override_cfg: ExperimentConfig | Non
         if digest != stored:
             raise GradrecError(f"{cfg.data.path} has SHA-256 {digest}, but {checkpoint_path} "
                                f"was trained on data with SHA-256 {stored}")
+    if override_cfg is not None and (test is None or _split_inputs(cfg)
+                                     != _split_inputs(cfgmod.parse_config(echo))):
         bundle = prepare_data(cfg)
-    elif train is not None:
-        bundle = {"task": cfg.model.task, "train": train, "table": train}
-    elif cfg.data.format == "libfm":  # fm on libfm rows serves no users
-        bundle = {"task": cfg.model.task}
-    else:
+    elif train is None and cfg.data.format != "libfm":  # fm on libfm rows serves no users
         raise CheckpointError(f"{checkpoint_path}: holds no train table to serve from; "
                               "retrain the model")
+    else:
+        bundle = {"task": cfg.model.task, "train": train, "test": test, "table": train}
     model.serve(bundle)
     return cfg, model, bundle
 
@@ -154,7 +159,8 @@ def recommend(checkpoint_path: str | Path, raw_user: str, n: int) -> list[tuple[
     if user is None:
         raise GradrecError(f"unknown user id {raw_user!r}")
     row = model.score_matrix(np.array([user]))[0]
-    # the inverse of the raw-id order: each item's rank under Python string order
-    raw_rank = np.argsort(sorted(range(table.n_items), key=table.item_ids.__getitem__))
-    top = np.lexsort((raw_rank, -row))[:n].tolist()
+    kth = min(n, row.size) - 1
+    # every item scoring at least as well as the n-th best, its ties included
+    near = np.flatnonzero(row >= -np.partition(-row, kth)[kth]).tolist()
+    top = sorted(near, key=lambda item: (-row[item], table.item_ids[item]))[:n]
     return [(table.item_ids[item], float(row[item])) for item in top]

@@ -13,6 +13,7 @@ import pytest
 
 from gradrec import checkpoint as ckpt
 from gradrec import config as cfgmod
+from gradrec import data as datamod
 from gradrec import engine as E
 from gradrec import metrics, runner
 from gradrec.engine import make_optimizer, optim, tape
@@ -267,7 +268,8 @@ def test_score_cache_follows_every_optimizer_step(name, ratings_file, implicit_f
 
 
 @pytest.mark.parametrize("name", list(MODELS))
-def test_checkpoint_alone_serves_as_the_data_does(name, ratings_file, implicit_file, tmp_path):
+def test_checkpoint_alone_serves_as_the_data_does(name, ratings_file, implicit_file, tmp_path,
+                                                  monkeypatch):
     data_file = ratings_file if ALL_MODEL_CONFIGS[name][0] == "ratings" else implicit_file
     cfg = cfgmod.parse_config(model_config_text(name, data_file))
     bundle = runner.prepare_data(cfg)
@@ -278,13 +280,15 @@ def test_checkpoint_alone_serves_as_the_data_does(name, ratings_file, implicit_f
 
     _, served, stored = runner.load_model(path)
     reference = MODELS[name].restore(dict(model.params), cfg)
-    reference.serve(runner.prepare_data(cfg))
+    fresh = runner.prepare_data(cfg)
+    reference.serve(fresh)
 
-    train, want = stored["train"], bundle["train"]
-    for column in ("users", "items", "ratings", "timestamps"):
-        assert_bitwise(getattr(train, column), getattr(want, column))
-    assert (train.user_ids, train.item_ids) == (want.user_ids, want.item_ids)
-    assert (train.user_index, train.item_index) == (want.user_index, want.item_index)
+    for part in ("train", "test"):
+        got, want = stored[part], bundle[part]
+        for column in ("users", "items", "ratings", "timestamps"):
+            assert_bitwise(getattr(got, column), getattr(want, column))
+        assert (got.user_ids, got.item_ids) == (want.user_ids, want.item_ids)
+        assert (got.user_index, got.item_index) == (want.user_index, want.item_index)
     table = stored["table"]
     assert (table.user_index, table.item_ids) == (bundle["table"].user_index,
                                                   bundle["table"].item_ids)
@@ -294,3 +298,14 @@ def test_checkpoint_alone_serves_as_the_data_does(name, ratings_file, implicit_f
     rows = served.score_matrix(users)
     assert_bitwise(rows, reference.score_matrix(users))
     assert np.unique(rows).size > 5
+
+    # evaluate under the training config takes its split from the checkpoint
+    want_report = runner.evaluate_model(cfg, reference, fresh).to_text()
+
+    def parse(*args, **kwargs):
+        raise AssertionError("evaluate re-read the data file")
+
+    monkeypatch.setattr(datamod, "load_interactions", parse)
+    monkeypatch.setattr(datamod, "parse_libfm", parse)
+    eval_cfg, evaluated, eval_bundle = runner.load_model(path, cfg)
+    assert runner.evaluate_model(eval_cfg, evaluated, eval_bundle).to_text() == want_report

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -269,6 +270,23 @@ class TestCliWorkflows:
         table = datamod.load_interactions(ratings_file)
         assert raw_ids == sorted(table.item_ids)[:3]
 
+    def test_recommend_breaks_a_tie_group_at_the_cut_by_raw_id(self, ratings_file, tmp_path,
+                                                              monkeypatch):
+        cfg = cfgmod.parse_config(rating_config(ratings_file))
+        out = tmp_path / "m.drec"
+        _, model, _ = runner.run(cfg, checkpoint_path=out)
+        item_ids = runner.prepare_data(cfg)["table"].item_ids
+        # tie groups of 2, 4 and 3 (signed zeros among them) straddle several cuts
+        row = np.array([0.5, 0.25, -0.0, 0.25, 0.0, 0.25, 0.5, -1.0, 0.0, 0.25])
+        assert row.size == len(item_ids)
+        monkeypatch.setattr(type(model), "score_matrix", lambda self, users: row[None, :])
+        want = sorted((-row[item], item_ids[item]) for item in range(row.size))
+        for n in range(1, row.size + 2):
+            got = runner.recommend(out, "u0", n)
+            assert got == [(raw, -neg) for neg, raw in want[:n]]
+            assert [math.copysign(1.0, score) for _, score in got] == \
+                [math.copysign(1.0, -neg) for neg, _ in want[:n]]
+
     @pytest.mark.parametrize("name", ["prme", "caser", "attrec", "bprmf"])
     def test_recommend_to_a_user_without_train_rows(self, name, implicit_file, tmp_path,
                                                     capsys):
@@ -532,6 +550,84 @@ class TestServingReadsOnlyTheCheckpoint:
         assert cli.main(["evaluate", "--ckpt", str(out), "--config", str(copy_cfg),
                          "--report", str(evaluated)]) == 0
         assert evaluated.read_bytes() == trained.read_bytes()
+
+
+def count_parses(monkeypatch) -> list:
+    """Record each ``load_interactions`` call, which still runs."""
+    calls = []
+    real = datamod.load_interactions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(datamod, "load_interactions", counted)
+    return calls
+
+
+class TestEvaluateReadsTheSplitFromTheCheckpoint:
+    @pytest.mark.parametrize("maker, old, new", [
+        (rating_config, "split = random:0.2", "split = random:0.3"),
+        (rating_config, "seed = 11", "seed = 12"),  # another random split
+        (ranking_config, "split = loo", "split = temporal:0.3"),
+        (ranking_config, "binarize_threshold = 1.0", "binarize_threshold = 0.5"),
+        (sequential_config, "split = loo", "split = temporal:0.3"),
+    ])
+    def test_another_split_rereads_the_data(self, maker, old, new, ratings_file,
+                                            implicit_file, tmp_path, monkeypatch):
+        data_file = ratings_file if maker is rating_config else implicit_file
+        cfg = cfgmod.parse_config(maker(data_file))
+        out = tmp_path / "m.drec"
+        _, model, _ = runner.run(cfg, checkpoint_path=out)
+        assert old in cfg.text
+        override = cfgmod.parse_config(cfg.text.replace(old, new))
+        bundle = runner.prepare_data(override)
+        reference = type(model).restore(dict(model.params), override)
+        reference.serve(bundle)
+        want = runner.evaluate_model(override, reference, bundle).to_text()
+
+        calls = count_parses(monkeypatch)
+        eval_cfg, evaluated, eval_bundle = runner.load_model(out, override)
+        assert len(calls) == 1
+        assert runner.evaluate_model(eval_cfg, evaluated, eval_bundle).to_text() == want
+
+    def test_other_cutoffs_read_no_data(self, implicit_file, tmp_path, capsys, monkeypatch):
+        cfg = cfgmod.parse_config(ranking_config(implicit_file))
+        out, other = tmp_path / "m.drec", tmp_path / "other.ini"
+        _, model, _ = runner.run(cfg, checkpoint_path=out)
+        text = cfg.text.replace("cutoffs = 5,10", "cutoffs = 3")
+        other.write_text(text, encoding="utf-8")
+        want = runner.evaluate_model(cfgmod.parse_config(text), model,
+                                     runner.prepare_data(cfg)).to_text()
+
+        calls = count_parses(monkeypatch)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--ckpt", str(out), "--config", str(other)]) == 0
+        assert capsys.readouterr().out == want
+        assert "recall@3" in want and calls == []
+
+    @pytest.mark.parametrize("maker", [rating_config, ranking_config, sequential_config])
+    def test_checkpoint_without_a_test_split_rereads_the_data(self, maker, ratings_file,
+                                                              implicit_file, tmp_path,
+                                                              capsys, monkeypatch):
+        data_file = ratings_file if maker is rating_config else implicit_file
+        cfg_path, out, trained = tmp_path / "c.ini", tmp_path / "m.drec", tmp_path / "t.report"
+        cfg_path.write_text(maker(data_file), encoding="utf-8")
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out),
+                         "--report", str(trained)]) == 0
+        # the layout written before checkpoints stored the test split
+        name, echo, tensors = ckpt.load_checkpoint(out)
+        dropped = [key for key in tensors if key.startswith(base.TEST_PREFIX)]
+        assert len(dropped) == 4
+        ckpt.save_checkpoint(out, name, echo, {key: value for key, value in tensors.items()
+                                              if key not in dropped})
+
+        calls = count_parses(monkeypatch)
+        evaluated = tmp_path / "e.report"
+        assert cli.main(["evaluate", "--ckpt", str(out), "--config", str(cfg_path),
+                         "--report", str(evaluated)]) == 0
+        assert evaluated.read_bytes() == trained.read_bytes()
+        assert len(calls) == 1
 
 
 class TestEndToEndDeterminism:
