@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: split, train, evaluate, recommend. Exit codes: 0 success,
-1 configuration/usage error, 2 runtime error (bad data, corrupt
-checkpoint, divergence).
+1 configuration/usage error, 2 runtime error (bad data, a file that
+cannot be read or written, corrupt checkpoint, divergence).
 """
 
 from __future__ import annotations
@@ -105,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FileNotFoundError as err:
         print(f"error: file not found: {err.filename}", file=sys.stderr)
+        return 2
+    except OSError as err:  # os.replace names the destination second
+        print(f"error: {err.filename2 or err.filename}: {err.strerror}", file=sys.stderr)
         return 2
     except GradrecError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from gradrec.data import LeaveOneOut, RandomHoldout, SplitSpec, Temporal
-from gradrec.errors import ConfigError
+from gradrec.data import LeaveOneOut, RandomHoldout, SplitSpec, Temporal, read_text
+from gradrec.errors import ConfigError, DataFormatError
 from gradrec.metrics import FullRanking, Protocol, SampledRanking
 from gradrec.models import MODELS
 
@@ -208,7 +208,10 @@ def _read(section: str, raw: dict[str, str], issues: list[str],
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_config(read_text(Path(path)))
+    except DataFormatError as err:  # a byte that is not UTF-8
+        raise ConfigError([str(err)]) from None
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -146,6 +146,16 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def read_text(path: Path) -> str:
+    """A file's text; a byte that is not UTF-8 raises :class:`DataFormatError` at its line."""
+    blob = path.read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataFormatError(str(path), blob.count(b"\n", 0, err.start) + 1,
+                              f"not UTF-8: {err.reason}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureRows:
     """Labelled sparse feature rows as arrays: row r has label ``labels[r]``
@@ -280,7 +290,7 @@ def load_interactions(path: str | Path) -> InteractionTable:
     timestamp (later line wins ties).
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     data = list(filter(None, map(str.strip, lines)))
     if not data:
         raise DataFormatError(str(path), None, "no interactions found")
@@ -349,7 +359,7 @@ def parse_libfm(path: str | Path) -> FeatureRows:
     labels: list[float] = []
     rows: list[list[tuple[int, float]]] = []
     n_features = 0
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue

@@ -44,11 +44,6 @@ Array = np.ndarray
 _ids = itertools.count()
 
 
-def _as_value(x) -> Array:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Node:
     """One tape entry: cached output plus enough context to backpropagate.
 
@@ -59,7 +54,7 @@ class Node:
     __slots__ = ("value", "op", "inputs", "attrs", "requires_grad", "grad", "name", "cache", "_id")
 
     def __init__(self, value, op=None, inputs=(), attrs=None, requires_grad=False, name=None):
-        self.value = _as_value(value)
+        self.value = np.asarray(value, dtype=np.float64)
         self.op = op
         self.inputs: tuple[Node, ...] = tuple(inputs)
         self.attrs = attrs or {}
@@ -79,32 +74,29 @@ class Node:
 
     # -- operator sugar; everything routes through forward() ------------
 
-    def _coerce(self, other) -> "Node":
-        return other if isinstance(other, Node) else const(other)
-
     def __add__(self, other):
-        return forward("add", [self, self._coerce(other)])
+        return forward("add", [self, other])
 
     def __radd__(self, other):
-        return forward("add", [self._coerce(other), self])
+        return forward("add", [other, self])
 
     def __sub__(self, other):
-        return forward("sub", [self, self._coerce(other)])
+        return forward("sub", [self, other])
 
     def __rsub__(self, other):
-        return forward("sub", [self._coerce(other), self])
+        return forward("sub", [other, self])
 
     def __mul__(self, other):
-        return forward("mul", [self, self._coerce(other)])
+        return forward("mul", [self, other])
 
     def __rmul__(self, other):
-        return forward("mul", [self._coerce(other), self])
+        return forward("mul", [other, self])
 
     def __neg__(self):
         return forward("mul", [const(-1.0), self])
 
     def __matmul__(self, other):
-        return forward("matmul", [self, self._coerce(other)])
+        return forward("matmul", [self, other])
 
     def sum(self, axis: int | None = None):
         return forward("sum", [self], axis=axis)

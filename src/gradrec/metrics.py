@@ -13,7 +13,7 @@ rank order and averages users in ascending id, left to right from 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -54,7 +54,7 @@ class MetricReport:
     protocol: str
     seed: int
     users: int
-    order: list[str] = field(default_factory=list)
+    order: list[str]
     drawn: tuple[int, float] | None = None  # min and median negatives, when some user drew < m
 
     def to_text(self) -> str:
@@ -62,8 +62,7 @@ class MetricReport:
         if self.drawn is not None:
             lines.append(f"negatives\tmin {self.drawn[0]}, median {self.drawn[1]:.1f}")
         lines += [f"seed\t{self.seed}", f"users\t{self.users}"]
-        names = self.order if self.order else sorted(self.values)
-        lines += [f"{name}\t{self.values[name]:.6f}" for name in names]
+        lines += [f"{name}\t{self.values[name]:.6f}" for name in self.order]
         return "\n".join(lines) + "\n"
 
 
@@ -113,17 +112,16 @@ def metric_order(cutoffs: list[int]) -> list[str]:
 
 
 def rank_candidates(users: np.ndarray, scores: np.ndarray, candidates: np.ndarray,
-                    relevant: np.ndarray) -> np.ndarray:
-    """1-based ranks, in row-major order, of the ``relevant`` (B, n_items)
-    mask's candidates among the ``candidates`` mask of their row of
-    ``scores``, the rows of ``users``: item i with score s ranks 1 + #{j:
-    s_j > s or s_j == s, j < i}, the (-score, item id) order. A non-finite
-    candidate score raises; other scores are never read."""
+                    rows: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """1-based ranks of the candidate pairs (``rows[k]``, ``items[k]``) among
+    the (B, n_items) ``candidates`` mask of their row of ``scores``, the rows
+    of ``users``: item i with score s ranks 1 + #{j: s_j > s or s_j == s,
+    j < i}, the (-score, item id) order. A non-finite candidate score
+    raises; other scores are never read."""
     bad = candidates & ~np.isfinite(scores)
     if bad.any():
         row, item = divmod(int(np.argmax(bad)), scores.shape[1])
         raise EvaluationError(f"non-finite score for user {users[row]}, item {item}")
-    rows, items = np.nonzero(relevant & candidates)
     ranks = np.empty(rows.size, dtype=np.int64)
     ids = np.arange(scores.shape[1])
     for lo in range(0, rows.size, BLOCK):
@@ -170,9 +168,10 @@ def evaluate_ranking(score_rows: ScoreRows, train: InteractionTable, test: Inter
                 rng = np.random.default_rng([protocol.seed, user])
                 drawn.append(min(protocol.m, stop - start))
                 candidates.flat[rng.choice(cells[start:stop], drawn[-1], replace=False)] = True
-        ranks = rank_candidates(block, score_rows(block), candidates, relevant)
-        per_user.append(ranking_metrics(block, np.nonzero(relevant & candidates)[0], ranks,
-                                        np.count_nonzero(relevant, axis=1), cutoffs))
+        rows, items = np.nonzero(relevant & candidates)
+        ranks = rank_candidates(block, score_rows(block), candidates, rows, items)
+        per_user.append(ranking_metrics(block, rows, ranks, np.count_nonzero(relevant, axis=1),
+                                        cutoffs))
     # cumsum adds the users' values left to right in ascending id
     values = {name: np.cumsum(np.concatenate([part[name] for part in per_user]))[-1].item()
               / users.size for name in per_user[0]}

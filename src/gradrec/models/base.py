@@ -99,28 +99,20 @@ class NegativeSampler:
         ranks = np.arange(pairs.size) - self._starts[users]
         self._keys = users * (n_items + 1) + items - ranks
 
-    def _exhausted(self, user) -> GradrecError:
-        return GradrecError(f"user {user} has consumed every item; nothing to sample")
-
-    def _free_items(self, users: Array, ranks: Array) -> Array:
-        """The ``ranks``-th unconsumed item of each of ``users`` (same shape)."""
-        keys = users * (self.n_items + 1) + ranks
-        return ranks + np.searchsorted(self._keys, keys, side="right") - self._starts[users]
-
     def draw(self, user: int, k: int, rng: np.random.Generator) -> Array:
-        size = self.free[user]
-        if size == 0:
-            raise self._exhausted(user)
-        return self._free_items(np.int64(user), rng.integers(0, size, size=k))
+        """k negatives for one user; shape (k,)."""
+        return self.draw_many(np.array([user]), k, rng)[0]
 
     def draw_many(self, users: Array, k: int, rng: np.random.Generator) -> Array:
         """One row of k negatives per user; shape (len(users), k)."""
         users = np.asarray(users, dtype=np.int64)
         sizes = self.free[users]
         if not sizes.all():
-            raise self._exhausted(int(users[np.argmin(sizes)]))
-        picks = rng.integers(0, sizes[:, None], size=(users.size, k))
-        return self._free_items(users[:, None], picks)
+            user = int(users[np.argmin(sizes)])
+            raise GradrecError(f"user {user} has consumed every item; nothing to sample")
+        ranks = rng.integers(0, sizes[:, None], size=(users.size, k))
+        keys = users[:, None] * (self.n_items + 1) + ranks
+        return ranks + np.searchsorted(self._keys, keys, side="right") - self._starts[users, None]
 
 
 def sq_dists(a: Array, b: Array) -> Array:
@@ -246,9 +238,12 @@ class Model:
     def build_loss(self, leaves: dict[str, E.Node], batch) -> E.Node:
         raise NotImplementedError
 
+    def project(self) -> None:
+        """Restore invariants an optimizer step may break; nothing by default."""
+
     def after_step(self) -> None:
-        """Restore invariants the optimizer step may break. Overrides call
-        this to drop the score cache."""
+        """:meth:`project`, then drop the score cache."""
+        self.project()
         self._row = None
 
     def const_leaves(self) -> dict[str, E.Node]:

@@ -127,10 +127,6 @@ class Cml(_SampledPairs):
         for name in self.trainable:
             self.params[name] = base.clip_rows_to_ball(self.params[name], 1.0)
 
-    def after_step(self) -> None:
-        self.project()
-        super().after_step()
-
     def score_matrix(self, users):
         return -base.sq_dists(self.params["user_points"][users], self.params["item_points"])
 
@@ -153,8 +149,6 @@ class NeuMf(_SampledPairs):
         if variant not in self.VARIANTS:
             raise GradrecError(f"unknown variant {variant!r}")
         if layers is None:
-            if k % 2 != 0 and variant in ("mlp", "neumf"):
-                raise GradrecError(f"embedding dim must be even for the MLP tower, got {k}")
             layers = [k, max(1, k // 2)]
         rng = np.random.default_rng(seed)
         self.variant = variant
@@ -199,20 +193,17 @@ class NeuMf(_SampledPairs):
             x = (E.matmul(x, leaves[f"mlp_w{n}"]) + leaves[f"mlp_b{n}"]).relu()
         return x
 
-    def logits(self, leaves, users: Array, items: Array, variant: str | None = None) -> E.Node:
-        variant = variant or self.variant
-        if variant == "gmf":
+    def logits(self, leaves, users: Array, items: Array) -> E.Node:
+        """The GMF head, the MLP head or, for neumf, the fusion of both parts."""
+        if self.variant != "mlp":
             prod = (E.embedding_lookup(leaves["gmf_user"], users)
                     * E.embedding_lookup(leaves["gmf_item"], items))
-            return E.matmul(prod, leaves["gmf_out"])
-        if variant == "mlp":
-            hidden = self._mlp_tower(leaves, users, items)
-            return E.matmul(hidden, leaves["mlp_out_w"]) + leaves["mlp_out_b"]
-        prod = (E.embedding_lookup(leaves["gmf_user"], users)
-                * E.embedding_lookup(leaves["gmf_item"], items))
+            if self.variant == "gmf":
+                return E.matmul(prod, leaves["gmf_out"])
         hidden = self._mlp_tower(leaves, users, items)
-        fused = E.concat([prod, hidden], axis=1)
-        return E.matmul(fused, leaves["fusion_w"]) + leaves["fusion_b"]
+        if self.variant == "mlp":
+            return E.matmul(hidden, leaves["mlp_out_w"]) + leaves["mlp_out_b"]
+        return E.matmul(E.concat([prod, hidden], axis=1), leaves["fusion_w"]) + leaves["fusion_b"]
 
     def build_loss(self, leaves, batch) -> E.Node:
         """``batch`` is (users, items, labels): positives and sampled

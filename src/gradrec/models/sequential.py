@@ -230,9 +230,8 @@ class Caser(_Windows):
         logits = self.pair_logits(leaves, zu, np.nonzero(real)[0], items[real])
         return (logits.softplus() - E.const(labels) * logits).sum() * (1.0 / labels.size)
 
-    def after_step(self) -> None:
+    def project(self) -> None:
         self.params["item_embed"][self.padding_id] = 0.0
-        super().after_step()
 
     def score_matrix(self, users):
         """The output layer over ``user_vectors`` of the users' latest windows."""
@@ -250,12 +249,10 @@ class AttRec(_Windows):
     required = ("k", "L", "omega", "margin", "clip_rho")
 
     def __init__(self, n_users: int, n_items: int, d: int, window: int,
-                 k_lt: int | None = None, omega: float = 0.5, margin: float = 0.5,
-                 clip_rho: float = 1.0, seed: int = 0):
+                 omega: float = 0.5, margin: float = 0.5, clip_rho: float = 1.0, seed: int = 0):
         if not 0.0 <= omega <= 1.0:
             raise GradrecError(f"omega must be in [0, 1], got {omega}")
         rng = np.random.default_rng(seed)
-        k_lt = k_lt if k_lt is not None else d
         self.window = window
         self.omega = omega
         self.margin = margin
@@ -264,8 +261,8 @@ class AttRec(_Windows):
             "att_item": base.init_normal(rng, n_items + 1, d),
             "w_query": base.init_normal(rng, d, d),
             "w_key": base.init_normal(rng, d, d),
-            "lt_user": base.init_normal(rng, n_users, k_lt),
-            "lt_item": base.init_normal(rng, n_items, k_lt),
+            "lt_user": base.init_normal(rng, n_users, d),
+            "lt_item": base.init_normal(rng, n_items, d),
         }
         self.params["att_item"][n_items] = 0.0
 
@@ -312,10 +309,6 @@ class AttRec(_Windows):
         for name in ("att_item", "lt_user", "lt_item"):
             self.params[name] = base.clip_rows_to_ball(self.params[name], self.clip_rho)
         self.params["att_item"][self.padding_id] = 0.0
-
-    def after_step(self) -> None:
-        self.project()
-        super().after_step()
 
     def score_matrix(self, users):
         """Negated blend of the user's and its latest intent's distances to every item."""

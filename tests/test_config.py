@@ -106,6 +106,13 @@ class TestParseValid:
         assert cfg.text == BASE
 
 
+def test_undecodable_config_is_a_config_error(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_bytes(BASE.encode() + b"# \xff\n")
+    with pytest.raises(ConfigError, match=f"c.ini:{BASE.count(chr(10)) + 1}: not UTF-8"):
+        cfgmod.load_config(path)
+
+
 class TestValidationErrors:
     def test_unknown_model_key_rejected(self):
         bad = BASE.replace("k = 8", "k = 8\nmargin = 0.5")

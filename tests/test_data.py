@@ -96,6 +96,33 @@ class TestLoadInteractions:
         assert again.user_ids == table.user_ids
 
 
+@pytest.mark.parametrize("parse, blob, line_no", [
+    (data.load_interactions, b"u1\ti1\t5\t1\r\nu2\t\xffi2\t4\t2\r\n", 2),
+    (data.parse_libfm, b"5 0:1\n\n4 \xff1:1\n", 3),
+])
+def test_undecodable_byte_is_a_format_error_at_its_line(tmp_path, parse, blob, line_no):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match="not UTF-8") as err:
+        parse(path)
+    assert err.value.path == str(path) and err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_line_endings_parse_alike(tmp_path, ending):
+    text = "u1\ti1\t5\t3\n\nu2\ti1\t4\t1\nu1\ti2\t2\t2\n"
+    want = data.load_interactions(write(tmp_path, text))
+    path = tmp_path / "other.txt"
+    path.write_bytes(text.replace("\n", ending).encode())
+    got = data.load_interactions(path)
+    for column in data.TABLE_COLUMNS:
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column
+    path.write_bytes(text.replace("\t2\t2", "\tx\t2").replace("\n", ending).encode())
+    with pytest.raises(DataFormatError, match="bad rating") as err:
+        data.load_interactions(path)
+    assert err.value.line_no == 4
+
+
 class TestParseLibfm:
     def test_basic_row(self, tmp_path):
         rows = data.parse_libfm(write(tmp_path, "5 0:1 3:2.5\n"))

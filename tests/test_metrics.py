@@ -230,7 +230,7 @@ def ranked_by(scores, candidates, user=0):
     row[0, list(scores)] = list(scores.values())
     mask = np.zeros((1, n), dtype=bool)
     mask[0, candidates] = True
-    ranks = metrics.rank_candidates(np.array([user]), row, mask, mask)
+    ranks = metrics.rank_candidates(np.array([user]), row, mask, *np.nonzero(mask))
     return [item for _, item in sorted(zip(ranks.tolist(), sorted(candidates)))]
 
 
@@ -244,6 +244,24 @@ class TestRankCandidates:
         with pytest.raises(EvaluationError) as err:
             ranked_by({1: float("nan")}, [1], user=4)
         assert "user 4" in str(err.value)
+
+    def test_ranks_exactly_the_pairs_given_in_their_order(self):
+        rng = np.random.default_rng(21)
+        scores = np.round(rng.normal(size=(5, 40)), 1)  # rounded, so some scores tie
+        candidates = rng.random((5, 40)) < 0.7
+        want = {}
+        for row in range(5):
+            ranked = reference_rank_candidates(lambda _, i: scores[row, i], row,
+                                               np.flatnonzero(candidates[row]).tolist())
+            want.update({(row, item): rank for rank, item in enumerate(ranked, start=1)})
+        rows, items = np.nonzero(candidates)
+        assert rows.size > metrics.BLOCK
+        shuffled = rng.permutation(rows.size)
+        for pick in (shuffled, shuffled[:rows.size // 3], shuffled[:0]):
+            got = metrics.rank_candidates(np.arange(5), scores, candidates,
+                                          rows[pick], items[pick])
+            assert got.tolist() == [want[pair] for pair in zip(rows[pick].tolist(),
+                                                               items[pick].tolist())]
 
 
 class TestEvaluateRanking:
@@ -336,10 +354,10 @@ class TestEvaluateRanking:
         seen = {}
         real_rank = metrics.rank_candidates
 
-        def spy(users, scores, candidates, relevant):
+        def spy(users, scores, candidates, rows, items):
             for user, row in zip(users.tolist(), candidates):
                 seen.setdefault(user, []).extend(np.flatnonzero(row).tolist())
-            return real_rank(users, scores, candidates, relevant)
+            return real_rank(users, scores, candidates, rows, items)
 
         monkeypatch.setattr(metrics, "rank_candidates", spy)
         metrics.evaluate_ranking(score_rows(lambda u, i: float(i), 6), train, test,
@@ -348,6 +366,27 @@ class TestEvaluateRanking:
         for u, items in seen.items():
             assert not (set(items) & train_items.get(u, set()))
             assert len(items) == len(set(items))
+
+
+    def test_rank_and_reduce_read_one_pair_list(self, monkeypatch):
+        train, test = self.make_tables()
+        handed = {"rank": [], "reduce": []}
+        real_rank, real_reduce = metrics.rank_candidates, metrics.ranking_metrics
+
+        def rank_spy(users, scores, candidates, rows, items):
+            handed["rank"].append(rows)
+            return real_rank(users, scores, candidates, rows, items)
+
+        def reduce_spy(users, rows, ranks, n_relevant, cutoffs):
+            handed["reduce"].append(rows)
+            return real_reduce(users, rows, ranks, n_relevant, cutoffs)
+
+        monkeypatch.setattr(metrics, "rank_candidates", rank_spy)
+        monkeypatch.setattr(metrics, "ranking_metrics", reduce_spy)
+        metrics.evaluate_ranking(score_rows(lambda u, i: float(i), 6), train, test,
+                                 metrics.SampledRanking(m=2, seed=3), [2])
+        assert len(handed["rank"]) == len(handed["reduce"]) == 1
+        assert handed["rank"][0] is handed["reduce"][0]
 
 
 def dense_tables(n_users, n_items, train_pairs, test_pairs):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradrec import config as cfgmod
 from gradrec import data, engine as E, metrics, synthetic
 from gradrec.errors import GradrecError
 from gradrec.models import train
@@ -10,6 +11,7 @@ from gradrec.models.baselines import PopularityRanker
 from gradrec.models.ranking import BprMf, Cdae, Cml, NeuMf
 
 from conftest import consumed, score_rows
+from test_acceptance import model_config_text
 
 
 def loss_value(model, batch):
@@ -206,6 +208,16 @@ class TestCmlFit:
 
 
 class TestNeuMfScores:
+    def test_odd_k_builds_the_tower_the_config_path_builds(self, implicit_file):
+        cfg = cfgmod.parse_config(model_config_text("mlp", implicit_file).replace("k = 8",
+                                                                                 "k = 5"))
+        table = synthetic.clustered_implicit(seed=3)
+        direct = NeuMf(table.n_users, table.n_items, k=5, variant="mlp", seed=cfg.train.seed)
+        configured = NeuMf.create(cfg, {"train": table})
+        assert direct.layers == configured.layers == [5, 2]
+        assert [v.shape for v in direct.params.values()] == \
+            [v.shape for v in configured.params.values()]
+
     def test_gmf_with_unit_output_is_sigmoid_mf(self):
         model = NeuMf(3, 4, k=4, variant="gmf", seed=1)
         model.params["gmf_out"][:] = 1.0

@@ -420,6 +420,35 @@ class TestCliWorkflows:
         assert captured.out == ""
         assert f"recommend needs n >= 1, got {n}" in captured.err
 
+    def test_undecodable_data_file_exits_2_naming_the_line(self, tmp_path, capsys):
+        source = tmp_path / "bad.txt"
+        source.write_bytes(b"u1\ti1\t5\t1\nu2\t\xffi2\t4\t2\n")
+        cfg_path = self.write(tmp_path, "c.ini", rating_config(source))
+        code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x.drec")])
+        assert code == 2
+        assert f"{source}:2: not UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_1(self, ratings_file, tmp_path, capsys):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_bytes(rating_config(ratings_file).encode() + b"# \xff\n")
+        code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x.drec")])
+        assert code == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        code = cli.main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "x.drec")])
+        assert code == 2
+        assert f"error: {tmp_path}: Is a directory" in capsys.readouterr().err
+
+    def test_out_directory_exits_2_and_leaves_no_temporary(self, ratings_file, tmp_path,
+                                                           capsys):
+        cfg_path = self.write(tmp_path, "c.ini", rating_config(ratings_file))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: {out}: Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "out.tmp").exists() and not any(out.iterdir())
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.drec"
         bad.write_bytes(b"XXXX" + b"\x00" * 16)
