@@ -87,8 +87,10 @@ def save_checkpoint(path: str | Path, model_name: str, config_text: str,
                 crc = zlib.crc32(chunk, crc)
             fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         tmp.unlink(missing_ok=True)
+        if isinstance(err, OSError) and err.filename == str(tmp):
+            err.filename = str(path)  # name the file the caller asked for, not its temporary
         raise
 
 

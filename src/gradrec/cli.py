@@ -106,8 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as err:
         print(f"error: file not found: {err.filename}", file=sys.stderr)
         return 2
-    except OSError as err:  # os.replace names the destination second
-        print(f"error: {err.filename2 or err.filename}: {err.strerror}", file=sys.stderr)
+    except OSError as err:  # os.replace names the destination second; a broken pipe names none
+        where = err.filename2 or err.filename
+        print(f"error: {where}: {err.strerror}" if where else f"error: {err}", file=sys.stderr)
         return 2
     except GradrecError as err:
         print(f"error: {err}", file=sys.stderr)

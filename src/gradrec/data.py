@@ -152,8 +152,8 @@ def read_text(path: Path) -> str:
     try:
         return blob.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise DataFormatError(str(path), blob.count(b"\n", 0, err.start) + 1,
-                              f"not UTF-8: {err.reason}") from None
+        line_no = len((blob[:err.start].decode("utf-8") + "x").splitlines())  # as the parsers count
+        raise DataFormatError(str(path), line_no, f"not UTF-8: {err.reason}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,6 +98,7 @@ class TestLoadInteractions:
 
 @pytest.mark.parametrize("parse, blob, line_no", [
     (data.load_interactions, b"u1\ti1\t5\t1\r\nu2\t\xffi2\t4\t2\r\n", 2),
+    (data.load_interactions, b"u1\ti1\t5\t1\ru2\ti2\t4\t2\ru3\t\xffi2\t4\t3\r", 3),
     (data.parse_libfm, b"5 0:1\n\n4 \xff1:1\n", 3),
 ])
 def test_undecodable_byte_is_a_format_error_at_its_line(tmp_path, parse, blob, line_no):

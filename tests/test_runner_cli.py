@@ -449,6 +449,21 @@ class TestCliWorkflows:
         assert f"error: {out}: Is a directory" in capsys.readouterr().err
         assert not (tmp_path / "out.tmp").exists() and not any(out.iterdir())
 
+    def test_out_in_missing_directory_names_the_out_path(self, ratings_file, tmp_path,
+                                                         capsys):
+        cfg_path = self.write(tmp_path, "c.ini", rating_config(ratings_file))
+        out = tmp_path / "missing" / "x.drec"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: file not found: {out}"
+
+    def test_os_error_without_a_file_exits_2(self, monkeypatch, capsys):
+        def broken_pipe(args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setitem(cli.COMMANDS, "recommend", broken_pipe)
+        assert cli.main(["recommend", "--ckpt", "x.drec", "--user", "u0", "--n", "1"]) == 2
+        assert capsys.readouterr().err.strip() == "error: [Errno 32] Broken pipe"
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.drec"
         bad.write_bytes(b"XXXX" + b"\x00" * 16)
