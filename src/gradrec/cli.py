@@ -8,8 +8,9 @@ cannot be read or written, corrupt checkpoint, divergence).
 from __future__ import annotations
 
 import argparse
-import functools
+import gc
 import sys
+from functools import cache
 
 from gradrec import config as cfgmod
 from gradrec import data as datamod
@@ -24,7 +25,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@functools.cache  # parse_args keeps no state in the parser
+@cache  # parse_args keeps no state in the parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="gradrec",
                      description="Config-driven recommender experiments")
@@ -98,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
+    collecting = gc.isenabled()
+    gc.disable()  # a command's few cycles are collected after it, not mid-command
     try:
         return COMMANDS[args.command](args)
     except ConfigError as err:
@@ -113,6 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     except GradrecError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

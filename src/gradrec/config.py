@@ -109,7 +109,7 @@ class DataConfig:
     format: str
     split: SplitSpec
     seed: int
-    binarize_threshold: float | None = None
+    binarize_threshold: float | None = None  # None only where no binarizing applies
 
 
 @dataclass
@@ -288,13 +288,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if issues:
         raise ConfigError(issues)
+    if task in ("ranking", "sequential") and threshold is None:
+        data["binarize_threshold"] = DEFAULT_BINARIZE_THRESHOLD
     return ExperimentConfig(data=DataConfig(**{**data, "split": split}),
                             model=model_cfg, train=TrainConfig(**train),
                             eval=None if evaluation is None else EvalConfig(**evaluation),
                             text=text)
 
-
-def binarize_threshold_for(cfg: ExperimentConfig) -> float:
-    if cfg.data.binarize_threshold is not None:
-        return cfg.data.binarize_threshold
-    return DEFAULT_BINARIZE_THRESHOLD

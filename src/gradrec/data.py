@@ -146,13 +146,20 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``: unlike ``str.splitlines``, only \\n, \\r\\n and \\r end one."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def read_text(path: Path) -> str:
     """A file's text; a byte that is not UTF-8 raises :class:`DataFormatError` at its line."""
     blob = path.read_bytes()
     try:
         return blob.decode("utf-8")
     except UnicodeDecodeError as err:
-        line_no = len((blob[:err.start].decode("utf-8") + "x").splitlines())  # as the parsers count
+        line_no = len(_split_lines(blob[:err.start].decode("utf-8")))  # as the parsers count
         raise DataFormatError(str(path), line_no, f"not UTF-8: {err.reason}") from None
 
 
@@ -290,7 +297,7 @@ def load_interactions(path: str | Path) -> InteractionTable:
     timestamp (later line wins ties).
     """
     path = Path(path)
-    lines = read_text(path).splitlines()
+    lines = _split_lines(read_text(path))
     data = list(filter(None, map(str.strip, lines)))
     if not data:
         raise DataFormatError(str(path), None, "no interactions found")
@@ -359,7 +366,7 @@ def parse_libfm(path: str | Path) -> FeatureRows:
     labels: list[float] = []
     rows: list[list[tuple[int, float]]] = []
     n_features = 0
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+    for line_no, raw in enumerate(_split_lines(read_text(path)), start=1):
         tokens = raw.split()
         if not tokens:
             continue

@@ -51,7 +51,7 @@ class Node:
     them. ``value`` is treated as immutable once the node exists.
     """
 
-    __slots__ = ("value", "op", "inputs", "attrs", "requires_grad", "grad", "name", "cache", "_id")
+    __slots__ = ("value", "op", "inputs", "attrs", "requires_grad", "grad", "name", "_id")
 
     def __init__(self, value, op=None, inputs=(), attrs=None, requires_grad=False, name=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -61,7 +61,6 @@ class Node:
         self.requires_grad = requires_grad
         self.grad: Array | None = None
         self.name = name
-        self.cache: dict = {}
         self._id = next(_ids)
 
     @property
@@ -135,7 +134,7 @@ def const(value, name: str | None = None) -> Node:
 # op registry
 # ---------------------------------------------------------------------------
 
-# forward: (values, attrs, cache) -> output array
+# forward: (values, attrs) -> output array; it may add to attrs what the vjp reads
 # vjp:     (node, upstream grad) -> per-input gradient list (None = no flow)
 _FORWARD: dict[str, Callable] = {}
 _VJP: dict[str, Callable] = {}
@@ -166,17 +165,14 @@ def forward(op_kind: str, inputs: Iterable, **attrs) -> Node:
     if fn is None:
         raise UnknownOpError(op_kind)
     nodes = [x if isinstance(x, Node) else const(x) for x in inputs]
-    cache: dict = {}
-    value = fn([n.value for n in nodes], attrs, cache)
-    out = Node(
+    value = fn([n.value for n in nodes], attrs)
+    return Node(
         value,
         op=op_kind,
         inputs=nodes,
         attrs=attrs,
         requires_grad=any(n.requires_grad for n in nodes),
     )
-    out.cache = cache
-    return out
 
 
 def backward(loss: Node, wrt: Iterable[Node] | None = None) -> dict[Node, Array]:
@@ -263,7 +259,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 @_op("add")
-def _add(values, attrs, cache):
+def _add(values, attrs):
     a, b = values
     _binary_shapes("add", a, b)
     return a + b
@@ -276,7 +272,7 @@ def _add_vjp(node, g):
 
 
 @_op("sub")
-def _sub(values, attrs, cache):
+def _sub(values, attrs):
     a, b = values
     _binary_shapes("sub", a, b)
     return a - b
@@ -289,7 +285,7 @@ def _sub_vjp(node, g):
 
 
 @_op("mul")
-def _mul(values, attrs, cache):
+def _mul(values, attrs):
     a, b = values
     _binary_shapes("mul", a, b)
     return a * b
@@ -302,7 +298,7 @@ def _mul_vjp(node, g):
 
 
 @_op("sum")
-def _sum(values, attrs, cache):
+def _sum(values, attrs):
     (x,) = values
     axis = attrs.get("axis")
     if axis is not None:
@@ -320,7 +316,7 @@ def _sum_vjp(node, g):
 
 
 @_op("mean")
-def _mean(values, attrs, cache):
+def _mean(values, attrs):
     (x,) = values
     axis = attrs.get("axis")
     if axis is not None:
@@ -338,7 +334,7 @@ def _mean_vjp(node, g):
 
 
 @_op("sigmoid")
-def _sigmoid(values, attrs, cache):
+def _sigmoid(values, attrs):
     (x,) = values
     # exp(-softplus(-x)) is stable on both tails.
     return np.exp(-np.logaddexp(0.0, -x))
@@ -351,7 +347,7 @@ def _sigmoid_vjp(node, g):
 
 
 @_op("relu")
-def _relu(values, attrs, cache):
+def _relu(values, attrs):
     return np.maximum(values[0], 0.0)
 
 
@@ -361,7 +357,7 @@ def _relu_vjp(node, g):
 
 
 @_op("softplus")
-def _softplus(values, attrs, cache):
+def _softplus(values, attrs):
     return np.logaddexp(0.0, values[0])
 
 
@@ -372,7 +368,7 @@ def _softplus_vjp(node, g):
 
 
 @_op("softmax_rows")
-def _softmax_rows(values, attrs, cache):
+def _softmax_rows(values, attrs):
     (x,) = values
     _check(x.ndim in (2, 3), "softmax_rows", "a rank-2 or rank-3 input", x.shape)
     shifted = x - x.max(axis=-1, keepdims=True)
@@ -397,7 +393,7 @@ _MATMUL_FORMS = {(2, 2): "(m,n) @ (n,p)", (2, 1): "(m,n) @ (n,)", (1, 2): "(n,) 
 
 
 @_op("matmul")
-def _matmul(values, attrs, cache):
+def _matmul(values, attrs):
     a, b = values
     form = _MATMUL_FORMS.get((a.ndim, b.ndim))
     if form is None:
@@ -424,7 +420,7 @@ def _matmul_vjp(node, g):
 
 
 @_op("transpose")
-def _transpose(values, attrs, cache):
+def _transpose(values, attrs):
     (x,) = values
     _check(x.ndim in (2, 3), "transpose", "a rank-2 or rank-3 input", x.shape)
     return np.swapaxes(x, -1, -2)
@@ -436,7 +432,7 @@ def _transpose_vjp(node, g):
 
 
 @_op("reshape")
-def _reshape(values, attrs, cache):
+def _reshape(values, attrs):
     (x,) = values
     shape = attrs["shape"]
     _check(int(np.prod(shape, dtype=np.int64)) == x.size, "reshape",
@@ -450,7 +446,7 @@ def _reshape_vjp(node, g):
 
 
 @_op("concat")
-def _concat(values, attrs, cache):
+def _concat(values, attrs):
     ranks = {v.ndim for v in values}
     _check(len(values) >= 1 and len(ranks) == 1, "concat", "inputs of equal rank",
            [v.shape for v in values])
@@ -480,23 +476,22 @@ def _concat_vjp(node, g):
 
 
 @_op("embedding_lookup")
-def _embedding_lookup(values, attrs, cache):
+def _embedding_lookup(values, attrs):
     (table,) = values
-    indices = np.asarray(attrs["indices"], dtype=np.int64)
+    indices = attrs["indices"] = np.asarray(attrs["indices"], dtype=np.int64)
     _check(table.ndim in (1, 2), "embedding_lookup", "a rank-1 or rank-2 table", table.shape)
     _check(indices.ndim == 1, "embedding_lookup", "a flat index list", indices.shape)
     if indices.size:
         lo, hi = indices.min(), indices.max()
         _check(lo >= 0 and hi < table.shape[0], "embedding_lookup",
                f"indices in [0, {table.shape[0]})", f"[{lo}, {hi}]")
-    cache["indices"] = indices
     return table[indices]
 
 
 @_vjp("embedding_lookup")
 def _embedding_lookup_vjp(node, g):
     table = node.inputs[0].value
-    bins = node.cache["indices"]
+    bins = node.attrs["indices"]
     if table.ndim == 2:
         k = table.shape[1]
         bins = (bins[:, None] * k + np.arange(k)).ravel()
@@ -516,7 +511,7 @@ def _conv_windows(x: Array, h: int) -> Array:
 
 
 @_op("conv_h")
-def _conv_h(values, attrs, cache):
+def _conv_h(values, attrs):
     # Full-width 1-D convolution: input (L, d) or a batch (B, L, d) and
     # filters (n_f, h, d). Valid positions only: output is (L - h + 1, n_f),
     # or (B, L - h + 1, n_f). A per-filter bias (n_f,) adds to it directly.
@@ -545,23 +540,23 @@ def _conv_h_vjp(node, g):
 
 
 @_op("max_over_time")
-def _max_over_time(values, attrs, cache):
+def _max_over_time(values, attrs):
     (x,) = values
     _check(x.ndim in (2, 3) and x.shape[-2] >= 1, "max_over_time",
            "a non-empty (T, n) or (B, T, n) input", x.shape)
-    cache["argmax"] = np.expand_dims(x.argmax(axis=-2), -2)
+    attrs["argmax"] = np.expand_dims(x.argmax(axis=-2), -2)
     return x.max(axis=-2)
 
 
 @_vjp("max_over_time")
 def _max_over_time_vjp(node, g):
     grad = np.zeros_like(node.inputs[0].value)
-    np.put_along_axis(grad, node.cache["argmax"], np.expand_dims(g, -2), axis=-2)
+    np.put_along_axis(grad, node.attrs["argmax"], np.expand_dims(g, -2), axis=-2)
     return [grad]
 
 
 @_op("sq_l2_dist")
-def _sq_l2_dist(values, attrs, cache):
+def _sq_l2_dist(values, attrs):
     a, b = values
     _check(a.shape == b.shape and a.ndim in (1, 2), "sq_l2_dist",
            "two vectors or two row-batches of equal shape", f"{a.shape} vs {b.shape}")

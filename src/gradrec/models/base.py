@@ -49,24 +49,23 @@ def bce_from_logits(logits: E.Node, labels: Array) -> E.Node:
     return (logits.softplus() - y * logits).mean()
 
 
-def gradient_step(params: dict[str, Array], trainable, build_loss, optimizer,
+def gradient_step(params: dict[str, Array], build_loss, optimizer,
                   epoch: int, step: int) -> float:
-    """One tape build / backward / optimizer step over the named subset.
+    """One tape build / backward / optimizer step.
 
-    ``build_loss`` receives fresh leaves bound to the current parameter
-    arrays; ``params`` is updated in place with the stepped arrays. The
-    loss value is returned for tracing; a non-finite one raises
-    :class:`TrainingDivergedError` before any parameter changes.
+    ``build_loss`` receives a fresh leaf for every parameter; the optimizer
+    steps those the loss reaches, in ``params`` order, and ``params`` takes
+    the stepped arrays in place. The loss value is returned for tracing; a
+    non-finite one raises :class:`TrainingDivergedError` before any parameter changes.
     """
-    leaves = {name: E.param(params[name], name) for name in trainable}
+    leaves = {name: E.param(value, name) for name, value in params.items()}
     loss = build_loss(leaves)
     value = float(loss.value)
     if not np.isfinite(value):
         raise TrainingDivergedError(epoch, step, value)
-    grads = E.backward(loss, wrt=leaves.values())
-    stepped = optimizer.step({n: params[n] for n in trainable},
-                             {n: grads[leaves[n]] for n in trainable})
-    params.update(stepped)
+    reached = E.backward(loss)
+    grads = {name: reached[leaf] for name, leaf in leaves.items() if leaf in reached}
+    params.update(optimizer.step({n: params[n] for n in grads}, grads))
     return value
 
 
@@ -173,12 +172,6 @@ class Model:
     test_table: InteractionTable | None = None  # the same bundle's test split
     _row: tuple[int, Array] | None = None  # (user, score_matrix row) behind score
 
-    @property
-    def trainable(self) -> tuple[str, ...]:
-        """The tensors the optimizer steps: all of them unless a model
-        narrows the set."""
-        return tuple(self.params)
-
     @classmethod
     def settings(cls, cfg: ExperimentConfig) -> dict[str, Any]:
         """Constructor arguments other than sizes and seed. The model
@@ -192,11 +185,14 @@ class Model:
         return []
 
     @classmethod
+    def for_table(cls, table: InteractionTable, k: int, *, seed: int, **settings) -> "Model":
+        """A fresh model sized for ``table``."""
+        return cls(table.n_users, table.n_items, k, **settings, seed=seed)
+
+    @classmethod
     def create(cls, cfg: ExperimentConfig, data: dict) -> "Model":
         """A fresh model sized for the training data in the bundle."""
-        train = data["train"]
-        return cls(train.n_users, train.n_items, cfg.model.k, **cls.settings(cfg),
-                   seed=cfg.train.seed)
+        return cls.for_table(data["train"], cfg.model.k, seed=cfg.train.seed, **cls.settings(cfg))
 
     @classmethod
     def restore(cls, params: dict[str, Array], cfg: ExperimentConfig) -> "Model":
@@ -294,8 +290,7 @@ def train(model: Model, data: dict, optimizer, epochs: int, batch_size: int | No
         total, seen = 0.0, 0
         for size, batch in model.batches(epoch, rng):
             # looked up at call time, so a wrapped gradient_step sees every step
-            value = gradient_step(model.params, model.trainable,
-                                  lambda leaves: model.build_loss(leaves, batch),
+            value = gradient_step(model.params, lambda leaves: model.build_loss(leaves, batch),
                                   optimizer, epoch, step)
             model.after_step()
             if on_step is not None:

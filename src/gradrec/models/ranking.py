@@ -124,7 +124,7 @@ class Cml(_SampledPairs):
         return (self.margin + d_pos - d_neg).relu().sum() * (1.0 / n_pos)
 
     def project(self) -> None:
-        for name in self.trainable:
+        for name in ("user_points", "item_points"):
             self.params[name] = base.clip_rows_to_ball(self.params[name], 1.0)
 
     def score_matrix(self, users):
@@ -139,10 +139,6 @@ class NeuMf(_SampledPairs):
     VARIANTS = names = ("gmf", "mlp", "neumf")
     defaults = {"layers": None}  # derived from k: [k, k // 2]
     neg_samples = 4
-    # the parameter-name prefixes each variant's graph reaches
-    REACHES = {"gmf": ("gmf_",), "mlp": ("mlp_",),
-               "neumf": ("gmf_user", "gmf_item", "mlp_w", "mlp_b", "mlp_user", "mlp_item",
-                         "fusion_")}
 
     def __init__(self, n_users: int, n_items: int, k: int, variant: str = "neumf",
                  layers: list[int] | None = None, seed: int = 0):
@@ -169,10 +165,6 @@ class NeuMf(_SampledPairs):
         self.params["fusion_w"] = base.init_layer(rng, k + self.layers[-1],
                                                   k + self.layers[-1])
         self.params["fusion_b"] = np.asarray(0.0)
-
-    @property
-    def trainable(self) -> tuple[str, ...]:
-        return tuple(name for name in self.params if name.startswith(self.REACHES[self.variant]))
 
     @classmethod
     def settings(cls, cfg) -> dict:

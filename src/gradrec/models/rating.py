@@ -22,7 +22,6 @@ class BiasedSvd(base.Model):
 
     names = ("biasedsvd",)
     task = "rating"
-    trainable = ("user_bias", "item_bias", "user_factors", "item_factors")
 
     def __init__(self, n_users: int, n_items: int, k: int, l2: float = 0.0,
                  global_mean: float = 0.0, rating_range: tuple[float, float] = (1.0, 5.0),
@@ -49,10 +48,6 @@ class BiasedSvd(base.Model):
     @classmethod
     def settings(cls, cfg) -> dict:
         return {"l2": cfg.train.l2}
-
-    @classmethod
-    def create(cls, cfg, data) -> "BiasedSvd":
-        return cls.for_table(data["train"], cfg.model.k, seed=cfg.train.seed, **cls.settings(cfg))
 
     def build_loss(self, leaves: dict[str, E.Node], batch) -> E.Node:
         """``batch`` is (users, items, ratings), one entry per rating."""
@@ -94,7 +89,6 @@ class FactorizationMachine(base.Model):
 
     names = ("fm",)
     task = "rating"
-    trainable = ("intercept", "linear", "factors")
     n_users: int | None = None  # set by serve from uirt data; libfm rows have no users
 
     def __init__(self, n_features: int, k: int, l2: float = 0.0,
@@ -190,7 +184,6 @@ class ItemAutoRec(base.Model):
 
     names = ("autorec",)
     task = "rating"
-    trainable = ("encoder_w", "encoder_b", "decoder_w", "decoder_b")
 
     def __init__(self, n_users: int, n_items: int, hidden: int, l2: float = 0.0,
                  rating_range: tuple[float, float] = (1.0, 5.0), seed: int = 0):
@@ -215,10 +208,6 @@ class ItemAutoRec(base.Model):
     @classmethod
     def settings(cls, cfg) -> dict:
         return {"l2": cfg.train.l2}
-
-    @classmethod
-    def create(cls, cfg, data) -> "ItemAutoRec":
-        return cls.for_table(data["train"], cfg.model.k, seed=cfg.train.seed, **cls.settings(cfg))
 
     @property
     def n_users(self) -> int:

@@ -44,7 +44,7 @@ def prepare_data(cfg: ExperimentConfig):
         return {"task": "rating", "train_rows": rows.take(~held), "test_rows": rows.take(held)}
     table = datamod.load_interactions(cfg.data.path)
     if task in ("ranking", "sequential"):
-        table = datamod.binarize(table, cfgmod.binarize_threshold_for(cfg))
+        table = datamod.binarize(table, cfg.data.binarize_threshold)
         if len(table) == 0:
             raise GradrecError("no interactions left after binarization; "
                                "lower data.binarize_threshold")
@@ -104,7 +104,7 @@ def write_report(path: str | Path, report: metricsmod.MetricReport) -> None:
 
 def _split_inputs(cfg: ExperimentConfig) -> tuple:
     """What ``prepare_data`` reads of ``[data]`` besides the file's bytes."""
-    return cfg.data.format, cfg.data.split, cfgmod.binarize_threshold_for(cfg)
+    return cfg.data.format, cfg.data.split, cfg.data.binarize_threshold
 
 
 def load_model(checkpoint_path: str | Path, override_cfg: ExperimentConfig | None = None):

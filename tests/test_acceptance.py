@@ -66,28 +66,28 @@ def gradient_cases():
     svd = BiasedSvd.for_table(table, k=4, l2=0.01, seed=2)
     users, items, ratings = table.users[:16], table.items[:16], table.ratings[:16]
     cases.append(("biasedsvd", lambda lv: svd.build_loss(lv, (users, items, ratings)),
-                  {n: svd.params[n] for n in svd.trainable}))
+                  svd.params))
 
     ks = np.arange(10)
     rows = datamod.FeatureRows((ks % 3).astype(float), np.stack([ks % 5, 5 + ks % 3], axis=1),
                                np.tile([1.0, 0.5], (10, 1)), 8)
     fm = FactorizationMachine(8, 4, l2=0.01, seed=3)
     cases.append(("fm", lambda lv: fm.build_loss(lv, rows),
-                  {n: fm.params[n] for n in fm.trainable}))
+                  fm.params))
 
     ar_table, _ = synthetic.planted_factor_ratings(5, 4, rank=2, density=0.8, seed=4)
     autorec = ItemAutoRec.for_table(ar_table, hidden=4, l2=0.02, seed=5)
     autorec.load_columns(ar_table)
     ar_items = np.arange(ar_table.n_items)
     cases.append(("autorec", lambda lv: autorec.build_loss(lv, ar_items),
-                  {n: autorec.params[n] for n in autorec.trainable}))
+                  autorec.params))
 
     bpr = BprMf(5, 8, k=4, l2=0.02, seed=6)
     bu = np.array([0, 1, 2, 3, 4, 0, 1, 2])
     bi = np.array([0, 1, 2, 3, 4, 5, 6, 7])
     bj = np.array([7, 6, 5, 4, 3, 2, 1, 0])
     cases.append(("bpr", lambda lv: bpr.build_loss(lv, (bu, bi, bj)),
-                  {n: bpr.params[n] for n in bpr.trainable}))
+                  bpr.params))
 
     cml = Cml(4, 6, k=3, margin=0.4, seed=7)
     rng = np.random.default_rng(8)
@@ -97,7 +97,7 @@ def gradient_cases():
     ci = np.array([0, 1, 2, 3])
     cj = np.array([4, 5, 4, 5])
     cases.append(("cml", lambda lv: cml.build_loss(lv, (cu, ci, cj)),
-                  {n: cml.params[n] for n in cml.trainable}))
+                  cml.params))
 
     nu = np.array([0, 1, 2, 0])
     ni = np.array([1, 2, 3, 4])
@@ -106,14 +106,14 @@ def gradient_cases():
         net = scaled_params(NeuMf(3, 5, k=4, variant=variant, seed=9), seed=10)
         cases.append((f"neumf[{variant}]",
                       lambda lv, net=net: net.build_loss(lv, (nu, ni, ny)),
-                      {n: net.params[n] for n in net.trainable}))
+                      net.params))
 
     cdae = Cdae(3, 6, hidden=3, corruption=0.0, seed=11)
     corrupted = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     targets = np.array([0, 2, 4, 1, 5])
     labels = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
     cases.append(("cdae", lambda lv: cdae.build_loss(lv, (1, corrupted, targets, labels)),
-                  {n: cdae.params[n] for n in cdae.trainable}))
+                  cdae.params))
 
     prme = scaled_params(Prme(3, 5, k=3, alpha=0.4, l2=0.01, seed=12), seed=13)
     pu = np.array([0, 1, 2])
@@ -122,7 +122,7 @@ def gradient_cases():
     pj = np.array([4, 0, 4])
     prme_batch = (pu, pp[:, None], pi[:, None], pj[:, None])
     cases.append(("prme", lambda lv: prme.build_loss(lv, prme_batch),
-                  {n: prme.params[n] for n in prme.trainable}))
+                  prme.params))
 
     seq_table = synthetic.markov_chains(n_users=3, n_items=6, history=5, seed=14)
     ds3 = datamod.build_sequences(seq_table, 3, 1)
@@ -132,7 +132,7 @@ def gradient_cases():
     caser_batch = (ds3.users[picked], ds3.windows[picked], ds3.targets[picked],
                    np.array([[4, 5], [0, 1]]))
     cases.append(("caser", lambda lv: caser.build_loss(lv, caser_batch),
-                  {n: caser.params[n] for n in caser.trainable}))
+                  caser.params))
 
     ds2 = datamod.build_sequences(seq_table, 2, 1)
     clean = np.flatnonzero((ds2.windows != 6).all(axis=1))[[0, 2]]
@@ -140,7 +140,7 @@ def gradient_cases():
                            seed=18, scale=0.6, zero_pad="att_item")
     att_batch = (ds2.users[clean], ds2.windows[clean], ds2.targets[clean], np.array([[4], [5]]))
     cases.append(("attrec", lambda lv: attrec.build_loss(lv, att_batch),
-                  {n: attrec.params[n] for n in attrec.trainable}))
+                  attrec.params))
     return cases
 
 

@@ -124,6 +124,21 @@ def test_line_endings_parse_alike(tmp_path, ending):
     assert err.value.line_no == 4
 
 
+@pytest.mark.parametrize("mark", ["\u2028", "\u0085", "\x0c"])
+def test_only_newline_and_carriage_return_end_a_line(tmp_path, mark):
+    # str.splitlines also breaks at these, which would cut the ids in two
+    table = data.load_interactions(write(tmp_path, f"u{mark}1\ti1\t5\t1\nu2\ti{mark}x\t4\t2\n"))
+    assert table.user_ids == [f"u{mark}1", "u2"] and table.item_ids == ["i1", f"i{mark}x"]
+    path = write(tmp_path, f"5 0:1{mark}\n4 x\n")
+    with pytest.raises(DataFormatError, match="bad feature token 'x'") as err:
+        data.parse_libfm(path)
+    assert err.value.line_no == 2
+    path.write_bytes(f"u1\ti{mark}1\t5\t1\nu2\t".encode() + b"\xffi2\t4\t2\n")
+    with pytest.raises(DataFormatError, match="not UTF-8") as err:
+        data.load_interactions(path)
+    assert err.value.line_no == 2
+
+
 class TestParseLibfm:
     def test_basic_row(self, tmp_path):
         rows = data.parse_libfm(write(tmp_path, "5 0:1 3:2.5\n"))
@@ -463,7 +478,7 @@ def reference_table(records):
 
 def reference_load(path):
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8").split("\n")
     records = []
     sep = None
     for offset, raw in enumerate(lines):
@@ -724,7 +739,7 @@ def test_cli_split_writes_reference_bytes(tmp_path, split, model):
     cfg = cfgmod.load_config(cfg_path)
     rows, user_ids, item_ids = reference_load(path)
     if ranking:
-        rows = reference_binarize(rows, cfgmod.binarize_threshold_for(cfg))
+        rows = reference_binarize(rows, cfg.data.binarize_threshold)
     ref_train, ref_test = reference_split(rows, cfg.data.split)
     assert len(ref_test) > 20
     assert (tmp_path / "train.uirt").read_bytes() == reference_uirt(ref_train, user_ids, item_ids)

@@ -30,7 +30,7 @@ def numeric_grad(f, x, h=1e-6):
 def reference_embedding_vjp(node, g):
     """The plain scatter-add form of the embedding gradient: np.add.at into zeros."""
     grad = np.zeros_like(node.inputs[0].value)
-    np.add.at(grad, node.cache["indices"], g)
+    np.add.at(grad, node.attrs["indices"], g)
     return [grad]
 
 

@@ -15,7 +15,7 @@ from test_acceptance import model_config_text
 
 
 def loss_value(model, batch):
-    leaves = {n: E.param(model.params[n], n) for n in model.trainable}
+    leaves = {n: E.param(model.params[n], n) for n in model.params}
     return float(model.build_loss(leaves, batch).value)
 
 
@@ -44,7 +44,7 @@ class TestBprLoss:
         pos = np.array([0, 1, 2, 3, 4])
         neg = np.array([5, 4, 0, 1, 2])
         result = E.grad_check(lambda lv: model.build_loss(lv, (users, pos, neg)),
-                              {n: model.params[n] for n in model.trainable})
+                              model.params)
         assert result.max_rel_err < 1e-4
 
     def test_score_shift_of_both_items_cancels_in_logit(self):
@@ -153,7 +153,7 @@ class TestCmlLoss:
         users = np.array([0, 1, 2])
         pos = np.array([0, 1, 2])
         neg = np.array([3, 4, 3])
-        leaves = {n: E.param(model.params[n], n) for n in model.trainable}
+        leaves = {n: E.param(model.params[n], n) for n in model.params}
         hinge_args = (model.margin
                       + E.sq_l2_dist(E.embedding_lookup(leaves["user_points"], users),
                                      E.embedding_lookup(leaves["item_points"], pos))
@@ -161,7 +161,7 @@ class TestCmlLoss:
                                      E.embedding_lookup(leaves["item_points"], neg))).value
         assert np.all(np.abs(hinge_args) > 1e-3)  # away from the kink
         result = E.grad_check(lambda lv: model.build_loss(lv, (users, pos, neg)),
-                              {n: model.params[n] for n in model.trainable})
+                              model.params)
         assert result.max_rel_err < 1e-4
 
     def test_margin_must_be_positive(self):
@@ -262,7 +262,7 @@ class TestNeuMfFit:
         items = np.array([1, 2, 3, 4])
         labels = np.array([1.0, 0.0, 1.0, 0.0])
         result = E.grad_check(lambda lv: model.build_loss(lv, (users, items, labels)),
-                              {n: model.params[n] for n in model.trainable})
+                              model.params)
         assert result.max_rel_err < 1e-4, variant
 
     def test_overfits_tiny_interactions(self):
@@ -327,7 +327,7 @@ class TestCdae:
         labels = np.array([1.0, 1.0, 0.0, 0.0])
         result = E.grad_check(
             lambda lv: model.build_loss(lv, (1, corrupted, targets, labels)),
-            {n: model.params[n] for n in model.trainable})
+            model.params)
         assert result.max_rel_err < 1e-4
 
     def test_beats_popularity_on_clusters(self):

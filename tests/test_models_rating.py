@@ -82,7 +82,7 @@ class TestBiasedSvdFit:
         model = BiasedSvd.for_table(table, k=4, l2=0.01, seed=5)
         users, items, ratings = table.users, table.items, table.ratings
         result = E.grad_check(lambda lv: model.build_loss(lv, (users, items, ratings)),
-                              {n: model.params[n] for n in model.trainable})
+                              model.params)
         assert result.max_rel_err < 1e-4
 
     def test_fixed_seed_reproduces_loss_trace(self):
@@ -214,7 +214,7 @@ class TestFmFit:
         rows = planted_fm_rows(6, n_features=5, k=3, seed=9)
         model = fm_for(rows, k=3, l2=0.02, seed=4)
         result = E.grad_check(lambda lv: model.build_loss(lv, rows),
-                              {n: model.params[n] for n in model.trainable})
+                              model.params)
         assert result.max_rel_err < 1e-4
 
     def test_overfits_single_row(self):
@@ -254,7 +254,7 @@ class TestAutoRec:
         table = self.toy_table()
         model = ItemAutoRec.for_table(table, hidden=3, l2=0.0, seed=6)
         rng = np.random.default_rng(7)
-        for name in model.trainable:
+        for name in ("encoder_w", "encoder_b", "decoder_w", "decoder_b"):
             model.params[name] = rng.normal(size=model.params[name].shape)
         model.params["rating_min"], model.params["rating_max"] = np.asarray(-50.0), np.asarray(50.0)
         model.serve({"train": table})
@@ -296,7 +296,7 @@ class TestAutoRec:
         model.load_columns(table)
         items = np.arange(table.n_items)
         result = E.grad_check(lambda lv: model.build_loss(lv, items),
-                              {n: model.params[n] for n in model.trainable})
+                              model.params)
         assert result.max_rel_err < 1e-4
 
     def test_unobserved_inputs_do_not_affect_loss(self):
@@ -304,13 +304,13 @@ class TestAutoRec:
         model = ItemAutoRec.for_table(table, hidden=3, l2=0.0, seed=2)
         model.load_columns(table)
         items = np.arange(table.n_items)
-        leaves = {n: E.param(model.params[n], n) for n in model.trainable}
+        leaves = {n: E.param(model.params[n], n) for n in model.params}
         base_loss = float(model.build_loss(leaves, items).value)
         # perturb an unobserved input cell
         unobserved = np.argwhere(model.mask == 0.0)
         item, user = unobserved[0]
         model.columns[item, user] += 123.0
-        leaves = {n: E.param(model.params[n], n) for n in model.trainable}
+        leaves = {n: E.param(model.params[n], n) for n in model.params}
         assert float(model.build_loss(leaves, items).value) == pytest.approx(base_loss)
 
     def test_overfits_toy_matrix(self):

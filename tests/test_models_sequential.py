@@ -114,7 +114,7 @@ class TestPrmeFit:
         neg = np.array([4, 0, 4])
         batch = (users, prevs[:, None], pos[:, None], neg[:, None])
         result = E.grad_check(lambda lv: model.build_loss(lv, batch),
-                              {n: model.params[n] for n in model.trainable})
+                              model.params)
         assert result.max_rel_err < 1e-4
 
     def test_learns_planted_transitions(self):
@@ -199,7 +199,7 @@ class TestCaserFit:
         rows = np.array([0, 3])
         batch = (ds.users[rows], ds.windows[rows], ds.targets[rows], np.array([[4, 5], [0, 2]]))
         result = E.grad_check(lambda lv: model.build_loss(lv, batch),
-                              {n: model.params[n] for n in model.trainable})
+                              model.params)
         assert result.max_rel_err < 1e-4
 
     def test_learns_planted_transitions(self):
@@ -294,7 +294,7 @@ class TestAttRecFit:
                    - model.distances(leaves, users, intents, neg).value)
             assert abs(float(arg[0])) > 1e-3
         result = E.grad_check(lambda lv: model.build_loss(lv, batch),
-                              {n: model.params[n] for n in model.trainable})
+                              model.params)
         assert result.max_rel_err < 1e-4
 
     def test_beats_popularity_by_half_again(self):

@@ -1,3 +1,4 @@
+import gc
 import math
 import subprocess
 import sys
@@ -463,6 +464,23 @@ class TestCliWorkflows:
         monkeypatch.setitem(cli.COMMANDS, "recommend", broken_pipe)
         assert cli.main(["recommend", "--ckpt", "x.drec", "--user", "u0", "--n", "1"]) == 2
         assert capsys.readouterr().err.strip() == "error: [Errno 32] Broken pipe"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_waits_for_the_command_and_is_restored(self, monkeypatch, enabled):
+        seen = []
+
+        def crash(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "recommend", crash)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError):
+                cli.main(["recommend", "--ckpt", "x.drec", "--user", "u0", "--n", "1"])
+            assert seen == [False] and gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.drec"
