@@ -1,6 +1,7 @@
 """Tour of the autodiff engine: build a graph, run backward, check the
 gradients against finite differences, and minimize a toy loss with both
-optimizers."""
+optimizers. ``backward`` returns a gradient for every leaf the loss
+reaches, keyed by the leaf node."""
 
 import numpy as np
 
@@ -14,7 +15,7 @@ x_data = rng.normal(size=(5, 3))
 
 w = E.param(rng.normal(size=3), name="w")
 loss = E.matmul(E.const(x_data), w).sigmoid().sum()
-grads = E.backward(loss, wrt=[w])
+grads = E.backward(loss)
 print("loss:", float(loss.value))
 print("dloss/dw:", grads[w])
 
@@ -35,7 +36,7 @@ print("\n== a bias row added to a batch: sum(X @ W + b) ==")
 W = E.param(rng.normal(size=(3, 2)), name="W")
 b = E.param(np.zeros(2), name="b")
 out = E.matmul(E.const(x_data), W) + b  # (5, 2) + (2,): b is a trailing suffix
-grads = E.backward(out.sum(), wrt=[b])
+grads = E.backward(out.sum())  # both W and b are reached
 print("output shape:", out.shape)
 print("dloss/db (each entry summed over the 5 rows):", grads[b])
 
@@ -61,6 +62,6 @@ for opt in (E.Sgd(lr=0.1), E.Adam(lr=0.2)):
     for step in range(200):
         leaf = E.param(params["p"], "p")
         loss = (leaf - 3.0) * (leaf - 3.0)
-        grads = E.backward(loss, wrt=[leaf])
+        grads = E.backward(loss)
         params = opt.step(params, {"p": grads[leaf]})
     print(f"{opt.kind}: p = {float(params['p']):.5f} (target 3.0)")

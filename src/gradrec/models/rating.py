@@ -163,18 +163,18 @@ class FactorizationMachine(base.Model):
         return np.clip(out, float(p["label_min"]), float(p["label_max"]))
 
     def score_matrix(self, users):
-        """``predict_rows`` over the one-hot (user, item) grid; only a model
-        served uirt data has users."""
+        """``predict_rows`` over the one-hot (user, item) grid, to rounding:
+        with two unit features the FM is w0 + w_u + w_i + <v_u, v_i>, one
+        matmul for all rows. Only a model served uirt data has users."""
         if self.n_users is None:
             raise GradrecError("an fm trained on libfm rows has no users to score")
         users = np.asarray(users, dtype=np.int64)
-        if users.size and users.max() >= self.n_users:
-            raise IndexError(f"user {users.max()} out of range")
-        n_items = self.params["linear"].size - self.n_users
-        index = np.stack([np.repeat(users, n_items),
-                          np.tile(np.arange(self.n_users, self.n_users + n_items), users.size)],
-                         axis=1)
-        return self.predict_rows(index, np.ones(index.shape)).reshape(users.size, n_items)
+        if users.size and not 0 <= users.min() <= users.max() < self.n_users:
+            raise IndexError(f"user ids must be in [0, {self.n_users})")  # not item features
+        p, items = self.params, slice(self.n_users, None)
+        w, v = p["linear"], p["factors"]
+        raw = p["intercept"] + w[users][:, None] + w[items] + v[users] @ v[items].T
+        return np.clip(raw, float(p["label_min"]), float(p["label_max"]))
 
 
 class ItemAutoRec(base.Model):

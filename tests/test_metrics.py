@@ -207,6 +207,10 @@ class TestRankingMetrics:
         with pytest.raises(GradrecError):
             metrics.ranking_metrics(*ranking_result([1], set()), [1])
 
+    def test_cutoff_below_one_rejected(self):
+        with pytest.raises(GradrecError, match="cutoffs must be >= 1"):
+            metrics.ranking_metrics(*ranking_result([1, 2], {2}), [0])
+
     @given(st.integers(2, 30), st.integers(1, 10), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_values_in_unit_interval(self, n_candidates, n_relevant, seed):
@@ -287,6 +291,12 @@ class TestEvaluateRanking:
                                           metrics.FullRanking(), [1])
         for name, value in report.values.items():
             assert value == 1.0, name
+
+    def test_cutoff_below_one_rejected(self):
+        train, test = self.make_tables()
+        with pytest.raises(GradrecError, match="cutoffs must be >= 1"):
+            metrics.evaluate_ranking(score_rows(lambda u, i: 0.0, 6), train, test,
+                                     metrics.FullRanking(), [0])
 
     def test_matches_brute_force_oracle_exactly(self):
         train, test = self.make_tables()

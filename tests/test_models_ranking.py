@@ -35,7 +35,7 @@ class TestBprLoss:
         # d(-ln sigma(x))/dx = sigma(x) - 1 = -0.5 at x = 0
         x = E.param(0.0)
         loss = (-1.0 * x).softplus()
-        grads = E.backward(loss, wrt=[x])
+        grads = E.backward(loss)
         assert grads[x] == pytest.approx(-0.5)
 
     def test_gradient_check(self):

@@ -181,6 +181,23 @@ class TestFmScore:
         with pytest.raises(GradrecError):  # a user id must not reach the item features
             model.score(n_users, 0)
 
+    def test_score_matrix_matches_predict_rows_on_the_grid(self):
+        rng = np.random.default_rng(11)
+        n_users, n_items, k = 7, 9, 4
+        model = FactorizationMachine(n_users + n_items, k, label_range=(-1e3, 1e3))
+        model.params["factors"] = rng.normal(size=(n_users + n_items, k))
+        model.params["linear"] = rng.normal(size=n_users + n_items)
+        model.params["intercept"] = np.asarray(rng.normal())
+        model.n_users = n_users
+        users = np.arange(n_users)
+        index = np.stack([np.repeat(users, n_items),
+                          np.tile(np.arange(n_users, n_users + n_items), n_users)], axis=1)
+        want = model.predict_rows(index, np.ones(index.shape)).reshape(n_users, n_items)
+        np.testing.assert_allclose(model.score_matrix(users), want, rtol=0, atol=1e-12)
+        for bad in (-1, n_users):  # neither may reach the item features
+            with pytest.raises(IndexError):
+                model.score_matrix(np.array([0, bad]))
+
 
 def planted_fm_rows(n_rows, n_features, k, seed):
     """Rows of a planted FM, every feature listed (absent ones at value 0)."""
