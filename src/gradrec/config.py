@@ -1,13 +1,14 @@
 """Experiment configuration: INI-style sections [data] [model] [train]
 [eval], strict key validation, and every issue reported in one pass.
 
-Every key of every section is declared once, in :data:`KEYS`, with its
-kind and its bound; one loop per section converts and checks the values
-against it. The rules that span sections (which ``[model]`` keys a model
-takes, task and format coupling) follow as explicit checks. Numeric
-training hyperparameters must be explicit in the file; only structural
-defaults (layer shapes, filter counts, negative-sample counts) live in
-code, declared by each model class (see ``gradrec.models.MODELS``). All
+Every key of every section is declared once, as a field of the section's
+dataclass that carries its kind and its bound; :data:`KEYS` collects them,
+and one loop per section converts and checks the values against it. The
+rules that span sections (which ``[model]`` keys a model takes, task and
+format coupling) follow as explicit checks. Numeric training
+hyperparameters must be explicit in the file; only structural defaults
+(layer shapes, filter counts, negative-sample counts) live in code,
+declared by each model class (see ``gradrec.models.MODELS``). All
 randomness is seeded from the config: nothing is drawn from the
 environment.
 """
@@ -18,7 +19,7 @@ import configparser
 import io
 import math
 from collections.abc import Container
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -59,73 +60,39 @@ NON_NEGATIVE = (lambda v: v >= 0, "be >= 0")
 POSITIVE = (lambda v: v > 0, "be > 0")
 UNIT = (lambda v: 0.0 <= v <= 1.0, "be in [0.0, 1.0]")
 
-# Which [model] keys a model takes, and which of them it requires, is the
-# model class's declaration; the table gives every key its kind and bound.
-KEYS: dict[str, dict[str, Key]] = {
-    "data": {
-        "path": Key(str, required=True),
-        "format": Key(str, (("uirt", "libfm").__contains__, "be uirt or libfm"), required=True),
-        "split": Key(str, required=True),  # see parse_split
-        "seed": Key(int, NON_NEGATIVE, required=True),
-        "binarize_threshold": Key(float, (math.isfinite, "be finite")),
-    },
-    "model": {
-        "name": Key(str, required=True),
-        "k": Key(int, AT_LEAST_1),
-        "layers": Key(ints, (lambda v: v and min(v) >= 1, "list sizes >= 1")),
-        "L": Key(int, AT_LEAST_1),
-        "T": Key(int, AT_LEAST_1),
-        "margin": Key(float, POSITIVE),
-        "alpha": Key(float, UNIT),
-        "omega": Key(float, UNIT),
-        "dropout_q": Key(float, (lambda v: 0.0 <= v < 1.0, "be in [0, 1)")),
-        "n_h": Key(int, AT_LEAST_1),
-        "n_v": Key(int, AT_LEAST_1),
-        "clip_rho": Key(float, POSITIVE),
-    },
-    "train": {
-        "optimizer": Key(str, (("sgd", "adam").__contains__, "be sgd or adam"), required=True),
-        "lr": Key(float, POSITIVE, required=True),
-        "l2": Key(float, NON_NEGATIVE, required=True),
-        "epochs": Key(int, AT_LEAST_1, required=True),
-        "batch_size": Key(int, AT_LEAST_1, required=True),  # unless the model is unbatched
-        "neg_samples": Key(int, AT_LEAST_1),
-        "seed": Key(int, NON_NEGATIVE, required=True),
-    },
-    "eval": {
-        "cutoffs": Key(ints, (lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
-                              "list distinct values >= 1"), required=True),
-        "protocol": Key(str, (lambda v: v == "full" or _sampled_m(v) >= 1,
-                              "be full or sampled:<m> with m >= 1"), required=True),
-    },
-}
-REQUIRED = {section: [key for key, spec in keys.items() if spec.required]
-            for section, keys in KEYS.items()}
+
+def _declare(*key: Any, required: bool = False, default: Any = None) -> Any:
+    """A section field declaring its config key: the value it holds when the
+    file omits the key, and the key's :class:`Key` (``kind``, ``bound``)."""
+    return field(default=default, metadata={"key": Key(*key, required=required)})
 
 
+# One field per key, in the order missing keys are reported. Which [model]
+# keys a model takes, and which of them it requires, is the model class's
+# declaration; the field gives every key its kind and bound.
 @dataclass
 class DataConfig:
-    path: str
-    format: str
-    split: SplitSpec
-    seed: int
-    binarize_threshold: float | None = None  # None only where no binarizing applies
+    path: str = _declare(str, required=True)
+    format: str = _declare(str, (("uirt", "libfm").__contains__, "be uirt or libfm"), required=True)
+    split: SplitSpec = _declare(str, required=True)  # the text goes through parse_split
+    seed: int = _declare(int, NON_NEGATIVE, required=True)
+    binarize_threshold: float | None = _declare(float, (math.isfinite, "be finite"))
 
 
 @dataclass
 class ModelConfig:
-    name: str
-    k: int | None = None
-    layers: list[int] | None = None
-    L: int | None = None
-    T: int = 1  # targets per sequence instance; only caser takes the key
-    margin: float | None = None
-    alpha: float | None = None
-    omega: float | None = None
-    dropout_q: float | None = None
-    n_h: int | None = None
-    n_v: int | None = None
-    clip_rho: float | None = None
+    name: str = _declare(str, required=True)
+    k: int | None = _declare(int, AT_LEAST_1)
+    layers: list[int] | None = _declare(ints, (lambda v: v and min(v) >= 1, "list sizes >= 1"))
+    L: int | None = _declare(int, AT_LEAST_1)
+    T: int = _declare(int, AT_LEAST_1, default=1)  # targets per instance; only caser takes it
+    margin: float | None = _declare(float, POSITIVE)
+    alpha: float | None = _declare(float, UNIT)
+    omega: float | None = _declare(float, UNIT)
+    dropout_q: float | None = _declare(float, (lambda v: 0.0 <= v < 1.0, "be in [0, 1)"))
+    n_h: int | None = _declare(int, AT_LEAST_1)
+    n_v: int | None = _declare(int, AT_LEAST_1)
+    clip_rho: float | None = _declare(float, POSITIVE)
 
     @property
     def task(self) -> str:
@@ -134,24 +101,34 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    optimizer: str
-    lr: float
-    l2: float
-    epochs: int
-    seed: int
-    batch_size: int | None = None
-    neg_samples: int | None = None
+    optimizer: str = _declare(str, (("sgd", "adam").__contains__, "be sgd or adam"), required=True)
+    lr: float = _declare(float, POSITIVE, required=True)
+    l2: float = _declare(float, NON_NEGATIVE, required=True)
+    epochs: int = _declare(int, AT_LEAST_1, required=True)
+    batch_size: int | None = _declare(int, AT_LEAST_1, required=True)  # unbatched models omit it
+    neg_samples: int | None = _declare(int, AT_LEAST_1)
+    seed: int = _declare(int, NON_NEGATIVE, required=True)
 
 
 @dataclass
 class EvalConfig:
-    cutoffs: list[int]
-    protocol: str  # "full" or "sampled:<m>"
+    cutoffs: list[int] = _declare(ints, (lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
+                                         "list distinct values >= 1"), required=True)
+    protocol: str = _declare(str, (lambda v: v == "full" or _sampled_m(v) >= 1,
+                                   "be full or sampled:<m> with m >= 1"), required=True)
 
     def protocol_obj(self, seed: int) -> Protocol:
         if self.protocol == "full":
             return FullRanking()
         return SampledRanking(m=_sampled_m(self.protocol), seed=seed)
+
+
+KEYS: dict[str, dict[str, Key]] = {
+    section: {f.name: f.metadata["key"] for f in fields(cls)}
+    for section, cls in (("data", DataConfig), ("model", ModelConfig),
+                         ("train", TrainConfig), ("eval", EvalConfig))}
+REQUIRED = {section: [key for key, spec in keys.items() if spec.required]
+            for section, keys in KEYS.items()}
 
 
 @dataclass

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 import numpy as np
 
 from gradrec import engine as E
-from gradrec.data import TABLE_COLUMNS, InteractionTable
+from gradrec.data import InteractionTable
 from gradrec.errors import GradrecError, TrainingDivergedError
 
 if TYPE_CHECKING:
@@ -19,8 +19,6 @@ Array = np.ndarray
 
 INIT_SCALE = 0.01  # embeddings and weights start at Normal(0, 0.01^2)
 PAIR_BLOCK = 4096  # rows per scoring graph of the models that score pairs on the tape
-TRAIN_PREFIX = "train."  # checkpoint tensors holding the served train table's columns
-TEST_PREFIX = "test."  # ... and the test table's rows, over the train table's id lists
 
 
 def init_normal(rng: np.random.Generator, *shape: int) -> Array:
@@ -124,19 +122,6 @@ def sq_dists(a: Array, b: Array) -> Array:
     return np.maximum(out, 0.0, out=out)
 
 
-def pop_tables(tensors: dict) -> tuple[InteractionTable | None, InteractionTable | None]:
-    """Remove the train and test tables that :meth:`Model.checkpoint_tensors`
-    adds from checkpoint ``tensors`` and rebuild them over one pair of id
-    maps, as ``data.split`` does; None for a table the checkpoint lacks."""
-    columns = [tensors.pop(TRAIN_PREFIX + column, None) for column in TABLE_COLUMNS]
-    test = [tensors.pop(TEST_PREFIX + column, None) for column in TABLE_COLUMNS[:4]]
-    if columns[0] is None:
-        return None, None
-    shared = [*columns[4:], *(dict(zip(ids, range(len(ids)))) for ids in columns[4:])]
-    return (InteractionTable(*columns[:4], *shared),
-            None if test[0] is None else InteractionTable(*test, *shared))
-
-
 def clip_rows_to_ball(arr: Array, radius: float = 1.0) -> Array:
     """Rescale rows with norm > radius back onto the sphere."""
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
@@ -203,22 +188,11 @@ class Model:
         model.params = params
         return model
 
-    def checkpoint_tensors(self) -> dict[str, Array | list[str]]:
-        """The parameters, then the served train table's
-        :data:`~gradrec.data.TABLE_COLUMNS` as ``train.<column>`` and the test
-        table's rows as ``test.<column>``: all that serving and evaluation read."""
-        tensors: dict[str, Array | list[str]] = dict(self.params)
-        for prefix, table, columns in ((TRAIN_PREFIX, self.train_table, TABLE_COLUMNS),
-                                       (TEST_PREFIX, self.test_table, TABLE_COLUMNS[:4])):
-            if table is not None:
-                tensors.update({prefix + column: getattr(table, column) for column in columns})
-        return tensors
-
     def serve(self, data: dict) -> None:
         """Attach the state that scoring (and for some models training)
         reads, derived from ``data["train"]`` alone, and keep that table and
-        ``data["test"]`` for :meth:`checkpoint_tensors`. Overrides call this
-        to drop the score cache."""
+        ``data["test"]`` for ``runner.checkpoint_tensors``. Overrides call
+        this to drop the score cache."""
         self.train_table = data.get("train")
         self.test_table = data.get("test")
         self._row = None
@@ -227,7 +201,7 @@ class Model:
         """Take the training examples (and a sampler) from the bundle."""
         raise NotImplementedError
 
-    def batches(self, epoch: int, rng: np.random.Generator) -> Iterator[tuple[int, Any]]:
+    def batches(self, rng: np.random.Generator) -> Iterator[tuple[int, Any]]:
         """One epoch of (example count, batch) pairs, in training order."""
         raise NotImplementedError
 
@@ -288,7 +262,7 @@ def train(model: Model, data: dict, optimizer, epochs: int, batch_size: int | No
     step = 0
     for epoch in range(epochs):
         total, seen = 0.0, 0
-        for size, batch in model.batches(epoch, rng):
+        for size, batch in model.batches(rng):
             # looked up at call time, so a wrapped gradient_step sees every step
             value = gradient_step(model.params, lambda leaves: model.build_loss(leaves, batch),
                                   optimizer, epoch, step)

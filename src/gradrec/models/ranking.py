@@ -38,7 +38,7 @@ class _SampledPairs(base.Model):
         self._examples = (table.users, table.items)
         self._batch_size, self._neg = batch_size, neg_samples
 
-    def batches(self, epoch, rng):
+    def batches(self, rng):
         users, items = self._examples
         for idx in base.minibatches(users.size, self._batch_size, rng):
             bu = users[idx]
@@ -203,7 +203,7 @@ class NeuMf(_SampledPairs):
         users, items, labels = batch
         return base.bce_from_logits(self.logits(leaves, users, items), labels)
 
-    def batches(self, epoch, rng):
+    def batches(self, rng):
         # the whole epoch's negatives are drawn before the shuffle
         users, items = self._examples
         neg = self._neg
@@ -289,7 +289,7 @@ class Cdae(base.Model):
         self._sampler = base.NegativeSampler(data["train"])
         self._neg = neg_samples
 
-    def batches(self, epoch, rng):
+    def batches(self, rng):
         for user in self._users[rng.permutation(self._users.size)]:
             user = int(user)
             vec = self._inputs[user].astype(np.float64)

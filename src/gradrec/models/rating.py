@@ -68,7 +68,7 @@ class BiasedSvd(base.Model):
             raise GradrecError("empty training set")
         self._batch_size = batch_size
 
-    def batches(self, epoch, rng):
+    def batches(self, rng):
         users, items, ratings = self._examples
         for idx in base.minibatches(users.size, self._batch_size, rng):
             yield idx.size, (users[idx], items[idx], ratings[idx])
@@ -148,7 +148,7 @@ class FactorizationMachine(base.Model):
             raise GradrecError("empty training set")
         self._batch_size = batch_size
 
-    def batches(self, epoch, rng):
+    def batches(self, rng):
         for idx in base.minibatches(len(self._rows), self._batch_size, rng):
             yield idx.size, self._rows.take(idx)
 
@@ -244,7 +244,7 @@ class ItemAutoRec(base.Model):
             raise GradrecError("empty training set")
         self._batch_size = self.n_items if batch_size is None else batch_size
 
-    def batches(self, epoch, rng):
+    def batches(self, rng):
         for idx in base.minibatches(self.n_items, self._batch_size, rng):
             yield idx.size, idx
 

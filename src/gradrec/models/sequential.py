@@ -66,7 +66,7 @@ class _Windows(base.Model):
         self._batch_size = batch_size
         self._neg = 1 if self.neg_samples is None else neg_samples
 
-    def batches(self, epoch, rng):
+    def batches(self, rng):
         seq = self._sequences
         for idx in base.minibatches(seq.users.size, self._batch_size, rng):
             users, targets = seq.users[idx], seq.targets[idx]

@@ -26,13 +26,37 @@ def build_model(cfg: ExperimentConfig, **data):
     return MODELS[cfg.model.name].create(cfg, data)
 
 
-DATA_DIGEST = "data.sha256"  # checkpoint tensor: the training data file's SHA-256, hex
+# The checkpoint tensors besides a model's parameters
+TRAIN_PREFIX = "train."  # the served train table's columns
+TEST_PREFIX = "test."  # the test table's rows, over the train table's id lists
+DATA_DIGEST = "data.sha256"  # the training data file's SHA-256, hex
 
 
 def checkpoint_tensors(cfg: ExperimentConfig, model) -> dict[str, np.ndarray | list[str]]:
-    """What ``save_checkpoint`` stores for ``model``: its tensors and served
-    train table, then the SHA-256 of ``cfg``'s data file."""
-    return {**model.checkpoint_tensors(), DATA_DIGEST: [datamod.file_sha256(cfg.data.path)]}
+    """What ``save_checkpoint`` stores for ``model``: its parameters, the
+    served train table's :data:`~gradrec.data.TABLE_COLUMNS` as
+    ``train.<column>`` and the test table's rows as ``test.<column>`` (all
+    that serving and evaluation read), then the SHA-256 of ``cfg``'s data file."""
+    tensors: dict[str, np.ndarray | list[str]] = dict(model.params)
+    for prefix, table, columns in ((TRAIN_PREFIX, model.train_table, datamod.TABLE_COLUMNS),
+                                   (TEST_PREFIX, model.test_table, datamod.TABLE_COLUMNS[:4])):
+        if table is not None:
+            tensors.update({prefix + column: getattr(table, column) for column in columns})
+    tensors[DATA_DIGEST] = [datamod.file_sha256(cfg.data.path)]
+    return tensors
+
+
+def _pop_tables(tensors: dict) -> tuple:
+    """Remove the train and test tables that :func:`checkpoint_tensors` adds
+    from checkpoint ``tensors`` and rebuild them over one pair of id maps, as
+    ``data.split`` does; None for a table the checkpoint lacks."""
+    columns = [tensors.pop(TRAIN_PREFIX + column, None) for column in datamod.TABLE_COLUMNS]
+    test = [tensors.pop(TEST_PREFIX + column, None) for column in datamod.TABLE_COLUMNS[:4]]
+    if columns[0] is None:
+        return None, None
+    shared = [*columns[4:], *(dict(zip(ids, range(len(ids)))) for ids in columns[4:])]
+    return (datamod.InteractionTable(*columns[:4], *shared),
+            None if test[0] is None else datamod.InteractionTable(*test, *shared))
 
 
 def prepare_data(cfg: ExperimentConfig):
@@ -119,7 +143,7 @@ def load_model(checkpoint_path: str | Path, override_cfg: ExperimentConfig | Non
     """
     name, echo, tensors = ckpt.load_checkpoint(checkpoint_path)
     stored = tensors.pop(DATA_DIGEST, [None])[0]
-    train, test = base.pop_tables(tensors)
+    train, test = _pop_tables(tensors)
     cfg = override_cfg if override_cfg is not None else cfgmod.parse_config(echo)
     if cfg.model.name != name:
         raise ConfigError([f"checkpoint holds model {name!r} but config names "

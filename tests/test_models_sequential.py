@@ -367,7 +367,7 @@ class TestBatchedParity:
         table = synthetic.markov_chains(**self.TABLE)
         sequences = data.build_sequences(table, 3, 2)
         model.bind({"train": table, "sequences": sequences}, batch_size=64, neg_samples=3)
-        _, batch = next(model.batches(0, np.random.default_rng(24)))
+        _, batch = next(model.batches(np.random.default_rng(24)))
         users, windows, targets, negatives = batch
         pad = model.padding_id
         # the whole epoch in one batch: left-padded windows, and the last

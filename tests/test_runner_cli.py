@@ -11,7 +11,6 @@ from gradrec import cli
 from gradrec import config as cfgmod
 from gradrec import data as datamod
 from gradrec import runner
-from gradrec.models import base
 
 from conftest import config_text, consumed
 from test_acceptance import ALL_MODEL_CONFIGS, model_config_text
@@ -260,7 +259,7 @@ class TestCliWorkflows:
         }
         # ... over the train table it serves from
         train = runner.prepare_data(cfgmod.parse_config(cfg_text))["train"]
-        tensors.update({base.TRAIN_PREFIX + column: getattr(train, column)
+        tensors.update({runner.TRAIN_PREFIX + column: getattr(train, column)
                         for column in datamod.TABLE_COLUMNS})
         out = tmp_path / "flat.drec"
         ckpt.save_checkpoint(out, "biasedsvd", cfg_text, tensors)
@@ -679,7 +678,7 @@ class TestEvaluateReadsTheSplitFromTheCheckpoint:
                          "--report", str(trained)]) == 0
         # the layout written before checkpoints stored the test split
         name, echo, tensors = ckpt.load_checkpoint(out)
-        dropped = [key for key in tensors if key.startswith(base.TEST_PREFIX)]
+        dropped = [key for key in tensors if key.startswith(runner.TEST_PREFIX)]
         assert len(dropped) == 4
         ckpt.save_checkpoint(out, name, echo, {key: value for key, value in tensors.items()
                                               if key not in dropped})
