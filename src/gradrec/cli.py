@@ -8,6 +8,7 @@ cannot be read or written, corrupt checkpoint, divergence).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import sys
 from functools import cache
@@ -89,6 +90,28 @@ def cmd_recommend(args) -> int:
     return 0
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, glibc's malloc.h
+MMAP_THRESHOLD, TRIM_THRESHOLD = 64 << 20, 256 << 20  # bytes
+
+
+@cache
+def pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds, once per process. Left dynamic,
+    they follow the largest mapped block freed so far: after a training
+    step's ~1 MB arrays glibc keeps about 2 MB free at the heap top, returns
+    the rest to the kernel, and the next step page-faults it in again. A C
+    library without ``mallopt`` (musl, macOS) or a process without a handle
+    to itself (Windows) keeps its defaults."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 COMMANDS = {"split": cmd_split, "train": cmd_train, "evaluate": cmd_evaluate,
             "recommend": cmd_recommend}
 
@@ -99,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
+    pin_malloc_thresholds()
     collecting = gc.isenabled()
     gc.disable()  # a command's few cycles are collected after it, not mid-command
     try:

@@ -33,9 +33,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import filterfalse, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,6 +47,8 @@ log = logging.getLogger(__name__)
 
 Array = np.ndarray
 _INT64 = np.iinfo(np.int64)
+CHUNK_LINES = 8192  # uirt lines tokenized at a time
+BLOCK_CHARS = 1 << 16  # characters split into lines at a time
 
 
 class Interaction(NamedTuple):
@@ -202,11 +204,19 @@ def _detect_separator(line: str) -> str:
     return " "
 
 
+def _extend(index: dict[str, int], raw) -> Array:
+    """Dense ids of raw id tokens: a token not in ``index`` joins it with
+    the next id, in order of first appearance."""
+    fresh = list(filterfalse(index.__contains__, dict.fromkeys(raw)))
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    return np.fromiter(map(index.__getitem__, raw), np.int64, len(raw))
+
+
 def _remap(raw) -> tuple[Array, list[str], dict[str, int]]:
     """Dense ids of raw id tokens, assigned in order of first appearance."""
-    ids = list(dict.fromkeys(raw))
-    index = dict(zip(ids, range(len(ids))))
-    return np.fromiter(map(index.__getitem__, raw), np.int64, len(raw)), ids, index
+    index: dict[str, int] = {}
+    dense = _extend(index, raw)
+    return dense, list(index), index
 
 
 def _collapse(users, items, ratings: Array, timestamps: Array) -> InteractionTable:
@@ -284,29 +294,33 @@ def _fields(tokens: list[str], starts: Array, widths: Array, k: int) -> list[str
     return list(map(tokens.__getitem__, (starts[widths > k] + k).tolist()))
 
 
-def _line_no(lines: list[str], data_line: int) -> int:
+def _data_lines(text: str) -> Iterator[str]:
+    """The stripped non-blank lines of ``text``, split one block of about
+    ``BLOCK_CHARS`` characters at a time. A block ends after a \n, so no
+    \r\n pair is cut in two."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
+        yield from filter(None, map(str.strip, _split_lines(text[start:end])))
+        start = end
+
+
+def _line_no(text: str, data_line: int) -> int:
     """The file line number of the ``data_line``-th non-blank line."""
-    nonblank = (offset for offset, raw in enumerate(lines) if raw.strip())
+    nonblank = (offset for offset, raw in enumerate(_split_lines(text)) if raw.strip())
     return next(islice(nonblank, data_line, None)) + 1
 
 
-def load_interactions(path: str | Path) -> InteractionTable:
-    """Parse a uirt file into a dense-id interaction table.
-
-    Duplicate (user, item) pairs collapse to the one with the latest
-    timestamp (later line wins ties).
-    """
-    path = Path(path)
-    lines = _split_lines(read_text(path))
-    data = list(filter(None, map(str.strip, lines)))
-    if not data:
-        raise DataFormatError(str(path), None, "no interactions found")
-    sep = _detect_separator(data[0])
-
+def _parse_chunk(lines: list[str], sep: str, first: int, indexes: tuple[dict, dict],
+                 fail) -> tuple[Array, Array, Array, Array]:
+    """The dense users and items (``indexes`` extended), ratings and
+    timestamps of data lines ``first``, ``first + 1``, ...; a line without a
+    timestamp gets its data line index. The first bad line raises
+    ``fail(data line, message)``, a bad rating before a bad timestamp on the
+    same line."""
     # every line's fields in one list, a "\r" token after each line
-    n = len(data)
-    text = "\n\r\n".join(data).replace(sep, "\n")
-    del data
+    n = len(lines)
+    text = "\n\r\n".join(lines).replace(sep, "\n")
     tokens = text.split("\n")
     if "\n\n" in text or text[0] == "\n" or text[-1] == "\n":  # empty fields
         tokens = list(filter(None, tokens))
@@ -324,23 +338,47 @@ def load_interactions(path: str | Path) -> InteractionTable:
     stamp_tokens = _fields(tokens, starts, widths, 3)[:stamped.size]
     stamps, bad_stamp = _numbers(stamp_tokens, int, np.int64,
                                  lambda v: _INT64.min <= v <= _INT64.max)
+    if bad_stamp < stamped.size:
+        raise fail(first + int(stamped[bad_stamp]), f"bad timestamp {stamp_tokens[bad_stamp]!r}")
+    if bad_rating < n_ok:
+        raise fail(first + bad_rating, f"bad rating {rating_tokens[bad_rating]!r}")
+    if n_ok < n:
+        raise fail(first + n_ok, f"expected 3 or 4 fields, got {got}")
+
+    timestamps = np.arange(first, first + n, dtype=np.int64)
+    timestamps[stamped] = stamps
+    return (_extend(indexes[0], _fields(tokens, starts, widths, 0)),
+            _extend(indexes[1], _fields(tokens, starts, widths, 1)), ratings, timestamps)
+
+
+def load_interactions(path: str | Path) -> InteractionTable:
+    """Parse a uirt file into a dense-id interaction table.
+
+    Duplicate (user, item) pairs collapse to the one with the latest
+    timestamp (later line wins ties). Besides the file's text and the
+    columns, the parse holds the tokens of ``CHUNK_LINES`` lines at a time.
+    """
+    path = Path(path)
+    text = read_text(path)
 
     def fail(data_line: int, message: str) -> DataFormatError:
-        return DataFormatError(str(path), _line_no(lines, data_line), message)
+        return DataFormatError(str(path), _line_no(text, data_line), message)
 
-    if bad_stamp < stamped.size:
-        raise fail(int(stamped[bad_stamp]), f"bad timestamp {stamp_tokens[bad_stamp]!r}")
-    if bad_rating < n_ok:
-        raise fail(bad_rating, f"bad rating {rating_tokens[bad_rating]!r}")
-    if n_ok < n:
-        raise fail(n_ok, f"expected 3 or 4 fields, got {got}")
-
-    timestamps = np.arange(n, dtype=np.int64)
-    timestamps[stamped] = stamps
-    users = _remap(_fields(tokens, starts, widths, 0))
-    items = _remap(_fields(tokens, starts, widths, 1))
-    del lines, tokens, rating_tokens, stamp_tokens
-    return _collapse(users, items, ratings, timestamps)
+    lines = _data_lines(text)
+    user_index, item_index = indexes = {}, {}
+    columns = []
+    n = 0  # data lines parsed
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        if not n:
+            sep = _detect_separator(chunk[0])
+        columns.append(_parse_chunk(chunk, sep, n, indexes, fail))
+        n += len(chunk)
+    if not n:
+        raise DataFormatError(str(path), None, "no interactions found")
+    users, items, ratings, timestamps = map(np.concatenate, zip(*columns))
+    del columns
+    return _collapse((users, list(user_index), user_index),
+                     (items, list(item_index), item_index), ratings, timestamps)
 
 
 def _exact(x: float) -> str:

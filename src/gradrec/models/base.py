@@ -122,6 +122,15 @@ def sq_dists(a: Array, b: Array) -> Array:
     return np.maximum(out, 0.0, out=out)
 
 
+def checked_users(users, n_users: int) -> Array:
+    """``users`` as int64 ids; one outside [0, n_users) raises IndexError
+    where numpy indexing would wrap a negative one around."""
+    users = np.asarray(users, dtype=np.int64)
+    if users.size and not 0 <= users.min() <= users.max() < n_users:
+        raise IndexError(f"user ids must be in [0, {n_users})")
+    return users
+
+
 def clip_rows_to_ball(arr: Array, radius: float = 1.0) -> Array:
     """Rescale rows with norm > radius back onto the sphere."""
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
@@ -232,7 +241,7 @@ class Model:
         """One entry of ``score_matrix([user])``, from a one-row cache that
         :meth:`serve` and :meth:`after_step` drop."""
         try:
-            if user < 0 or item < 0:  # numpy would wrap them around
+            if item < 0:  # numpy would wrap it around; score_matrix checks users
                 raise IndexError
             if self._row is None or self._row[0] != user:
                 self._row = (user, self.score_matrix(np.array([user]))[0])

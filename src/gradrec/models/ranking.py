@@ -85,6 +85,7 @@ class BprMf(_SampledPairs):
             self._examples = (users[keep], items[keep])
 
     def score_matrix(self, users):
+        users = base.checked_users(users, self.params["user_factors"].shape[0])
         return self.params["user_factors"][users] @ self.params["item_factors"].T
 
 
@@ -128,6 +129,7 @@ class Cml(_SampledPairs):
             self.params[name] = base.clip_rows_to_ball(self.params[name], 1.0)
 
     def score_matrix(self, users):
+        users = base.checked_users(users, self.params["user_points"].shape[0])
         return -base.sq_dists(self.params["user_points"][users], self.params["item_points"])
 
 
@@ -217,7 +219,8 @@ class NeuMf(_SampledPairs):
     def score_matrix(self, users):
         """The sigmoid of ``logits`` on every (user, item) pair, PAIR_BLOCK per graph."""
         n_items = self.params["gmf_item"].shape[0]
-        pair_users = np.repeat(np.asarray(users, dtype=np.int64), n_items)
+        users = base.checked_users(users, self.params["gmf_user"].shape[0])
+        pair_users = np.repeat(users, n_items)
         pair_items = np.tile(np.arange(n_items), len(users))
         leaves = self.const_leaves()
         z = np.concatenate([self.logits(leaves, pair_users[lo:lo + base.PAIR_BLOCK],
@@ -306,7 +309,7 @@ class Cdae(base.Model):
     def score_matrix(self, users):
         """Decoder probabilities from each user's uncorrupted input vector
         (zeros for a user without train items)."""
-        p = self.params
+        p, users = self.params, base.checked_users(users, self._inputs.shape[0])
         pre = self._inputs[users] @ p["encoder_w"] + p["user_embed"][users] + p["hidden_bias"]
         z = 1.0 / (1.0 + np.exp(-pre))
         logits = z @ p["decoder_w"].T + p["decoder_bias"]

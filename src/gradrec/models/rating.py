@@ -76,6 +76,7 @@ class BiasedSvd(base.Model):
     def score_matrix(self, users):
         """mu + b_u + b_i + p_u . q_i for every item, clipped to the rating range."""
         p = self.params
+        users = base.checked_users(users, p["user_bias"].size)
         raw = (p["global_mean"] + p["user_bias"][users][:, None] + p["item_bias"]
                + p["user_factors"][users] @ p["item_factors"].T)
         return np.clip(raw, float(p["rating_min"]), float(p["rating_max"]))
@@ -168,9 +169,7 @@ class FactorizationMachine(base.Model):
         matmul for all rows. Only a model served uirt data has users."""
         if self.n_users is None:
             raise GradrecError("an fm trained on libfm rows has no users to score")
-        users = np.asarray(users, dtype=np.int64)
-        if users.size and not 0 <= users.min() <= users.max() < self.n_users:
-            raise IndexError(f"user ids must be in [0, {self.n_users})")  # not item features
+        users = base.checked_users(users, self.n_users)  # not item features
         p, items = self.params, slice(self.n_users, None)
         w, v = p["linear"], p["factors"]
         raw = p["intercept"] + w[users][:, None] + w[items] + v[users] @ v[items].T
@@ -251,7 +250,7 @@ class ItemAutoRec(base.Model):
     def score_matrix(self, users):
         """The reconstruction of every item's train column at ``users``,
         clipped to the rating range."""
-        p = self.params
+        p, users = self.params, base.checked_users(users, self.n_users)
         z = 1.0 / (1.0 + np.exp(-(self.columns @ p["encoder_w"].T + p["encoder_b"])))
         out = z @ p["decoder_w"][users].T + p["decoder_b"][users]  # (n_items, B)
         return np.clip(out.T, float(p["rating_min"]), float(p["rating_max"]))

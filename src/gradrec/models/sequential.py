@@ -45,7 +45,7 @@ class _Windows(base.Model):
     def _served(self, users) -> tuple[Array, Array]:
         """``users`` as int64 and their latest windows (B, L); a window
         whose last item is padding has no history behind it."""
-        users = np.asarray(users, dtype=np.int64)
+        users = base.checked_users(users, len(self.windows))
         windows = self.windows[users]
         empty = windows[:, -1] == self.padding_id
         if empty.any():

@@ -7,9 +7,12 @@ chains) that a correctly implemented model must be able to recover.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+
 import numpy as np
 
-from gradrec.data import InteractionTable, table_from_records
+from gradrec.data import InteractionTable, _collapse, _remap, table_from_records
 
 Record = tuple[str, str, float, int]
 
@@ -108,8 +111,14 @@ def desk_scale_ratings(n_users: int = 943, n_items: int = 1682, n_ratings: int =
     and item biases plus cluster taste, with a popularity skew.
 
     The signal is strong enough that bias-aware factor models clearly beat
-    the global mean, and taste clusters make personalized rankers beat raw
-    popularity.
+    the global mean. Each user rates its own cluster's items 2.6 higher on
+    average; how far that lifts a personalized ranker above raw
+    popularity is measured, not promised (criterion 6b).
+
+    Each draw takes a user from ``rng.integers`` and an item from one
+    ``rng.random`` on the popularity CDF, the computation
+    ``rng.choice(n_items, p=weights)`` makes; a pair drawn before is
+    skipped, and a new one takes one ``rng.normal`` for its noise.
     """
     rng = np.random.default_rng(seed)
     user_bias = rng.normal(0.0, 0.45, size=n_users)
@@ -121,19 +130,28 @@ def desk_scale_ratings(n_users: int = 943, n_items: int = 1682, n_ratings: int =
     weights = 1.0 / np.arange(1, n_items + 1) ** 0.35
     weights = weights[rng.permutation(n_items)]
     weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()  # bisect_right on it is searchsorted(side="right")
 
-    records: list[Record] = []
-    seen: set[tuple[int, int]] = set()
-    t = 0
-    while len(records) < n_ratings:
-        u = int(rng.integers(0, n_users))
-        i = int(rng.choice(n_items, p=weights))
-        if (u, i) in seen:
+    users, items, noise = array("q"), array("q"), array("d")
+    seen = bytearray((n_users * n_items + 7) // 8)  # one bit per (user, item) pair
+    integers, random, normal = rng.integers, rng.random, rng.normal
+    while len(users) < n_ratings:
+        u = int(integers(0, n_users))
+        i = bisect_right(cdf, random())
+        byte, bit = divmod(u * n_items + i, 8)
+        if seen[byte] >> bit & 1:
             continue
-        seen.add((u, i))
-        taste = 1.8 if user_cluster[u] == item_cluster[i] else -0.8
-        value = 3.4 + user_bias[u] + item_bias[i] + taste + rng.normal(0.0, 0.6)
-        rating = float(np.clip(np.rint(value), 1, 5))
-        records.append((f"u{u}", f"i{i}", rating, t))
-        t += 1
-    return table_from_records(records)
+        seen[byte] |= 1 << bit
+        users.append(u)
+        items.append(i)
+        noise.append(normal(0.0, 0.6))
+    u, i = np.frombuffer(users, np.int64), np.frombuffer(items, np.int64)
+    taste = np.where(user_cluster[u] == item_cluster[i], 1.8, -0.8)
+    value = 3.4 + user_bias[u] + item_bias[i] + taste + np.frombuffer(noise)
+    user_ids = [f"u{x}" for x in range(n_users)]
+    item_ids = [f"i{x}" for x in range(n_items)]
+    return _collapse(_remap(list(map(user_ids.__getitem__, users))),
+                     _remap(list(map(item_ids.__getitem__, items))),
+                     np.clip(np.rint(value), 1, 5), np.arange(n_ratings, dtype=np.int64))

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -765,3 +766,44 @@ def test_prepare_data_keeps_no_per_row_objects(tmp_path):
     added = len(gc.get_objects()) - before
     assert len(bundle["train"]) > 4_000
     assert added < 100, added
+
+
+@given(st.one_of(uirt_files(), uirt_files(bad_lines=2)), st.integers(1, 4), st.integers(1, 24))
+@settings(max_examples=200, deadline=None)
+def test_chunked_parse_matches_reference_at_every_boundary(tmp_path_factory, text, chunk_lines,
+                                                           block_chars):
+    """Chunks of a few lines and blocks of a few characters cut the file
+    everywhere: ids keep first-appearance order across chunks, and the
+    first bad line raises as the whole-file reference does."""
+    path = tmp_path_factory.getbasetemp() / "chunked.uirt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "CHUNK_LINES", chunk_lines)
+        patch.setattr(data, "BLOCK_CHARS", block_chars)
+        got, want = load_both(path)
+    if isinstance(want, DataFormatError):
+        assert isinstance(got, DataFormatError)
+        assert (str(got), got.line_no) == (str(want), want.line_no)
+        return
+    rows, user_ids, item_ids = want
+    assert (got.user_ids, got.item_ids) == (user_ids, item_ids)
+    assert got.user_index == {raw: k for k, raw in enumerate(user_ids)}
+    assert_rows(got, rows)
+
+
+def test_parse_peak_memory_is_bounded_by_the_file(tmp_path):
+    """The parse holds the file's text and the columns, not a list of every
+    line's tokens: about 5x the bytes of a desk-shaped file, where a token
+    list took about 20x."""
+    path = tmp_path / "desk.uirt"
+    data.write_uirt(path, synthetic.desk_scale_ratings(n_users=943, n_items=1682,
+                                                       n_ratings=60_000, seed=5))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        table = data.load_interactions(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 60_000
+    assert peak < 8 * size, f"parse peak {peak} B = {peak / size:.1f}x the file's {size} B"

@@ -17,6 +17,7 @@ from gradrec import data as datamod
 from gradrec import engine as E
 from gradrec import metrics, runner
 from gradrec.engine import make_optimizer, optim, tape
+from gradrec.errors import GradrecError
 from gradrec.models import MODELS, base
 
 from test_acceptance import ALL_MODEL_CONFIGS, model_config_text
@@ -335,3 +336,15 @@ def test_checkpoint_alone_serves_as_the_data_does(name, ratings_file, implicit_f
     monkeypatch.setattr(datamod, "parse_libfm", parse)
     eval_cfg, evaluated, eval_bundle = runner.load_model(path, cfg)
     assert runner.evaluate_model(eval_cfg, evaluated, eval_bundle).to_text() == want_report
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_score_matrix_rejects_user_ids_out_of_range(name, ratings_file, implicit_file):
+    # numpy would serve user -1 the last user's row
+    _, model, bundle = trained(name, ratings_file, implicit_file)
+    n_users = bundle["train"].n_users
+    for user in (-1, n_users):
+        with pytest.raises(IndexError):
+            model.score_matrix(np.array([0, user]))
+        with pytest.raises(GradrecError, match="id out of range"):
+            model.score(user, 0)
