@@ -111,9 +111,11 @@ def desk_scale_ratings(n_users: int = 943, n_items: int = 1682, n_ratings: int =
     and item biases plus cluster taste, with a popularity skew.
 
     The signal is strong enough that bias-aware factor models clearly beat
-    the global mean. Each user rates its own cluster's items 2.6 higher on
-    average; how far that lifts a personalized ranker above raw
-    popularity is measured, not promised (criterion 6b).
+    the global mean. Cluster taste adds 1.8 to a user's ratings of its own
+    cluster's items and -0.8 to the rest, before rounding. Criterion 6b
+    measures what that buys a ranker: bprmf's sampled NDCG@10 over
+    popularity's, 1.27x at the test's sampling seed but under its 1.2x bar
+    for 10 of 30 other seeds.
 
     Each draw takes a user from ``rng.integers`` and an item from one
     ``rng.random`` on the popularity CDF, the computation
