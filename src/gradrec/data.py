@@ -35,7 +35,7 @@ import logging
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -294,20 +294,29 @@ def _fields(tokens: list[str], starts: Array, widths: Array, k: int) -> list[str
     return list(map(tokens.__getitem__, (starts[widths > k] + k).tolist()))
 
 
-def _data_lines(text: str) -> Iterator[str]:
-    """The stripped non-blank lines of ``text``, split one block of about
-    ``BLOCK_CHARS`` characters at a time. A block ends after a \n, so no
-    \r\n pair is cut in two."""
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """The lines of ``text``, one list per block of about ``BLOCK_CHARS``
+    characters. A block ends after a \n, so no \r\n pair is cut in two."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
-        yield from filter(None, map(str.strip, _split_lines(text[start:end])))
+        lines = _split_lines(text[start:end])
+        if text[end - 1] == "\n":
+            lines.pop()  # the empty split after the block's last \n is no line
+        yield lines
         start = end
+
+
+def _data_lines(text: str) -> Iterator[str]:
+    """The stripped non-blank lines of ``text``, split one block at a time."""
+    for lines in _line_blocks(text):
+        yield from filter(None, map(str.strip, lines))
 
 
 def _line_no(text: str, data_line: int) -> int:
     """The file line number of the ``data_line``-th non-blank line."""
-    nonblank = (offset for offset, raw in enumerate(_split_lines(text)) if raw.strip())
+    lines = chain.from_iterable(_line_blocks(text))
+    nonblank = (offset for offset, raw in enumerate(lines) if raw.strip())
     return next(islice(nonblank, data_line, None)) + 1
 
 
