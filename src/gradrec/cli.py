@@ -8,7 +8,6 @@ cannot be read or written, corrupt checkpoint, divergence).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import gc
 import sys
 from functools import cache
@@ -17,6 +16,7 @@ from gradrec import config as cfgmod
 from gradrec import data as datamod
 from gradrec import runner
 from gradrec.errors import ConfigError, GradrecError
+from gradrec.models.base import pin_malloc_thresholds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,28 +88,6 @@ def cmd_recommend(args) -> int:
     for raw_id, score in runner.recommend(args.ckpt, args.user, args.n):
         print(f"{raw_id}\t{score:.6f}")
     return 0
-
-
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, glibc's malloc.h
-MMAP_THRESHOLD, TRIM_THRESHOLD = 64 << 20, 256 << 20  # bytes
-
-
-@cache
-def pin_malloc_thresholds() -> None:
-    """Pin glibc's mmap and trim thresholds, once per process. Left dynamic,
-    they follow the largest mapped block freed so far: after a training
-    step's ~1 MB arrays glibc keeps about 2 MB free at the heap top, returns
-    the rest to the kernel, and the next step page-faults it in again. A C
-    library without ``mallopt`` (musl, macOS) or a process without a handle
-    to itself (Windows) keeps its defaults."""
-    try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except (OSError, TypeError):
-        return
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 COMMANDS = {"split": cmd_split, "train": cmd_train, "evaluate": cmd_evaluate,

@@ -35,7 +35,7 @@ import logging
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,8 +47,7 @@ log = logging.getLogger(__name__)
 
 Array = np.ndarray
 _INT64 = np.iinfo(np.int64)
-CHUNK_LINES = 8192  # uirt lines tokenized at a time
-BLOCK_CHARS = 1 << 16  # characters split into lines at a time
+BLOCK_CHARS = 1 << 16  # characters split into lines and parsed at a time
 
 
 class Interaction(NamedTuple):
@@ -148,20 +147,15 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _split_lines(text: str) -> list[str]:
-    """The lines of ``text``: unlike ``str.splitlines``, only \\n, \\r\\n and \\r end one."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
-
-
 def read_text(path: Path) -> str:
     """A file's text; a byte that is not UTF-8 raises :class:`DataFormatError` at its line."""
     blob = path.read_bytes()
     try:
         return blob.decode("utf-8")
     except UnicodeDecodeError as err:
-        line_no = len(_split_lines(blob[:err.start].decode("utf-8")))  # as the parsers count
+        # \n, \r\n and \r end a line, as the parsers count; no UTF-8 sequence holds either byte
+        line_no = (blob.count(b"\n", 0, err.start) + blob.count(b"\r", 0, err.start)
+                   - blob.count(b"\r\n", 0, err.start) + 1)
         raise DataFormatError(str(path), line_no, f"not UTF-8: {err.reason}") from None
 
 
@@ -296,36 +290,27 @@ def _fields(tokens: list[str], starts: Array, widths: Array, k: int) -> list[str
 
 def _line_blocks(text: str) -> Iterator[list[str]]:
     """The lines of ``text``, one list per block of about ``BLOCK_CHARS``
-    characters. A block ends after a \n, so no \r\n pair is cut in two."""
+    characters: unlike ``str.splitlines``, only \\n, \\r\\n and \\r end a
+    line. A block ends after a \\n, so no \\r\\n pair is cut in two."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
-        lines = _split_lines(text[start:end])
+        block = text[start:end]
+        if "\r" in block:
+            block = block.replace("\r\n", "\n").replace("\r", "\n")
+        lines = block.split("\n")
         if text[end - 1] == "\n":
             lines.pop()  # the empty split after the block's last \n is no line
         yield lines
         start = end
 
 
-def _data_lines(text: str) -> Iterator[str]:
-    """The stripped non-blank lines of ``text``, split one block at a time."""
-    for lines in _line_blocks(text):
-        yield from filter(None, map(str.strip, lines))
-
-
-def _line_no(text: str, data_line: int) -> int:
-    """The file line number of the ``data_line``-th non-blank line."""
-    lines = chain.from_iterable(_line_blocks(text))
-    nonblank = (offset for offset, raw in enumerate(lines) if raw.strip())
-    return next(islice(nonblank, data_line, None)) + 1
-
-
 def _parse_chunk(lines: list[str], sep: str, first: int, indexes: tuple[dict, dict],
                  fail) -> tuple[Array, Array, Array, Array]:
     """The dense users and items (``indexes`` extended), ratings and
     timestamps of data lines ``first``, ``first + 1``, ...; a line without a
-    timestamp gets its data line index. The first bad line raises
-    ``fail(data line, message)``, a bad rating before a bad timestamp on the
+    timestamp gets its data line index. The first bad line, ``lines[k]``,
+    raises ``fail(k, message)``, a bad rating before a bad timestamp on the
     same line."""
     # every line's fields in one list, a "\r" token after each line
     n = len(lines)
@@ -348,11 +333,11 @@ def _parse_chunk(lines: list[str], sep: str, first: int, indexes: tuple[dict, di
     stamps, bad_stamp = _numbers(stamp_tokens, int, np.int64,
                                  lambda v: _INT64.min <= v <= _INT64.max)
     if bad_stamp < stamped.size:
-        raise fail(first + int(stamped[bad_stamp]), f"bad timestamp {stamp_tokens[bad_stamp]!r}")
+        raise fail(int(stamped[bad_stamp]), f"bad timestamp {stamp_tokens[bad_stamp]!r}")
     if bad_rating < n_ok:
-        raise fail(first + bad_rating, f"bad rating {rating_tokens[bad_rating]!r}")
+        raise fail(bad_rating, f"bad rating {rating_tokens[bad_rating]!r}")
     if n_ok < n:
-        raise fail(first + n_ok, f"expected 3 or 4 fields, got {got}")
+        raise fail(n_ok, f"expected 3 or 4 fields, got {got}")
 
     timestamps = np.arange(first, first + n, dtype=np.int64)
     timestamps[stamped] = stamps
@@ -365,23 +350,26 @@ def load_interactions(path: str | Path) -> InteractionTable:
 
     Duplicate (user, item) pairs collapse to the one with the latest
     timestamp (later line wins ties). Besides the file's text and the
-    columns, the parse holds the tokens of ``CHUNK_LINES`` lines at a time.
+    columns, the parse holds the tokens of one ``BLOCK_CHARS`` block at a
+    time.
     """
     path = Path(path)
-    text = read_text(path)
 
-    def fail(data_line: int, message: str) -> DataFormatError:
-        return DataFormatError(str(path), _line_no(text, data_line), message)
+    def fail(k: int, message: str) -> DataFormatError:
+        """The error at the current block's k-th data line, numbered only now."""
+        offsets = [offset for offset, raw in enumerate(lines) if raw.strip()]
+        return DataFormatError(str(path), before + offsets[k] + 1, message)
 
-    lines = _data_lines(text)
     user_index, item_index = indexes = {}, {}
     columns = []
-    n = 0  # data lines parsed
-    while chunk := list(islice(lines, CHUNK_LINES)):
-        if not n:
-            sep = _detect_separator(chunk[0])
-        columns.append(_parse_chunk(chunk, sep, n, indexes, fail))
-        n += len(chunk)
+    n = before = 0  # data lines parsed, file lines before the block
+    for lines in _line_blocks(read_text(path)):
+        if data := list(filter(None, map(str.strip, lines))):
+            if not n:
+                sep = _detect_separator(data[0])
+            columns.append(_parse_chunk(data, sep, n, indexes, fail))
+            n += len(data)
+        before += len(lines)
     if not n:
         raise DataFormatError(str(path), None, "no interactions found")
     users, items, ratings, timestamps = map(np.concatenate, zip(*columns))
@@ -413,7 +401,7 @@ def parse_libfm(path: str | Path) -> FeatureRows:
     labels: list[float] = []
     rows: list[list[tuple[int, float]]] = []
     n_features = 0
-    for line_no, raw in enumerate(_split_lines(read_text(path)), start=1):
+    for line_no, raw in enumerate(chain.from_iterable(_line_blocks(read_text(path))), start=1):
         tokens = raw.split()
         if not tokens:
             continue

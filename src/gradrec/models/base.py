@@ -4,6 +4,8 @@ declares, and :func:`train`, the one training loop."""
 
 from __future__ import annotations
 
+import ctypes
+from functools import cache
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
@@ -252,6 +254,28 @@ class Model:
     predict = score  # rating models' name for the same entry
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, glibc's malloc.h
+MMAP_THRESHOLD, TRIM_THRESHOLD = 64 << 20, 256 << 20  # bytes
+
+
+@cache
+def pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds, once per process. Left dynamic,
+    they follow the largest mapped block freed so far: after a training
+    step's ~1 MB arrays glibc keeps about 2 MB free at the heap top, returns
+    the rest to the kernel, and the next step page-faults it in again. A C
+    library without ``mallopt`` (musl, macOS) or a process without a handle
+    to itself (Windows) keeps its defaults."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def train(model: Model, data: dict, optimizer, epochs: int, batch_size: int | None = None, *,
           seed: int, neg_samples: int | None = None,
           on_step: Callable[[dict[str, Array]], None] | None = None) -> list[float]:
@@ -262,8 +286,10 @@ def train(model: Model, data: dict, optimizer, epochs: int, batch_size: int | No
     one ``gradient_step``, then ``model.after_step()``, then
     ``on_step(model.params)``. An epoch's loss is the mean of its step
     losses weighted by the examples in each step. ``neg_samples`` falls
-    back to the model's default.
+    back to the model's default. The malloc thresholds are pinned first,
+    so every caller's steps reuse the memory the last step freed.
     """
+    pin_malloc_thresholds()
     model.serve(data)
     model.bind(data, batch_size, model.neg_samples if neg_samples is None else neg_samples)
     rng = np.random.default_rng(seed)

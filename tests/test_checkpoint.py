@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,24 @@ class TestCorruption:
         with pytest.raises(CheckpointTrailingBytesError, match="1 trailing bytes"):
             ckpt.load_checkpoint(path)
 
+    def test_bytes_after_the_last_tensor_are_rejected_under_a_valid_checksum(self, tmp_path):
+        path = tmp_path / "m.drec"
+        payload = mixed_checkpoint(path)[ckpt.HEADER.size:-4]
+        path.write_bytes(sealed(payload + b"\x00\x00"))
+        with pytest.raises(CheckpointTrailingBytesError,
+                           match="2 trailing bytes after the last tensor"):
+            ckpt.load_checkpoint(path)
+
+    def test_unknown_tensor_dtype_is_a_checkpoint_error(self, tmp_path):
+        def text(s):
+            return len(s).to_bytes(4, "little") + s
+        payload = (text(b"fm") + text(b"") + (1).to_bytes(4, "little") + text(b"w")
+                   + struct.pack("<BBQ", 7, 1, 2) + np.ones(2).tobytes())
+        path = tmp_path / "m.drec"
+        path.write_bytes(sealed(payload))
+        with pytest.raises(CheckpointError, match="unknown tensor dtype 7 of rank 1"):
+            ckpt.load_checkpoint(path)
+
     def test_error_codes_are_distinct(self):
         codes = [cls.code for cls in (CheckpointMagicError, CheckpointVersionError,
                                       CheckpointTruncatedError, CheckpointTrailingBytesError,
@@ -105,6 +126,13 @@ def mixed_checkpoint(path):
         "train.user_ids": ["u0", "ü1", ""],
     })
     return path.read_bytes()
+
+
+def sealed(payload):
+    """A current-version file around ``payload``, with its length and
+    checksum right."""
+    head = ckpt.HEADER.pack(ckpt.MAGIC, ckpt.VERSION, len(payload))
+    return head + payload + struct.pack("<I", zlib.crc32(head + payload))
 
 
 class TestIntegrity:

@@ -4,6 +4,7 @@ import pytest
 
 from gradrec import config as cfgmod
 from gradrec.data import LeaveOneOut, RandomHoldout, Temporal
+from gradrec.engine import Sgd, make_optimizer
 from gradrec.errors import ConfigError
 from gradrec.metrics import FullRanking, SampledRanking
 from gradrec.models import MODELS
@@ -100,6 +101,15 @@ class TestParseValid:
         assert old in RANKING
         assert read(cfgmod.parse_config(RANKING.replace(old, new, 1))) == 0
 
+    def test_ranking_threshold_defaults_to_four(self):
+        cfg = cfgmod.parse_config(RANKING.replace("binarize_threshold = 1.0\n", ""))
+        assert cfg.data.binarize_threshold == cfgmod.DEFAULT_BINARIZE_THRESHOLD == 4.0
+
+    def test_sgd_optimizer_is_built(self):
+        cfg = cfgmod.parse_config(BASE.replace("optimizer = adam", "optimizer = sgd"))
+        optimizer = make_optimizer(cfg.train.optimizer, cfg.train.lr)
+        assert isinstance(optimizer, Sgd) and optimizer.lr == 0.01
+
     def test_raw_text_is_echoed(self):
         cfg = cfgmod.parse_config(BASE)
         assert cfg.text == BASE
@@ -166,6 +176,25 @@ class TestValidationErrors:
         with pytest.raises(ConfigError) as err:
             cfgmod.parse_config(text)
         assert err.value.issues == expected
+
+    @pytest.mark.parametrize("text, expected", [
+        ("path = ratings.txt\n" + BASE, "unparseable config"),
+        (BASE + "\n[extra]\nx = 1\n", "unknown section [extra]"),
+        (BASE.split("[train]")[0], "missing section [train]"),
+        (BASE.replace("name = biasedsvd", "name = svdpp"), "[model] unknown model 'svdpp'"),
+        (BASE.replace("random:0.2", "random:x"), "[data] bad split ratio in 'random:x'"),
+        (BASE.replace("random:0.2", "random:1.5"),
+         "[data] split ratio must be in (0, 1), got 1.5"),
+        (BASE.replace("format = uirt", "format = libfm").replace("biasedsvd", "fm")
+         .replace("random:0.2", "loo"), "split must be random:<ratio>"),
+        (BASE.replace("format = uirt", "format = libfm").replace("biasedsvd", "fm")
+         .replace("seed = 42", "seed = 42\nbinarize_threshold = 4"),
+         "[data] binarize_threshold does not apply to libfm data"),
+    ])
+    def test_malformed_file_section_model_or_split_rejected(self, text, expected):
+        with pytest.raises(ConfigError) as err:
+            cfgmod.parse_config(text)
+        assert any(expected in issue for issue in err.value.issues), err.value.issues
 
     def test_rating_model_with_eval_section_rejected(self):
         bad = BASE + "\n[eval]\ncutoffs = 5\nprotocol = full\n"

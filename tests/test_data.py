@@ -768,17 +768,15 @@ def test_prepare_data_keeps_no_per_row_objects(tmp_path):
     assert added < 100, added
 
 
-@given(st.one_of(uirt_files(), uirt_files(bad_lines=2)), st.integers(1, 4), st.integers(1, 24))
+@given(st.one_of(uirt_files(), uirt_files(bad_lines=2)), st.integers(1, 24))
 @settings(max_examples=200, deadline=None)
-def test_chunked_parse_matches_reference_at_every_boundary(tmp_path_factory, text, chunk_lines,
-                                                           block_chars):
-    """Chunks of a few lines and blocks of a few characters cut the file
-    everywhere: ids keep first-appearance order across chunks, and the
-    first bad line raises as the whole-file reference does."""
+def test_chunked_parse_matches_reference_at_every_boundary(tmp_path_factory, text, block_chars):
+    """Blocks of a few characters cut the file everywhere: ids keep
+    first-appearance order across blocks, and the first bad line raises as
+    the whole-file reference does."""
     path = tmp_path_factory.getbasetemp() / "chunked.uirt"
     path.write_bytes(text.encode("utf-8"))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data, "CHUNK_LINES", chunk_lines)
         patch.setattr(data, "BLOCK_CHARS", block_chars)
         got, want = load_both(path)
     if isinstance(want, DataFormatError):
@@ -807,3 +805,23 @@ def test_parse_peak_memory_is_bounded_by_the_file(tmp_path):
         tracemalloc.stop()
     assert len(table) == 60_000
     assert peak < 8 * size, f"parse peak {peak} B = {peak / size:.1f}x the file's {size} B"
+
+
+def test_decode_error_peak_memory_is_bounded_by_the_file(tmp_path):
+    """A byte that is not UTF-8 on the last line of a desk-sized file is
+    numbered from the file's bytes, not from a list of every line before
+    it, which took about 7x the file's bytes."""
+    path = tmp_path / "desk.uirt"
+    data.write_uirt(path, synthetic.desk_scale_ratings())
+    with open(path, "ab") as fh:
+        fh.write(b"u1\ti1\t\xff\t1\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="not UTF-8") as err:
+            data.load_interactions(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.line_no == 100_001
+    assert peak < 4 * size, f"decode error peak {peak} B = {peak / size:.1f}x the file's {size} B"

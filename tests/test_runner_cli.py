@@ -1,8 +1,10 @@
 import ctypes
 import gc
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from gradrec import runner, synthetic
 
 from conftest import config_text, consumed
 from test_acceptance import ALL_MODEL_CONFIGS, model_config_text
+
+# a child interpreter imports gradrec from this checkout, as the tests do
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def rating_config(path, **over):
@@ -421,6 +426,31 @@ class TestCliWorkflows:
         assert captured.out == ""
         assert f"recommend needs n >= 1, got {n}" in captured.err
 
+    def test_recommend_to_an_unknown_user_exits_2_naming_it(self, ratings_file, tmp_path,
+                                                           capsys):
+        cfg_path = self.write(tmp_path, "c.ini", rating_config(ratings_file))
+        out = tmp_path / "svd.drec"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = cli.main(["recommend", "--ckpt", str(out), "--user", "nobody", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unknown user id 'nobody'" in captured.err
+
+    def test_evaluate_with_another_model_exits_1(self, ratings_file, tmp_path, capsys):
+        cfg_path = self.write(tmp_path, "c.ini", rating_config(ratings_file))
+        out = tmp_path / "svd.drec"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        fm_cfg = self.write(tmp_path, "fm.ini", rating_config(ratings_file).replace(
+            "name = biasedsvd", "name = fm"))
+        code = cli.main(["evaluate", "--ckpt", str(out), "--config", str(fm_cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "checkpoint holds model 'biasedsvd' but config names 'fm'" in captured.err
+
     def test_undecodable_data_file_exits_2_naming_the_line(self, tmp_path, capsys):
         source = tmp_path / "bad.txt"
         source.write_bytes(b"u1\ti1\t5\t1\nu2\t\xffi2\t4\t2\n")
@@ -525,7 +555,7 @@ class TestCliWorkflows:
         proc = subprocess.run(
             [sys.executable, "-m", "gradrec.cli", "train", "--config", str(cfg_path),
              "--out", str(tmp_path / "m.drec")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
         assert "rmse\t" in proc.stdout
 
@@ -712,24 +742,24 @@ class TestEndToEndDeterminism:
 
 FIT_FAULTS = """
 import contextlib, io, resource, sys
-from gradrec import cli
+from gradrec import cli, config, runner
+entry, cfg_path, *outs = sys.argv[1:]
 faults = []
-for out in sys.argv[2:]:
+for out in outs:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["train", "--config", sys.argv[1], "--out", out]) == 0
+        if entry == "cli":
+            assert cli.main(["train", "--config", cfg_path, "--out", out]) == 0
+        else:
+            runner.run(config.load_config(cfg_path), out)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(*faults)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt and glibc's mallopt are Linux's")
-def test_training_reuses_freed_memory_instead_of_page_faulting(tmp_path):
-    """Each bprmf step here builds and frees arrays of about 1 MB. Under
-    glibc's dynamic thresholds the heap handed them back to the kernel
-    between steps, and a second train in the same process page-faulted
-    22K-25K times on this corpus; under the thresholds ``cli.main`` pins,
-    170-460 times (the first train, which grows the heap: 28K and 6.4K)."""
+def train_twice_faults(tmp_path, entry):
+    """The minor page faults of two bprmf trainings in one fresh process,
+    each through ``cli.main`` (entry "cli") or ``runner.run`` ("library")."""
     if getattr(ctypes.CDLL(None), "mallopt", None) is None:
         pytest.skip("the C library has no mallopt")
     path = tmp_path / "desk.uirt"
@@ -742,9 +772,27 @@ def test_training_reuses_freed_memory_instead_of_page_faulting(tmp_path):
         "neg_samples = 4\nseed = 7",
         data_lines="split = loo\nseed = 42\nbinarize_threshold = 4.0\n",
         eval_lines="cutoffs = 10\nprotocol = sampled:100"), encoding="utf-8")
-    proc = subprocess.run([sys.executable, "-c", FIT_FAULTS, str(cfg_path),
+    proc = subprocess.run([sys.executable, "-c", FIT_FAULTS, entry, str(cfg_path),
                            str(tmp_path / "a.drec"), str(tmp_path / "b.drec")],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    first, second = map(int, proc.stdout.split())
+    return tuple(map(int, proc.stdout.split()))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt and glibc's mallopt are Linux's")
+def test_training_reuses_freed_memory_instead_of_page_faulting(tmp_path):
+    """Each bprmf step here builds and frees arrays of about 1 MB. Under
+    glibc's dynamic thresholds the heap handed them back to the kernel
+    between steps, and a second train in the same process page-faulted
+    22K-25K times on this corpus; under the thresholds ``models.train``
+    pins, 170-460 times (the first train, which grows the heap: 28K and 6.4K)."""
+    first, second = train_twice_faults(tmp_path, "cli")
+    assert second < 2_000, (first, second)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt and glibc's mallopt are Linux's")
+def test_library_training_reuses_freed_memory_without_the_cli(tmp_path):
+    """``runner.run`` never calls ``cli.main``, yet its trainings get the
+    same pinned thresholds."""
+    first, second = train_twice_faults(tmp_path, "library")
     assert second < 2_000, (first, second)
